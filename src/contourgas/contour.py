@@ -7,10 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 from scipy.integrate import solve_ivp
 
-from .numkit import ComplexPolynomial
+from .numkit import ChebSeries, ComplexPolynomial
 
 __all__ = [
     "Curve",
@@ -51,50 +50,37 @@ def semicircle_cdf(x):
 
 @dataclass(frozen=True)
 class Curve:
-    """Analytic arc given by Chebyshev series on [lo, hi].
+    """Analytic arc given by Chebyshev series on a common interval.
 
-    eval/deriv data are interpolants of the parametrization and its first
-    derivative; the second derivative is the exact series derivative.
+    g and d1 interpolate the parametrization and its first derivative; the
+    higher derivatives are exact series derivatives of d1.
     """
 
-    lo: float
-    hi: float
-    coef_g: np.ndarray
-    coef_d1: np.ndarray
+    g: ChebSeries
+    d1: ChebSeries
     analytic_pad: float
 
     def __call__(self, x):
-        return _cheb.chebval(self._map(x), self.coef_g)
+        return self.g(x)
 
     def deriv1(self, x):
-        return _cheb.chebval(self._map(x), self.coef_d1)
+        return self.d1(x)
 
     def deriv2(self, x):
-        c = _cheb.chebder(self.coef_d1) * self._scale()
-        return _cheb.chebval(self._map(x), c)
+        return self.d1.deriv()(x)
 
     def deriv3(self, x):
-        c = _cheb.chebder(self.coef_d1, 2) * self._scale() ** 2
-        return _cheb.chebval(self._map(x), c)
-
-    def _map(self, x):
-        x = np.asarray(x)
-        if not np.iscomplexobj(x):
-            x = x.astype(float)
-        return (2 * x - (self.lo + self.hi)) / (self.hi - self.lo)
-
-    def _scale(self):
-        return 2.0 / (self.hi - self.lo)
+        return self.d1.deriv(2)(x)
 
     @property
     def domain(self):
-        return (self.lo, self.hi)
+        return (self.g.lo, self.g.hi)
 
     def invert(self, z, x0=None, tol=1e-13, maxit=60):
         """Parameter x with curve(x) = z, by Newton seeded from a dense scan."""
         z = complex(z)
         if x0 is None:
-            xs = np.linspace(self.lo, self.hi, 257)
+            xs = np.linspace(*self.domain, 257)
             x0 = xs[np.argmin(np.abs(self(xs) - z))]
         x = complex(x0)
         for _ in range(maxit):
@@ -106,7 +92,7 @@ class Curve:
 
     def table(self, n=257):
         """Plot-ready rows (x, re, im, re', im')."""
-        xs = np.linspace(self.lo, self.hi, n)
+        xs = np.linspace(*self.domain, n)
         g = self(xs)
         d = self.deriv1(xs)
         return np.column_stack([xs, g.real, g.imag, d.real, d.imag])
@@ -122,7 +108,7 @@ def affine_curve(zeta1, zeta2, pad):
     dz = zeta2 - zeta1
     coef_g = np.array([zeta1 + mid * dz, half * dz], dtype=complex)
     coef_d1 = np.array([dz], dtype=complex)
-    return Curve(lo, hi, coef_g, coef_d1, pad)
+    return Curve(ChebSeries(lo, hi, coef_g), ChebSeries(lo, hi, coef_d1), pad)
 
 
 def _endpoint_series(R: ComplexPolynomial, ze, p1, p2, a1):
@@ -225,8 +211,7 @@ def semicircle_parametrization(S: ComplexPolynomial, zeta1, zeta2, pad=0.05,
     right = integrate(1 + delta, 1 + pad, gp, gpp_)
 
     # sample on Chebyshev points of [-pad, 1+pad]
-    u = np.cos(np.pi * np.arange(n_cheb + 1) / n_cheb)
-    xs = (u + 1) / 2 * (1 + 2 * pad) - pad
+    xs = ChebSeries.nodes(-pad, 1 + pad, n_cheb)
     gv = np.empty(xs.shape, dtype=complex)
     dv = np.empty(xs.shape, dtype=complex)
     for i, x in enumerate(xs):
@@ -247,10 +232,7 @@ def semicircle_parametrization(S: ComplexPolynomial, zeta1, zeta2, pad=0.05,
         gv[i] = y[0] + 1j * y[1]
         dv[i] = y[2] + 1j * y[3]
 
-    grid_u = (2 * xs - ((-pad) + (1 + pad))) / (1 + 2 * pad)
-    coef_g = _cheb.chebfit(grid_u, gv, n_cheb)
-    coef_d1 = _cheb.chebfit(grid_u, dv, n_cheb)
-    curve = Curve(-pad, 1 + pad, coef_g, coef_d1, pad)
+    curve = Curve(ChebSeries.fit(-pad, 1 + pad, gv), ChebSeries.fit(-pad, 1 + pad, dv), pad)
 
     # consistency: endpoints interpolate exactly enough
     if abs(curve(0.0) - zeta1) > 1e-9 or abs(curve(1.0) - zeta2) > 1e-9:
@@ -270,7 +252,8 @@ def arc_mass(curve: Curve, z, tol=1e-9):
 @dataclass(frozen=True)
 class CurveFamily:
     """Interpolation between the straight segment (t=0) and the analytic
-    arc (t=1), with both endpoints pinned for every t."""
+    arc (t=1), with both endpoints pinned for every t.  point and deriv1
+    accept complex parameters (analytic continuation of the member)."""
 
     base: Curve
     zeta1: complex
@@ -285,7 +268,7 @@ class CurveFamily:
         return (self.base(t) - self.zeta1) / t
 
     def point(self, t, x):
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)
         dz = self.zeta2 - self.zeta1
         if t == 0.0:
             out = self.zeta1 + x * dz
@@ -295,7 +278,7 @@ class CurveFamily:
         return out if out.shape else complex(out)
 
     def deriv1(self, t, x):
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)
         dz = self.zeta2 - self.zeta1
         if t == 0.0:
             out = np.full(x.shape, dz, dtype=complex)
@@ -320,18 +303,6 @@ class CurveFamily:
         dz = self.zeta2 - self.zeta1
         out = t * t * self.base.deriv3(t * x) * dz / self._denom(t)
         return out if out.shape else complex(out)
-
-    def curve_at(self, t, n_cheb=None):
-        """Frozen Curve for one t (reuses the base series sampling)."""
-        if t == 0.0:
-            return affine_curve(self.zeta1, self.zeta2, self.base.analytic_pad)
-        pad = self.base.analytic_pad
-        n = n_cheb or (len(self.base.coef_g) - 1)
-        u = np.cos(np.pi * np.arange(n + 1) / n)
-        xs = (u + 1) / 2 * (1 + 2 * pad) - pad
-        coef_g = _cheb.chebfit(u, self.point(t, xs), n)
-        coef_d1 = _cheb.chebfit(u, self.deriv1(t, xs), n)
-        return Curve(-pad, 1 + pad, coef_g, coef_d1, pad)
 
 
 def subtracted_chord_kernel(g, d1, d2, d3, x, y):

@@ -6,12 +6,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .contour import (Curve, CurveFamily, affine_curve, semicircle_cdf,
                       semicircle_parametrization, subtracted_chord_kernel)
-from .numkit import ComplexPolynomial, WeightedGrid, make_grid, pairwise_sum, track_arg
+from .numkit import (ChebSeries, ComplexPolynomial, WeightedGrid, make_grid,
+                     pairwise_sum, track_arg)
 
 __all__ = [
     "OneCutSolution",
@@ -459,6 +461,8 @@ class OneCutSolution:
 
     def report(self):
         fr = self.frostman_check()
+        energy = self.complex_energy()
+        entropy = self.entropy()
         return {
             "zeta1": [self.zeta1.real, self.zeta1.imag],
             "zeta2": [self.zeta2.real, self.zeta2.imag],
@@ -466,8 +470,8 @@ class OneCutSolution:
             "mass_residual": float(self.mass_residual()),
             "frostman_on_support_max_abs": fr["on_support_max_abs"],
             "euler_lagrange_max_abs": fr["euler_lagrange_max_abs"],
-            "complex_energy": [self.complex_energy().real, self.complex_energy().imag],
-            "entropy": [self.entropy().real, self.entropy().imag],
+            "complex_energy": [energy.real, energy.imag],
+            "entropy": [entropy.real, entropy.imag],
         }
 
 
@@ -485,15 +489,8 @@ class InterpolationData:
     n_quad: int = 96
 
     def __post_init__(self):
-        fam = self.sol.family
-        self.family = fam
+        self.family = self.sol.family
         self.gc2 = make_grid("gauss_chebyshev_sqrt", self.n_quad, (0.0, 1.0))
-        self.gc1 = make_grid("inverse_sqrt", self.n_quad, (0.0, 1.0))
-        pad = self.sol.pad
-        n_c = 96
-        u = np.cos(np.pi * np.arange(n_c + 1) / n_c)
-        self._cheb_x = (u + 1) / 2 * (1 + 2 * pad) - pad
-        self._st_series = None
 
     # curve shortcuts
     def gt(self, x):
@@ -520,10 +517,10 @@ class InterpolationData:
         z = np.asarray(z, dtype=complex)
         x = np.asarray(x0, dtype=complex).copy()
         for _ in range(maxit):
-            f = self._point_complex(x) - z
+            f = self.gt(x) - z
             if np.max(np.abs(f)) < tol:
                 return x
-            x = x - f / self._deriv_complex(x)
+            x = x - f / self.gtp(x)
         raise ValueError("vectorized curve inversion failed")
 
     # -- prefactor of the cut square root ---------------------------------
@@ -561,20 +558,14 @@ class InterpolationData:
             s_prev = cand
         return s_prev
 
-    @property
+    @cached_property
     def st_series(self):
-        if self._st_series is None:
-            pad = self.sol.pad
-            u = (2 * self._cheb_x - 1) / (1 + 2 * pad)
-            vals = self.st_grid(self._cheb_x)
-            self._st_series = np.polynomial.chebyshev.chebfit(u, vals, len(u) - 1)
-        return self._st_series
+        pad = self.sol.pad
+        return ChebSeries.interpolate(self.st_grid, -pad, 1 + pad, 96)
 
     def st(self, x):
-        """Prefactor along the curve at real parameter x (interpolated)."""
-        pad = self.sol.pad
-        u = (2 * np.asarray(x, dtype=float) - 1) / (1 + 2 * pad)
-        return np.polynomial.chebyshev.chebval(u, self.st_series)
+        """Prefactor along the curve at parameter x (interpolated)."""
+        return self.st_series(x)
 
     def st_at(self, z):
         """Prefactor at a point z near the curve, sign by continuity from the
@@ -587,27 +578,9 @@ class InterpolationData:
 
     def _q_ratio_complex(self, x):
         z1, z2 = self.sol.zeta1, self.sol.zeta2
-        g = self._point_complex(x)
-        gp = self._deriv_complex(x)
+        g = self.gt(x)
+        gp = self.gtp(x)
         return 64 * x * (x - 1) / (gp**2 * (g - z1) * (g - z2))
-
-    def _point_complex(self, x):
-        fam = self.family
-        if self.t == 0.0:
-            return self.sol.zeta1 + x * (self.sol.zeta2 - self.sol.zeta1)
-        base = self.sol.curve
-        u = (2 * (self.t * x) - (base.lo + base.hi)) / (base.hi - base.lo)
-        g = np.polynomial.chebyshev.chebval(u, base.coef_g)
-        return (g - self.sol.zeta1) * (self.sol.zeta2 - self.sol.zeta1) / (self.t * fam._denom(self.t)) + self.sol.zeta1
-
-    def _deriv_complex(self, x):
-        fam = self.family
-        if self.t == 0.0:
-            return self.sol.zeta2 - self.sol.zeta1
-        base = self.sol.curve
-        u = (2 * (self.t * x) - (base.lo + base.hi)) / (base.hi - base.lo)
-        d = np.polynomial.chebyshev.chebval(u, base.coef_d1)
-        return d * (self.sol.zeta2 - self.sol.zeta1) / fam._denom(self.t)
 
     def rt(self, z):
         """Deformed R at z: prefactor squared times the endpoint factors."""
@@ -655,39 +628,22 @@ class InterpolationData:
         vals = np.array([self.vt_prime(p) for p in pts])
         return self.sol.potential(mid) + (z - mid) * pairwise_sum(gl.weights * vals)
 
-    def vt_on_curve(self, x):
-        """V_t(gamma_t(x)) by integration along the curve itself (stays
-        inside the strip)."""
-        x = float(x)
-        gl = make_grid("gauss_legendre", 64, (0.5, x))
-        vals = self.vt_prime_pullback(gl.nodes)
-        mid_val = self.vt(self.gt(0.5))
-        return mid_val + pairwise_sum(gl.weights * vals)
-
-    @property
+    @cached_property
     def _vt_series(self):
         """Chebyshev antiderivative of the pulled-back potential slope:
         V_t(gamma_t(x)) as a fast series over the working interval."""
-        if getattr(self, "_vt_series_cache", None) is None:
-            pad = self.sol.pad
-            n_c = 96
-            u = np.cos(np.pi * np.arange(n_c + 1) / n_c)
-            xs = (u + 1) / 2 * (1 + 2 * pad) - pad
-            vals = self.vt_prime_pullback(xs)
-            coef = np.polynomial.chebyshev.chebfit(u, vals, n_c)
-            anti = np.polynomial.chebyshev.chebint(coef) * (1 + 2 * pad) / 2
-            u_half = (2 * 0.5 - 1) / (1 + 2 * pad)
-            base = np.polynomial.chebyshev.chebval(u_half, anti)
-            shift = self.vt(self.gt(0.5)) - base
-            anti[0] += shift
-            self._vt_series_cache = anti
-        return self._vt_series_cache
+        pad = self.sol.pad
+        slope = ChebSeries.interpolate(self.vt_prime_pullback, -pad, 1 + pad, 96)
+        anti = slope.antideriv()
+        # pin the value at x = 1/2 to the path-integrated potential
+        coef = anti.coef.copy()
+        coef[0] += self.vt(self.gt(0.5)) - anti(0.5)
+        return ChebSeries(anti.lo, anti.hi, coef)
 
     def vt_gamma(self, x):
-        """V_t(gamma_t(x)) from the cached antiderivative series."""
-        pad = self.sol.pad
-        u = (2 * np.asarray(x, dtype=float) - 1) / (1 + 2 * pad)
-        return np.polynomial.chebyshev.chebval(u, self._vt_series)
+        """V_t(gamma_t(x)) from the cached antiderivative series; complex x
+        continues it analytically."""
+        return self._vt_series(x)
 
     def complex_energy(self):
         """Complexified energy of the flow member: equilibrium constant of

@@ -9,22 +9,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import InterpolationData
-from .numkit import make_grid, pairwise_sum, track_arg
+from .numkit import make_grid, pairwise_sum, tensor_quadrature, track_arg
 from .operators import DiscretizedOperator, complex_master_operator, real_master_operator
 
 __all__ = [
     "GaussianLaw",
     "KernelPair",
     "gaussian_law",
+    "pair_angles",
     "phase_kernels",
     "fourier_kernels",
     "fredholm_expectation",
     "finite_rank_oracle",
     "sample_structured_gaussian",
+    "structured_index_map",
     "wick_moments",
     "one_stat_expansion",
     "loop_equation_check",
-    "tensor_expectations",
     "CovarianceError",
 ]
 
@@ -172,6 +173,25 @@ class KernelPair:
                        delimiter=",", header="re,im", comments="")
 
 
+def pair_angles(data: InterpolationData, x):
+    """Uncut phase kernels on an ordered parameter grid: the slope argument
+    p(x) = arg gamma_t'(x), anchored at its principal value at the middle
+    node, and the pair argument a(x, y) = arg((gamma_t(x) - gamma_t(y)) /
+    (x - y)), unwrapped along rows, re-anchored on the diagonal a(x, x) =
+    p(x) and symmetrized.  Returns (p, a)."""
+    n = len(x)
+    gx = data.gt(x)
+    gpx = data.gtp(x)
+    tr = track_arg(gpx)
+    mid = n // 2
+    p = tr.args + (np.angle(gpx[mid]) - tr.args[mid])
+    Q = (gx[:, None] - gx[None, :]) / (x[:, None] - x[None, :] + np.eye(n))
+    np.fill_diagonal(Q, gpx)
+    ang = np.unwrap(np.angle(Q), axis=1)
+    ang += (p - np.diag(ang))[:, None]
+    return p, (ang + ang.T) / 2
+
+
 def phase_kernels(data: InterpolationData, n_x=192, inner=None, outer=None):
     """Smooth compactly supported phase kernels of the deformed curve:
     the pair argument a_t(x,y) and the slope argument p_t(x), with branches
@@ -185,23 +205,7 @@ def phase_kernels(data: InterpolationData, n_x=192, inner=None, outer=None):
         raise ValueError("cutoff needs outer > inner")
     gl = make_grid("gauss_legendre", n_x, (-outer, 1 + outer))
     x = gl.nodes
-    gx = data.gt(x)
-    gpx = data.gtp(x)
-
-    # slope argument, anchored at the principal value near the midpoint
-    tr = track_arg(gpx)
-    midx = n_x // 2
-    anchor = np.angle(gpx[midx])
-    p_raw = tr.args + (anchor - tr.args[midx])
-
-    # pair argument: difference quotients with the diagonal filled by the
-    # slope, unwrapped along rows and re-anchored on the diagonal
-    Q = (gx[:, None] - gx[None, :]) / (x[:, None] - x[None, :] + np.eye(n_x))
-    np.fill_diagonal(Q, gpx)
-    ang = np.unwrap(np.angle(Q), axis=1)
-    ang += (p_raw - np.diag(ang))[:, None]
-    ang = (ang + ang.T) / 2
-
+    p_raw, ang = pair_angles(data, x)
     chi = smooth_cutoff(x, inner, outer)
     a = chi[:, None] * chi[None, :] * ang
     p = chi * p_raw
@@ -229,21 +233,16 @@ def fourier_kernels(data: InterpolationData, beta, law: GaussianLaw = None,
     # law functionals on restricted exponentials
     xs = law.op.grid
     expm = np.exp(-2j * np.pi * np.outer(freq, xs))      # rows: e^{-2pi i u x}
-    U = np.empty((n_freq, xs.size), dtype=complex)
-    for k in range(n_freq):
-        U[k] = law.op.inverse_apply(expm[k].conj())       # inverse[e^{+2pi i v *}]
     E_nu, D, w_nu = law._E_nu, law._D, law._w_nu
     # B(u,v) = (1/beta) nu( d/dx[e^{-2pi i u x}] inverse[e^{2pi i v x}] )
     fprime_nu = (E_nu @ (D @ expm.T))                     # columns: derivative of e^{-2pi i u x}
-    u_nu = E_nu @ U.T
+    u_nu = E_nu @ (law.op.inverse @ expm.conj().T)       # columns: inverse[e^{+2pi i v *}]
     B = (1 / beta) * np.einsum("q,qu,qv->uv", w_nu, fprime_nu, u_nu)
     # m(u) = (1/beta-1/2) nu( R inverse[e^{-2pi i u x}] )
-    Um = np.empty_like(U)
-    for k in range(n_freq):
-        Um[k] = law.op.inverse_apply(expm[k])
+    Um = law.op.inverse @ expm.T
     m = (1 / beta - 0.5) * np.einsum(
         "q,qu->u", w_nu,
-        law._rfac[:, None] * (E_nu @ Um.T) + E_nu @ (D @ Um.T))
+        law._rfac[:, None] * (E_nu @ Um) + E_nu @ (D @ Um))
     # decay sanity: the transform of the smooth kernels must be small at the
     # grid border, otherwise the window is too narrow
     peak = np.abs(A).max()
@@ -315,6 +314,19 @@ def finite_rank_oracle(B, mu, A, lam, beta=1.0):
     return det_msqrt * np.exp(e)
 
 
+def structured_index_map(n):
+    """Matrix T taking a real vector X of length 2n to the structured
+    complex vector xi = T X, whose entries pair up under conjugation:
+    conj(xi_j) = xi_{-j}, with index -j the reversal j -> 2n - 1 - j."""
+    T = np.zeros((2 * n, 2 * n), dtype=complex)
+    for k in range(n):
+        T[n + k, k] = 1
+        T[n + k, n + k] = 1j
+        T[k, n - 1 - k] = 1
+        T[k, 2 * n - 1 - k] = -1j
+    return T
+
+
 def sample_structured_gaussian(B, mu, n_samples, rng):
     """Draws of the structured vector (conj(xi_j) = xi_{-j}) with mean mu
     and covariance B = cov(xi_i, conj(xi_j)); used as the Monte Carlo side
@@ -322,13 +334,7 @@ def sample_structured_gaussian(B, mu, n_samples, rng):
     n2 = len(mu)
     if n2 % 2:
         raise ValueError("structured vector has even length")
-    n = n2 // 2
-    T = np.zeros((n2, n2), dtype=complex)
-    for k in range(n):
-        T[n + k, k] = 1
-        T[n + k, n + k] = 1j
-        T[k, n - 1 - k] = 1
-        T[k, 2 * n - 1 - k] = -1j
+    T = structured_index_map(n2 // 2)
     C = (T.conj().T @ B @ T) / 4
     C = np.real(0.5 * (C + C.T))
     mX = np.real(T.conj().T @ mu) / 2
@@ -377,11 +383,11 @@ def one_stat_expansion(data: InterpolationData, f, beta, n=64):
     np.fill_diagonal(V2, du)
 
     # diagonal term: slot-1 inverse, slot-2 derivative, then the diagonal
-    W4 = (op.inverse_matrix @ V2) @ Dz.T
+    W4 = (op.inverse @ V2) @ Dz.T
     term4 = (mu_row @ np.diag(W4)) / (2 * beta)
 
     # connected term: derivative-of-inverse in both slots
-    W3 = op.inverse_matrix @ ((op.inverse_matrix @ V2.T).T @ Dz.T)
+    W3 = op.inverse @ ((op.inverse @ V2.T).T @ Dz.T)
     term3 = 0.5 * pref**2 * (mu_row @ (Dz @ W3) @ mu_row)
 
     c1 = term1
@@ -393,59 +399,6 @@ def one_stat_expansion(data: InterpolationData, f, beta, n=64):
 
 
 # -- small-N tensor quadrature and the first loop equation -------------------
-
-
-def tensor_expectations(N, beta, gamma, dgamma, phi_tilde, domain, stats1,
-                        stats2=None, M=64):
-    """Expectations of one- and two-point symmetric statistics under the
-    N-particle curve ensemble by full tensor quadrature.
-
-    stats1: list of vectors (values on the quadrature grid).
-    stats2: list of (M, M) matrices for pair statistics (i != j pairs use
-    the off-diagonal, coincident pairs the diagonal).
-    Returns (one-point expectations E[s(x_1)], pair expectations
-    E[s(x_1, x_2)], diagonal expectations E[s(x_1, x_1)])."""
-    gl = make_grid("gauss_legendre", M, domain)
-    x, w = gl.nodes, gl.weights
-    g = gamma(x)
-    single = np.log(np.abs(dgamma(x))) - N * beta * phi_tilde(x)
-    pair = beta * np.log(np.abs(g[:, None] - g[None, :]) + np.eye(M))
-    np.fill_diagonal(pair, -1e30)  # integrand vanishes at collisions
-
-    shape = (M,) * N
-    logW = np.zeros(shape)
-    for i in range(N):
-        logW += single.reshape([-1 if k == i else 1 for k in range(N)])
-    for i in range(N):
-        for j in range(i + 1, N):
-            logW = logW + pair.reshape((M, M) + (1,) * (N - 2)).transpose(
-                _pair_axes(i, j, N))
-    logW -= logW.max()
-    Wt = np.exp(logW)
-    for i in range(N):
-        Wt = Wt * w.reshape([-1 if k == i else 1 for k in range(N)])
-    Z = Wt.sum()
-    m1 = Wt.sum(axis=tuple(range(1, N))) / Z
-    out1 = [pairwise_sum(m1 * s) for s in stats1]
-    out2, outd = [], []
-    if stats2:
-        if N >= 2:
-            m2 = Wt.sum(axis=tuple(range(2, N))) / Z
-            out2 = [float(np.sum(m2 * s)) for s in stats2]
-        outd = [pairwise_sum(m1 * np.diag(s)) for s in stats2]
-    return out1, out2, outd, (x, w, m1)
-
-
-def _pair_axes(i, j, N):
-    axes = [None] * N
-    axes[i] = 0
-    axes[j] = 1
-    nxt = 2
-    for k in range(N):
-        if axes[k] is None:
-            axes[k] = nxt
-            nxt += 1
-    return axes
 
 
 def loop_equation_check(N, beta, data_or_model, domain=None, M=64):
@@ -498,12 +451,21 @@ def loop_equation_check(N, beta, data_or_model, domain=None, M=64):
     Dbar = pairwise_sum(Dkernel(x, y) * wy[None, :], axis=-1)
     nu_D_nu = pairwise_sum(wy * pairwise_sum(Dkernel(y, y) * wy[None, :], axis=-1))
 
-    out1, out2, outd, _ = tensor_expectations(
-        N, beta, gamma, dgamma, phi_tilde, domain,
-        [Xi_h, R_h, Dbar], [Dgrid], M=M)
-    E_Xi, E_R, E_Dbar = out1
-    E_Dpair = out2[0] if out2 else 0.0
-    E_Ddiag = outd[0]
+    # expectations under the N-particle curve ensemble by full tensor
+    # quadrature on the same grid
+    g = gamma(x)
+    log_single = np.log(np.abs(dgamma(x))) - N * beta * phi_tilde(x)
+    log_pair = beta * np.log(np.abs(g[:, None] - g[None, :]) + np.eye(M))
+    np.fill_diagonal(log_pair, -1e30)  # integrand vanishes at collisions
+    W, _ = tensor_quadrature(N, log_single, log_pair, gl.weights)
+    Z = W.sum()
+    m1 = W.sum(axis=tuple(range(1, N))) / Z         # one-point marginal
+    E_Xi, E_R, E_Dbar = (pairwise_sum(m1 * s) for s in (Xi_h, R_h, Dbar))
+    E_Ddiag = pairwise_sum(m1 * np.diag(Dgrid))
+    E_Dpair = 0.0
+    if N >= 2:
+        m2 = W.sum(axis=tuple(range(2, N))) / Z     # pair marginal
+        E_Dpair = float(np.sum(m2 * Dgrid))
 
     lhs = E_Xi - nu_Xi_h
     dLdL = ((N - 1) / N) * E_Dpair + E_Ddiag / N - 2 * E_Dbar + nu_D_nu

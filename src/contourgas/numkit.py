@@ -1,4 +1,5 @@
-"""Foundation numerics: complex polynomials, weighted quadrature rules,
+"""Foundation numerics: complex polynomials, Chebyshev series on an
+interval, weighted quadrature rules, N-fold tensor quadrature,
 branch-tracked arguments and the planar-Fourier log-energy form."""
 
 from __future__ import annotations
@@ -6,12 +7,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev as _cheb
 
 __all__ = [
     "ComplexPolynomial",
+    "ChebSeries",
     "WeightedGrid",
     "BranchTrack",
     "make_grid",
+    "tensor_quadrature",
     "track_arg",
     "log_energy_form",
     "log_energy_direct",
@@ -111,6 +115,63 @@ class ComplexPolynomial:
         return r
 
 
+@dataclass(frozen=True)
+class ChebSeries:
+    """Chebyshev series sum_k coef[k] T_k(u) in the variable
+    u = (2x - lo - hi) / (hi - lo) of the interval [lo, hi].
+
+    A 2-D `coef` holds one series per column.  Evaluation accepts real or
+    complex x; complex x continues the series analytically off the
+    interval."""
+
+    lo: float
+    hi: float
+    coef: np.ndarray
+
+    @staticmethod
+    def nodes(lo, hi, n):
+        """The n + 1 Chebyshev extreme points cos(pi k / n), k = 0..n,
+        mapped to [lo, hi] (descending)."""
+        u = np.cos(np.pi * np.arange(n + 1) / n)
+        return (u + 1) / 2 * (hi - lo) + lo
+
+    @classmethod
+    def fit(cls, lo, hi, values):
+        """Interpolant of values sampled at nodes(lo, hi, len(values) - 1);
+        the columns of a 2-D array are fitted separately."""
+        n = len(values) - 1
+        u = np.cos(np.pi * np.arange(n + 1) / n)
+        return cls(lo, hi, _cheb.chebfit(u, values, n))
+
+    @classmethod
+    def interpolate(cls, fn, lo, hi, n):
+        """Degree-n interpolant of fn at nodes(lo, hi, n)."""
+        return cls.fit(lo, hi, fn(cls.nodes(lo, hi, n)))
+
+    def map(self, x):
+        x = np.asarray(x)
+        if not np.iscomplexobj(x):
+            x = x.astype(float)
+        return (2 * x - (self.lo + self.hi)) / (self.hi - self.lo)
+
+    def __call__(self, x):
+        return _cheb.chebval(self.map(x), self.coef)
+
+    def vander(self, x):
+        """Rows T_0..T_deg at the points x: vander(x) @ coef evaluates."""
+        return _cheb.chebvander(self.map(x), len(self.coef) - 1)
+
+    def deriv(self, m=1):
+        """m-th derivative in x (chain-rule scale included)."""
+        scale = 2.0 / (self.hi - self.lo)
+        return ChebSeries(self.lo, self.hi, _cheb.chebder(self.coef, m) * scale**m)
+
+    def antideriv(self):
+        """Antiderivative in x, vanishing at the interval midpoint."""
+        return ChebSeries(self.lo, self.hi,
+                          _cheb.chebint(self.coef) * (self.hi - self.lo) / 2)
+
+
 def poly_normalize(p: ComplexPolynomial):
     """Affine change z = a*w + b making the potential's leading term w^k / k
     and killing the subleading coefficient.
@@ -183,6 +244,34 @@ def make_grid(kind, n, interval=(0.0, 1.0)):
         weights = 1j * radius * np.exp(1j * th) * (2 * np.pi / n)
         return WeightedGrid(nodes, weights, kind)
     raise ValueError(f"unsupported grid kind: {kind}")
+
+
+def tensor_quadrature(N, log_single, log_pair, weights):
+    """N-fold product rule on one grid of M nodes for the integrand
+    exp(sum_i s(x_i) + sum_{i<j} P(x_i, x_j)), s = log_single (M,) and
+    P = log_pair (M, M); real or complex logs.
+
+    Returns (W, shift): the (M,)*N array of integrand times node weights,
+    divided by exp(shift), with shift the largest real part of the
+    exponent (no overflow).  The integral is exp(shift) * W.sum(); summing
+    W over all but its leading axes gives the marginal weights."""
+    M = len(weights)
+
+    def spread(v, *axes):
+        # v laid along the given axes of the N-fold grid
+        return v.reshape([M if k in axes else 1 for k in range(N)])
+
+    logW = np.zeros((M,) * N, dtype=log_single.dtype)
+    for i in range(N):
+        logW = logW + spread(log_single, i)
+    for i in range(N):
+        for j in range(i + 1, N):
+            logW = logW + spread(log_pair, i, j)
+    shift = np.max(logW.real)
+    W = np.exp(logW - shift)
+    for i in range(N):
+        W = W * spread(weights, i)
+    return W, shift
 
 
 @dataclass(frozen=True)

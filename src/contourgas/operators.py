@@ -4,15 +4,13 @@ parameter interval), with their normalizing functionals."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
-from scipy.linalg import lu_factor, lu_solve
 
 from .contour import subtracted_chord_kernel
 from .equilibrium import InterpolationData
-from .numkit import make_grid, pairwise_sum
+from .numkit import ChebSeries, make_grid, pairwise_sum
 
 __all__ = [
     "ChebCollocation",
@@ -40,46 +38,32 @@ class ChebCollocation:
         u = np.cos((2 * k + 1) * np.pi / (2 * n))[::-1]
         self.u = u
         self.x = (u + 1) / 2 * (hi - lo) + lo
-        # values -> Chebyshev coefficients (discrete cosine formula)
+        # values -> Chebyshev coefficients (discrete cosine formula); column
+        # j holds the series of the cardinal function of node j
         theta = (2 * k[::-1] + 1) * np.pi / (2 * n)
         j = k[:, None]
-        self.to_coef = (2.0 / n) * np.cos(j * theta[None, :])
-        self.to_coef[0] *= 0.5
-
-    def _map(self, x):
-        x = np.asarray(x)
-        if not np.iscomplexobj(x):
-            x = x.astype(float)
-        return (2 * x - (self.lo + self.hi)) / (self.hi - self.lo)
+        to_coef = (2.0 / n) * np.cos(j * theta[None, :])
+        to_coef[0] *= 0.5
+        self.cardinal = ChebSeries(self.lo, self.hi, to_coef)
+        self._d_cardinal = self.cardinal.deriv()
 
     def eval_matrix(self, targets):
-        V = _cheb.chebvander(self._map(targets), self.n - 1)
-        return V @ self.to_coef
+        return self.cardinal.vander(targets) @ self.cardinal.coef
 
     def diff_matrix(self, targets=None):
-        scale = 2.0 / (self.hi - self.lo)
-        der = np.zeros((self.n - 1, self.n))
-        for j in range(self.n):
-            e = np.zeros(self.n)
-            e[j] = 1.0
-            der[:, j] = _cheb.chebder(e)
-        M = (der @ self.to_coef) * scale
         t = self.x if targets is None else targets
-        return _cheb.chebvander(self._map(t), self.n - 2) @ M
-
-    def interpolate(self, values, targets):
-        return self.eval_matrix(targets) @ values
+        return self._d_cardinal.vander(t) @ self._d_cardinal.coef
 
 
 @dataclass
 class DiscretizedOperator:
-    """Dense forward matrix, normalizing-functional row and factored
-    inverse for one master operator on a collocation grid."""
+    """Dense forward matrix, normalizing-functional row and dense inverse
+    for one master operator on a collocation grid."""
 
     colloc: ChebCollocation
     forward: np.ndarray
     k_row: np.ndarray
-    _solve: object = field(repr=False, default=None)
+    inverse: np.ndarray
 
     @property
     def grid(self):
@@ -92,27 +76,30 @@ class DiscretizedOperator:
         return self.k_row @ np.asarray(values)
 
     def inverse_apply(self, values):
-        return self._solve(np.asarray(values))
+        return self.inverse @ np.asarray(values)
 
     def dump(self, path):
         """Dense binary dump of the assembled matrices for debugging."""
         np.savez(path, grid=self.grid, forward=self.forward, k_row=self.k_row)
 
 
-def _difference_quotient_rows(targets, nodes, E_targets, E_nodes, D_targets):
-    """Matrix rows sending nodal values f to (f(x_r) - f(s_p))/(x_r - s_p)
-    for each (target r, node p); near-coincident pairs fall back to the
-    derivative row."""
-    H = np.asarray(targets)[:, None] - np.asarray(nodes)[None, :]
+def _difference_quotient_rows(H, close, E_targets, E_nodes, D_targets):
+    """Matrix rows sending nodal values f to (f(x_r) - f(s_p)) / H[r, p]
+    for each (target r, node p), with H the point differences; pairs
+    flagged in `close` fall back to the derivative row D_targets[r]."""
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / H
-    close = np.abs(H) < _PAIR_TOL
     inv[close] = 0.0
     rows = inv[:, :, None] * (E_targets[:, None, :] - E_nodes[None, :, :])
     if np.any(close):
         ii, pp = np.nonzero(close)
         rows[ii, pp, :] = D_targets[ii, :]
     return rows
+
+
+def _near_pairs(targets, nodes):
+    """Mask of the (target, node) parameter pairs closer than _PAIR_TOL."""
+    return np.abs(targets[:, None] - nodes[None, :]) < _PAIR_TOL
 
 
 def real_master_operator(data: InterpolationData, n=64, n_quad=None):
@@ -142,14 +129,19 @@ def real_master_operator(data: InterpolationData, n=64, n_quad=None):
     W = np.real(data.vt_prime_pullback(xs))
     Kxy = subtracted_chord_kernel(g, d1, d2, d3, xs, y)
     Kyx = subtracted_chord_kernel(g, d1, d2, d3, y, xs)
-    dq = _difference_quotient_rows(xs, y, E_x, E_y, D_x)
+    dq = _difference_quotient_rows(xs[:, None] - y[None, :], _near_pairs(xs, y),
+                                   E_x, E_y, D_x)
     forward = np.diag(W)
     forward += np.diag(pairwise_sum(np.real(Kxy) * w2[None, :], axis=-1))
     forward += np.einsum("q,iq,qj->ij", w2, np.real(Kyx).T, E_y)
     forward -= np.einsum("q,iqj->ij", w2, dq)
 
     # flat-interval master inverse rows at collocation points
-    dq_s = _difference_quotient_rows(xs, s, E_x, E_s, D_x)
+    X = xs[:, None] - s[None, :]
+    close_s = _near_pairs(xs, s)
+    if np.any(close_s):
+        raise NearSingularError("collocation and quadrature grids collide")
+    dq_s = _difference_quotient_rows(X, close_s, E_x, E_s, D_x)
     Dinv_x = np.einsum("p,ipj->ij", w1, dq_s) / (8 * np.pi)
 
     # K_J functional (flat interval)
@@ -168,9 +160,6 @@ def real_master_operator(data: InterpolationData, n=64, n_quad=None):
 
     # L = flat-inverse of the projected correction, as a dense matrix:
     # L[r] = (1/8pi) sum_p w1_p (T_s[p] - T_x[r]) / (s_p - x_r)
-    X = xs[:, None] - s[None, :]
-    if np.min(np.abs(X)) < _PAIR_TOL:
-        raise NearSingularError("collocation and quadrature grids collide")
     invX = 1.0 / X
     L = -(invX * w1[None, :]) @ T_s / (8 * np.pi)
     L += (pairwise_sum(invX * w1[None, :], axis=-1))[:, None] * T_x / (8 * np.pi)
@@ -179,20 +168,13 @@ def real_master_operator(data: InterpolationData, n=64, n_quad=None):
     sign, logdet = np.linalg.slogdet(A)
     if not np.isfinite(logdet) or np.exp(logdet) < 1e-12:
         raise NearSingularError("resolvent determinant below tolerance")
-    lu = lu_factor(A)
-
-    def solve(gvals):
-        gvals = np.asarray(gvals)
-        h0 = Dinv_x @ gvals
-        return lu_solve(lu, h0)
+    inv_mat = np.linalg.solve(A, Dinv_x)
 
     # K_{gamma_t}[g] = K_J[g] - K_J[ tau(., y) f(y) dy ] with f the inverse
-    inv_mat = lu_solve(lu, Dinv_x)
-    tau_row = np.einsum("q,iq,qj->ij", w2, tau_x, E_y)     # int tau(x_i, y) f(y) dy
-    tau_row_s = np.einsum("q,pq,qj->pj", w2, tau_s, E_y)   # at flat GC1 nodes
+    tau_row_s = np.einsum("q,pq,qj->pj", w2, tau_s, E_y)   # int tau(s_p, y) f(y) dy
     k_row = kJ - (w1 @ (tau_row_s @ inv_mat)) / np.pi
 
-    return DiscretizedOperator(colloc, forward, k_row, solve)
+    return DiscretizedOperator(colloc, forward, k_row, inv_mat)
 
 
 def complex_master_operator(data: InterpolationData, n=64, n_quad=None):
@@ -220,16 +202,11 @@ def complex_master_operator(data: InterpolationData, n=64, n_quad=None):
     gps = data.gtp(s)
     vpx = data.vt_prime_pullback(xs) / gpx
 
-    # forward: V_t'(z) f(z) - int (f(z)-f(w))/(z-w) dmu(w)
-    Hz = zx[:, None] - zy[None, :]
-    close = np.abs(xs[:, None] - y[None, :]) < _PAIR_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        invH = 1.0 / Hz
-    invH[close] = 0.0
-    rows = invH[:, :, None] * (E_x[:, None, :].astype(complex) - E_y[None, :, :])
-    if np.any(close):
-        ii, qq = np.nonzero(close)
-        rows[ii, qq, :] = (D_x[ii, :] / gpx[ii, None])
+    # forward: V_t'(z) f(z) - int (f(z)-f(w))/(z-w) dmu(w); near pairs of
+    # parameters take the z-derivative row
+    Dz_x = D_x / gpx[:, None]
+    rows = _difference_quotient_rows(zx[:, None] - zy[None, :], _near_pairs(xs, y),
+                                     E_x, E_y, Dz_x)
     forward = np.diag(vpx).astype(complex)
     forward -= np.einsum("q,iqj->ij", w2, rows)
 
@@ -240,26 +217,13 @@ def complex_master_operator(data: InterpolationData, n=64, n_quad=None):
         raise NearSingularError("cut-square-root prefactor vanishes on the grid")
 
     # inverse rows: subtracted Cauchy kernel against the inverse-sqrt grid
-    Hz_s = zs[None, :] - zx[:, None]
-    close_s = np.abs(s[None, :] - xs[:, None]) < _PAIR_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        invHs = 1.0 / Hz_s
-    invHs[close_s] = 0.0
-    rows_s = invHs[:, :, None] * (E_s[None, :, :] - E_x[:, None, :].astype(complex))
-    if np.any(close_s):
-        ii, pp = np.nonzero(close_s)
-        rows_s[ii, pp, :] = (D_x[ii, :] / gpx[ii, None])
+    rows_s = _difference_quotient_rows(zx[:, None] - zs[None, :], _near_pairs(xs, s),
+                                       E_x, E_s, Dz_x)
     pref = (w1 * gps**2 * st_s)[None, :, None]
     Dinv = np.einsum("ipj->ij", pref * rows_s) / (8 * np.pi * st_x[:, None])
 
     k_row = (w1 * gps**2 * st_s) @ E_s / (8 * np.pi)
-
-    def solve(gvals):
-        return Dinv @ np.asarray(gvals, dtype=complex)
-
-    op = DiscretizedOperator(colloc, forward, k_row, solve)
-    op.inverse_matrix = Dinv
-    return op
+    return DiscretizedOperator(colloc, forward, k_row, Dinv)
 
 
 def finite_hilbert_transform(phi, x, n=128):

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .equilibrium import OneCutSolution, interpolation_data
-from .numkit import make_grid, pairwise_sum
+from .numkit import make_grid, pairwise_sum, tensor_quadrature
 
 __all__ = [
     "ExpansionReport",
@@ -131,33 +131,55 @@ def quadratic_line_domain(N, beta, edge=1.0, n_sigma=7.0):
             edge + n_sigma / math.sqrt(2 * N * beta))
 
 
-def _tensor_logsum(N, M, log_single, log_pair, weights, stat=None):
-    """Sum of exp(sum of single terms + pair terms) * prod weights over the
-    full tensor grid, with the max log factored out.  Optionally averages a
-    one-point statistic."""
-    from .fluctuations import _pair_axes
-    shape = (M,) * N
-    logW = np.zeros(shape, dtype=log_single.dtype)
-    for i in range(N):
-        logW = logW + log_single.reshape([-1 if k == i else 1 for k in range(N)])
-    for i in range(N):
-        for j in range(i + 1, N):
-            logW = logW + log_pair.reshape((M, M) + (1,) * (N - 2)).transpose(
-                _pair_axes(i, j, N))
-    shift = np.max(logW.real)
-    Wt = np.exp(logW - shift)
-    for i in range(N):
-        Wt = Wt * weights.reshape([-1 if k == i else 1 for k in range(N)])
-    Z = Wt.sum()
-    out = (np.log(Z) + shift, Z * np.exp(shift))
-    if stat is None:
-        return out
-    m1 = Wt.sum(axis=tuple(range(1, N))) / Z
-    return out + (np.asarray([m1 @ s for s in stat]),)
+def _log_weights(N, beta, V, curve, domain, M, real_model):
+    """Gauss-Legendre nodes and weights on the parameter domain with the
+    one- and two-particle log-integrands of either model: complex factors
+    (principal branches) or, for the real model, their moduli."""
+    gl = make_grid("gauss_legendre", M, domain)
+    x, w = gl.nodes, gl.weights
+    if curve is None:
+        g = x.astype(complex)
+        gp = np.ones_like(g)
+    else:
+        g = curve(x)
+        gp = curve.deriv1(x)
+    Vv = V(g) if callable(V) else V
+    diff = g[:, None] - g[None, :]
+    if real_model:
+        log_single = np.log(np.abs(gp)) - N * beta * np.real(Vv)
+        log_pair = beta * np.log(np.abs(diff) + np.eye(M))
+    else:
+        log_single = np.log(gp.astype(complex)) - N * beta * Vv
+        log_pair = beta * np.log(diff + np.eye(M))
+    np.fill_diagonal(log_pair, -1e30)  # integrand vanishes at collisions
+    return x, w, log_single, log_pair
 
 
 class RefineError(RuntimeError):
     pass
+
+
+def _z_quadrature(N, beta, V, curve, domain, M, richardson, tol, real_model):
+    """Partition function by tensor quadrature at M nodes, with the
+    difference to the run at 2M/3 nodes as error estimate; returns (value,
+    log_value, error_estimate)."""
+    if N > 4:
+        raise ValueError("tensor quadrature is restricted to N <= 4")
+
+    def compute(m):
+        _, w, log_single, log_pair = _log_weights(N, beta, V, curve, domain, m, real_model)
+        W, shift = tensor_quadrature(N, log_single, log_pair, w)
+        Z = W.sum()
+        return Z * np.exp(shift), np.log(Z) + shift
+
+    z2, logz2 = compute(M)
+    if not richardson:
+        return z2, logz2, np.nan
+    z1, _ = compute(max(8, (2 * M) // 3))
+    est = abs(z2 - z1)
+    if tol is not None and est > tol * abs(z2):
+        raise RefineError(f"error estimate {est:.2e} above tolerance")
+    return z2, logz2, est
 
 
 def z_complex_quadrature(N, beta, V, curve=None, domain=(-1.0, 1.0), M=96,
@@ -167,68 +189,14 @@ def z_complex_quadrature(N, beta, V, curve=None, domain=(-1.0, 1.0), M=96,
 
     With even integer beta the principal-branch pair powers reproduce the
     single-valued integrand exactly.  Restricted to N <= 4 (tensor cost)."""
-    if N > 4:
-        raise ValueError("tensor quadrature is restricted to N <= 4")
-
-    def compute(m):
-        gl = make_grid("gauss_legendre", m, domain)
-        x, w = gl.nodes, gl.weights
-        if curve is None:
-            g = x.astype(complex)
-            gp = np.ones_like(g)
-        else:
-            g = curve(x)
-            gp = curve.deriv1(x)
-        Vv = V(g) if callable(V) else V
-        log_single = np.log(gp.astype(complex)) - N * beta * Vv
-        diff = g[:, None] - g[None, :] + np.eye(m)
-        log_pair = beta * np.log(diff)
-        np.fill_diagonal(log_pair, -1e30)  # integrand vanishes at collisions
-        logz, z = _tensor_logsum(N, m, log_single, log_pair, w.astype(complex))
-        return z, logz
-
-    z2, logz2 = compute(M)
-    if not richardson:
-        return z2, logz2, np.nan
-    z1, _ = compute(max(8, (2 * M) // 3))
-    est = abs(z2 - z1)
-    if tol is not None and est > tol * abs(z2):
-        raise RefineError(f"error estimate {est:.2e} above tolerance")
-    return z2, logz2, est
+    return _z_quadrature(N, beta, V, curve, domain, M, richardson, tol, real_model=False)
 
 
 def z_real_quadrature(N, beta, V, curve=None, domain=(-1.0, 1.0), M=96,
                       richardson=True, tol=None):
     """Real-model partition function (moduli in place of complex factors).
     Restricted to N <= 4 (tensor cost)."""
-    if N > 4:
-        raise ValueError("tensor quadrature is restricted to N <= 4")
-
-    def compute(m):
-        gl = make_grid("gauss_legendre", m, domain)
-        x, w = gl.nodes, gl.weights
-        if curve is None:
-            g = x.astype(complex)
-            gp = np.ones_like(g)
-        else:
-            g = curve(x)
-            gp = curve.deriv1(x)
-        Vv = V(g) if callable(V) else V
-        log_single = np.log(np.abs(gp)) - N * beta * np.real(Vv)
-        ad = np.abs(g[:, None] - g[None, :]) + np.eye(m)
-        log_pair = beta * np.log(ad)
-        np.fill_diagonal(log_pair, -1e30)  # integrand vanishes at collisions
-        logz, z = _tensor_logsum(N, m, log_single, log_pair, w)
-        return z, logz
-
-    z2, logz2 = compute(M)
-    if not richardson:
-        return z2, logz2, np.nan
-    z1, _ = compute(max(8, (2 * M) // 3))
-    est = abs(z2 - z1)
-    if tol is not None and est > tol * abs(z2):
-        raise RefineError(f"error estimate {est:.2e} above tolerance")
-    return z2, logz2, est
+    return _z_quadrature(N, beta, V, curve, domain, M, richardson, tol, real_model=True)
 
 
 def tensor_model_moment(N, beta, V, curve, domain, f_values_fn, M=96,
@@ -238,25 +206,10 @@ def tensor_model_moment(N, beta, V, curve, domain, f_values_fn, M=96,
     the same parameter grid.
 
     f_values_fn maps parameter nodes to statistic values."""
-    gl = make_grid("gauss_legendre", M, domain)
-    x, w = gl.nodes, gl.weights
-    g = curve(x) if curve is not None else x.astype(complex)
-    gp = curve.deriv1(x) if curve is not None else np.ones_like(g)
-    Vv = V(g) if callable(V) else V
-    if real_model:
-        log_single = np.log(np.abs(gp)) - N * beta * np.real(Vv)
-        ad = np.abs(g[:, None] - g[None, :]) + np.eye(M)
-        log_pair = beta * np.log(ad)
-        wts = w
-    else:
-        log_single = np.log(gp.astype(complex)) - N * beta * Vv
-        diff = g[:, None] - g[None, :] + np.eye(M)
-        log_pair = beta * np.log(diff)
-        wts = w.astype(complex)
-    np.fill_diagonal(log_pair, -1e30)
-    fv = f_values_fn(x)
-    _, _, moments = _tensor_logsum(N, M, log_single, log_pair, wts, stat=[fv])
-    mean_stat = moments[0]
+    x, w, log_single, log_pair = _log_weights(N, beta, V, curve, domain, M, real_model)
+    W, _ = tensor_quadrature(N, log_single, log_pair, w)
+    m1 = W.sum(axis=tuple(range(1, N))) / W.sum()
+    mean_stat = m1 @ f_values_fn(x)
     if centered_against is not None:
         mean_stat = mean_stat - centered_against
     return mean_stat
@@ -284,9 +237,7 @@ def dt_potential(sol: OneCutSolution, t, h=1e-4, n_quad=96):
         x0 = d0.gt_inverse_many(z, _seed_params(d0, z))
         xp = dp.gt_inverse_many(z, x0)
         xm = dm.gt_inverse_many(z, x0)
-        vp = _vt_gamma_complex(dp, xp)
-        vm = _vt_gamma_complex(dm, xm)
-        return (vp - vm) / span
+        return (dp.vt_gamma(xp) - dm.vt_gamma(xm)) / span
 
     return fz
 
@@ -297,14 +248,6 @@ def _seed_params(data, z):
     g = data.gt(xs)
     idx = np.argmin(np.abs(z[:, None] - g[None, :]), axis=1)
     return xs[idx].astype(complex)
-
-
-def _vt_gamma_complex(data, x):
-    """Antiderivative series of the member potential at complex parameter
-    values (analytic continuation of vt_gamma off the real interval)."""
-    pad = data.sol.pad
-    u = (2 * np.asarray(x, dtype=complex) - 1) / (1 + 2 * pad)
-    return np.polynomial.chebyshev.chebval(u, data._vt_series)
 
 
 def dt_lnZ(sol: OneCutSolution, t, N, beta, n=48, h=1e-4):

@@ -7,11 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from .contour import semicircle_cdf
 from .equilibrium import InterpolationData
-from .numkit import log_energy_direct, log_energy_form, make_grid, pairwise_sum
+from .fluctuations import pair_angles
+from .numkit import ChebSeries, log_energy_direct, log_energy_form, make_grid, pairwise_sum
 
 __all__ = [
     "ParticleChain",
@@ -58,9 +58,6 @@ class ParticleChain:
     acceptance: float = 0.0
     master_seed: int = 0
 
-    def clone_positions(self):
-        return self.positions.copy()
-
 
 def make_chain(data: InterpolationData, N, beta, n_chains=8, seed=12345,
                domain=None, step_scale=None):
@@ -69,17 +66,10 @@ def make_chain(data: InterpolationData, N, beta, n_chains=8, seed=12345,
     dom = domain or (-data.sol.pad, 1 + data.sol.pad)
     pad = data.sol.pad
     n_fit = 160
-    u = np.cos(np.pi * np.arange(n_fit + 1) / n_fit)
-    xs = (u + 1) / 2 * (dom[1] - dom[0]) + dom[0]
-    scale = lambda x: (2 * np.asarray(x, dtype=float) - (dom[0] + dom[1])) / (dom[1] - dom[0])
-    cg = _cheb.chebfit(u, data.gt(xs), n_fit)
-    cld = _cheb.chebfit(u, np.log(np.abs(data.gtp(xs))), n_fit)
-    vt_vals = np.real(data.vt_gamma(np.clip(xs, -pad, 1 + pad)))
-    cphi = _cheb.chebfit(u, vt_vals, n_fit)
-
-    gamma = lambda x: _cheb.chebval(scale(x), cg)
-    log_dg = lambda x: _cheb.chebval(scale(x), cld)
-    phi = lambda x: _cheb.chebval(scale(x), cphi)
+    xs = ChebSeries.nodes(*dom, n_fit)
+    gamma = ChebSeries.fit(*dom, data.gt(xs))
+    log_dg = ChebSeries.fit(*dom, np.log(np.abs(data.gtp(xs))))
+    phi = ChebSeries.fit(*dom, np.real(data.vt_gamma(np.clip(xs, -pad, 1 + pad))))
 
     q = _semicircle_quantiles(N)
     pos = np.tile(q, (n_chains, 1))
@@ -182,9 +172,12 @@ def sample_real_model(chain: ParticleChain, sweeps, burn_fraction=0.2,
 
 
 def _gelman_rubin(snaps):
-    """Potential scale reduction of the total-position statistic."""
+    """Potential scale reduction of the total-position statistic; None
+    for a single chain, which has no between-chain spread."""
     stat = snaps.sum(axis=2)            # (n_kept, n_chains)
     n, m = stat.shape
+    if m < 2:
+        return None
     means = stat.mean(axis=0)
     var_w = stat.var(axis=0, ddof=1).mean()
     var_b = n * means.var(ddof=1)
@@ -345,29 +338,15 @@ def edge_density_estimate(data: InterpolationData, N_list, sweeps=300,
 
 
 def _angle_surface(data: InterpolationData, n_c=96):
-    """Chebyshev coefficients of the two phase kernels over the outer
-    interval (no cutoff factors: the samples live where the cutoff is 1)."""
+    """Chebyshev series of the two phase kernels over the outer interval
+    (no cutoff factors: the samples live where the cutoff is 1).  Returns
+    the pair-kernel coefficient matrix Ca, with a(x, y) = v(x) @ Ca @ v(y)
+    for v = p.vander, and the slope-kernel series p."""
     outer = data.sol.curve.analytic_pad
-    k = np.arange(n_c + 1)
-    u = np.cos(np.pi * k / n_c)[::-1]
-    xs = (u + 1) / 2 * (1 + 2 * outer) - outer
-    # no-cutoff variant: reuse the kernel machinery on the chebyshev grid
-    gx = data.gt(xs)
-    gpx = data.gtp(xs)
-    from .numkit import track_arg
-    tr = track_arg(gpx)
-    mid = len(xs) // 2
-    p_raw = tr.args + (np.angle(gpx[mid]) - tr.args[mid])
-    Q = (gx[:, None] - gx[None, :]) / (xs[:, None] - xs[None, :] + np.eye(len(xs)))
-    np.fill_diagonal(Q, gpx)
-    ang = np.unwrap(np.angle(Q), axis=1)
-    ang += (p_raw - np.diag(ang))[:, None]
-    ang = (ang + ang.T) / 2
-    V = _cheb.chebvander(u, n_c)
-    to_coef = np.linalg.solve(V, np.eye(n_c + 1))
-    Ca = to_coef @ ang @ to_coef.T
-    cp = to_coef @ p_raw
-    return Ca, cp, outer
+    lo, hi = -outer, 1 + outer
+    p_vals, ang = pair_angles(data, ChebSeries.nodes(lo, hi, n_c))
+    to_coef = ChebSeries.fit(lo, hi, np.eye(n_c + 1)).coef   # values -> coefficients
+    return to_coef @ ang @ to_coef.T, ChebSeries(lo, hi, to_coef @ p_vals)
 
 
 def phase_expectation_mc(data: InterpolationData, N, beta, sweeps=600,
@@ -375,13 +354,12 @@ def phase_expectation_mc(data: InterpolationData, N, beta, sweeps=600,
     """Monte Carlo estimate of the oscillatory/real partition-function
     ratio: the sample average of the exponential of the quadratic phase
     statistic under the real model."""
-    Ca, cp, outer = _angle_surface(data)
-    scale = lambda x: (2 * np.asarray(x) - 1) / (1 + 2 * outer)
+    Ca, p = _angle_surface(data)
+    cp = p.coef
 
     gc2 = make_grid("gauss_chebyshev_sqrt", 192, (0.0, 1.0))
     wnu = (8 / np.pi) * gc2.weights
-    Vy = _cheb.chebvander(scale(gc2.nodes), Ca.shape[0] - 1)
-    vbar = wnu @ Vy
+    vbar = wnu @ p.vander(gc2.nodes)
     abar_coef = Ca @ vbar           # 1D coefficients of int a(x,y) dnu(y)
     a_nu_nu = vbar @ Ca @ vbar
     p_nu = vbar @ cp
@@ -392,7 +370,7 @@ def phase_expectation_mc(data: InterpolationData, N, beta, sweeps=600,
     for snap in snaps:
         for c in range(snap.shape[0]):
             xs = snap[c]
-            Vx = _cheb.chebvander(scale(xs), Ca.shape[0] - 1)
+            Vx = p.vander(xs)
             M = Vx @ Ca @ Vx.T
             a_LL = M.mean()
             a_Lnu = (Vx @ abar_coef).mean()

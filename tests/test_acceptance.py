@@ -159,12 +159,7 @@ def test_A6_fredholm_identity():
     for n in (1, 2):
         for _ in range(10):
             n2 = 2 * n
-            T = np.zeros((n2, n2), dtype=complex)
-            for k in range(n):
-                T[n + k, k] = 1
-                T[n + k, n + k] = 1j
-                T[k, n - 1 - k] = 1
-                T[k, 2 * n - 1 - k] = -1j
+            T = fl.structured_index_map(n)
             G = rng.normal(size=(n2, n2)) * 0.3
             B = T @ (G @ G.T) @ T.conj().T
             mu = T @ (rng.normal(size=n2) * 0.4)

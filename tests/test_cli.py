@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -114,3 +116,23 @@ def test_config_complex_parsing():
     assert cli._parse_complex("3") == 3.0
     with pytest.raises(cli.ConfigError):
         cli._parse_complex("1,2,3")
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # the thread cap in main() only works if numpy is not loaded yet
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import contourgas.cli, sys; assert 'numpy' not in sys.modules"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
+def test_verify_reports_true_minimum_and_every_attempt(tmp_path):
+    out = str(tmp_path / "out")
+    cli.main(["verify", "--seed", "7", "--out", out])
+    rep = json.load(open(os.path.join(out, "report.json")))
+    rows = {c["check"]: c for c in rep["checks"]}
+    assert rows["log_energy.positivity"]["value"] > 0   # not clipped at zero
+    mc = rows["sampler.mean_position"]
+    assert mc["value"] == mc["attempt_values"][-1]
+    assert 1 <= len(mc["attempt_values"]) <= 2

@@ -244,3 +244,11 @@ def test_solution_report_fields(quad_sol):
                 "frostman_on_support_max_abs", "complex_energy", "entropy"):
         assert key in rep
     assert rep["mass_residual"] < 1e-10
+
+
+def test_solution_report_matches_separate_calls(rot_sol):
+    rep = rot_sol.report()
+    energy, entropy = rot_sol.complex_energy(), rot_sol.entropy()
+    assert rep["complex_energy"] == [energy.real, energy.imag]
+    assert rep["entropy"] == [entropy.real, entropy.imag]
+    assert rep["mass_residual"] == rot_sol.mass_residual()

@@ -140,12 +140,7 @@ def test_parseval(rot_data_t1):
 
 def _structured_instance(n, rng, scale=0.3):
     n2 = 2 * n
-    T = np.zeros((n2, n2), dtype=complex)
-    for k in range(n):
-        T[n + k, k] = 1
-        T[n + k, n + k] = 1j
-        T[k, n - 1 - k] = 1
-        T[k, 2 * n - 1 - k] = -1j
+    T = fl.structured_index_map(n)
     G = rng.normal(size=(n2, n2)) * scale
     B = T @ (G @ G.T) @ T.conj().T
     mu = T @ (rng.normal(size=n2) * 0.4)
@@ -208,12 +203,7 @@ def test_finite_rank_vs_tensor_quadrature():
     rng = np.random.default_rng(31)
     n = 2
     n2 = 2 * n
-    T = np.zeros((n2, n2), dtype=complex)
-    for k in range(n):
-        T[n + k, k] = 1
-        T[n + k, n + k] = 1j
-        T[k, n - 1 - k] = 1
-        T[k, 2 * n - 1 - k] = -1j
+    T = fl.structured_index_map(n)
     G = rng.normal(size=(n2, n2)) * 0.3
     CX = G @ G.T
     mX = rng.normal(size=n2) * 0.4
@@ -369,3 +359,14 @@ def test_gaussian_law_table(rot_laws):
     rows = fl.gaussian_law_table(rot_laws[(0.0, 2.0)])
     assert rows[0][0] == "x^1"
     assert rows[0][2].real == pytest.approx(1 / 16, abs=1e-9)
+
+
+def test_structured_index_map_entries():
+    # xi = T X for real X: conj(xi_j) = xi_{-j}, -j the reversed index
+    assert np.array_equal(fl.structured_index_map(1), [[1, -1j], [1, 1j]])
+    assert np.array_equal(fl.structured_index_map(2),
+                          [[0, 1, 0, -1j], [1, 0, -1j, 0],
+                           [1, 0, 1j, 0], [0, 1, 0, 1j]])
+    for n in (1, 2):
+        T = fl.structured_index_map(n)
+        assert np.array_equal(T.conj(), T[::-1])

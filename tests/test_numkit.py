@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
-from contourgas.numkit import (BranchError, ComplexPolynomial,
+from contourgas.numkit import (BranchError, ChebSeries, ComplexPolynomial,
                                InvalidPotentialError, NetMassError,
                                log_energy_form, make_grid, pairwise_sum,
-                               poly_normalize, track_arg)
+                               poly_normalize, tensor_quadrature, track_arg)
 
 
 def test_poly_eval_examples():
@@ -251,3 +251,53 @@ def test_pairwise_sum_matches_fsum():
     rng = np.random.default_rng(0)
     a = rng.normal(size=1001) * 10.0**rng.integers(-8, 8, 1001)
     assert pairwise_sum(a) == pytest.approx(math.fsum(a), rel=1e-13)
+
+
+def test_cheb_series_interpolates_and_continues_off_the_interval():
+    f = lambda x: np.exp(0.7 * x) * np.cos(x)
+    s = ChebSeries.interpolate(f, -0.3, 1.4, 40)
+    nodes = ChebSeries.nodes(-0.3, 1.4, 40)
+    assert nodes[0] == pytest.approx(1.4) and nodes[-1] == pytest.approx(-0.3)
+    assert np.max(np.abs(s(nodes) - f(nodes))) < 1e-13
+    z = np.array([0.2 + 0.1j, 1.0 - 0.05j])
+    assert np.max(np.abs(s(z) - f(z))) < 1e-12
+    x = np.linspace(-0.3, 1.4, 7)
+    assert np.max(np.abs(s.vander(x) @ s.coef - s(x))) < 1e-13
+
+
+def test_cheb_series_calculus_carries_the_interval_scale():
+    s = ChebSeries.interpolate(np.sin, 0.5, 3.0, 40)
+    x = np.linspace(0.5, 3.0, 9)
+    assert np.max(np.abs(s.deriv()(x) - np.cos(x))) < 1e-10
+    assert np.max(np.abs(s.deriv(2)(x) + np.sin(x))) < 1e-8
+    anti = s.antideriv()
+    assert anti(1.75) == pytest.approx(0.0, abs=1e-15)   # zero at the midpoint
+    assert np.max(np.abs(anti(x) - (np.cos(1.75) - np.cos(x)))) < 1e-13
+
+
+def test_cheb_series_fits_columns_separately():
+    nodes = ChebSeries.nodes(0.0, 2.0, 12)
+    s = ChebSeries.fit(0.0, 2.0, np.column_stack([nodes**2, nodes**3]))
+    assert s.coef.shape == (13, 2)
+    one = ChebSeries.fit(0.0, 2.0, nodes**3)
+    assert np.allclose(s.coef[:, 1], one.coef, atol=1e-14)
+
+
+def test_tensor_quadrature_against_direct_sum():
+    rng = np.random.default_rng(4)
+    M, N = 5, 3
+    single = rng.normal(size=M) + 1j * rng.normal(size=M)
+    pair = rng.normal(size=(M, M))
+    pair = pair + pair.T
+    w = rng.random(M)
+    W, shift = tensor_quadrature(N, single, pair, w)
+    direct = 0j
+    for i in range(M):
+        for j in range(M):
+            for k in range(M):
+                direct += w[i] * w[j] * w[k] * np.exp(
+                    single[i] + single[j] + single[k]
+                    + pair[i, j] + pair[i, k] + pair[j, k])
+    assert W.shape == (M,) * N
+    assert np.exp(shift) * W.sum() == pytest.approx(direct, rel=1e-12)
+    assert np.max(np.abs(W)) <= np.max(w) ** N * (1 + 1e-12)   # no overflow

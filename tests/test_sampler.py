@@ -153,3 +153,11 @@ def test_chain_determinism(quad_data_t0):
     c2 = sp.make_chain(quad_data_t0, 16, 2.0, n_chains=2, seed=99)
     s2, _ = sp.sample_real_model(c2, 40)
     assert np.array_equal(s1, s2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_single_chain_has_no_gelman_rubin(quad_data_t0):
+    chain = sp.make_chain(quad_data_t0, 8, 2.0, n_chains=1, seed=11)
+    snaps, info = sp.sample_real_model(chain, 30)
+    assert snaps.shape[1] == 1
+    assert info["gelman_rubin"] is None
