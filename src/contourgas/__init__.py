@@ -13,8 +13,8 @@ _EXPORTS = {
     "numkit": ("BranchTrack", "ChebSeries", "ComplexPolynomial", "WeightedGrid",
                "log_energy_form", "make_grid", "poly_normalize", "tensor_quadrature",
                "track_arg"),
-    "contour": ("Curve", "CurveFamily", "arc_mass", "bilipschitz_check",
-                "semicircle_cdf", "semicircle_parametrization"),
+    "contour": ("Curve", "arc_mass", "bilipschitz_check",
+                "family_member", "semicircle_cdf", "semicircle_parametrization"),
     "equilibrium": ("InterpolationData", "OneCutSolution", "interpolation_data",
                     "solve_one_cut"),
     "operators": ("DiscretizedOperator", "complex_master_operator",

@@ -13,7 +13,7 @@ from .numkit import ChebSeries, ComplexPolynomial
 
 __all__ = [
     "Curve",
-    "CurveFamily",
+    "family_member",
     "semicircle_cdf",
     "semicircle_density",
     "arc_mass",
@@ -53,7 +53,9 @@ class Curve:
     """Analytic arc given by Chebyshev series on a common interval.
 
     g and d1 interpolate the parametrization and its first derivative; the
-    higher derivatives are exact series derivatives of d1.
+    higher derivatives are exact series derivatives of d1.  The parameter
+    domain is [-analytic_pad, 1 + analytic_pad]; the series' interval may be
+    wider (a family member reads its base's series on a stretched one).
     """
 
     g: ChebSeries
@@ -74,21 +76,28 @@ class Curve:
 
     @property
     def domain(self):
-        return (self.g.lo, self.g.hi)
+        return (-self.analytic_pad, 1 + self.analytic_pad)
 
     def invert(self, z, x0=None, tol=1e-13, maxit=60):
-        """Parameter x with curve(x) = z, by Newton seeded from a dense scan."""
-        z = complex(z)
+        """Parameters x with curve(x) = z, elementwise, by Newton seeded at x0
+        or else at the nearest point of a dense scan of the domain; a scalar
+        z gives a complex number.
+
+        The residual target is tol, or the series' own rounding level where
+        that is larger: a member near the straight segment carries
+        coefficients of size 1/t, and its values are no more exact."""
+        z = np.asarray(z, dtype=complex)
         if x0 is None:
             xs = np.linspace(*self.domain, 257)
-            x0 = xs[np.argmin(np.abs(self(xs) - z))]
-        x = complex(x0)
+            x0 = xs[np.argmin(np.abs(z.reshape(-1, 1) - self(xs)), axis=1)].reshape(z.shape)
+        x = np.array(np.broadcast_to(x0, z.shape), dtype=complex)
+        floor = max(tol, 16 * np.finfo(float).eps * np.sum(np.abs(self.g.coef)))
         for _ in range(maxit):
             f = self(x) - z
-            if abs(f) < tol:
-                return x
+            if np.max(np.abs(f), initial=0.0) < floor:
+                return x if x.shape else complex(x)
             x = x - f / self.deriv1(x)
-        raise ParametrizationError(f"curve inversion failed near z = {z}")
+        raise ParametrizationError(f"curve inversion failed near z = {z.ravel()[:3]}")
 
     def table(self, n=257):
         """Plot-ready rows (x, re, im, re', im')."""
@@ -109,6 +118,31 @@ def affine_curve(zeta1, zeta2, pad):
     coef_g = np.array([zeta1 + mid * dz, half * dz], dtype=complex)
     coef_d1 = np.array([dz], dtype=complex)
     return Curve(ChebSeries(lo, hi, coef_g), ChebSeries(lo, hi, coef_d1), pad)
+
+
+def family_member(base: Curve, zeta1, zeta2, t) -> Curve:
+    """Member gamma_t of the interpolation between the straight segment
+    (t = 0) and the analytic arc `base` (t = 1),
+
+        gamma_t(x) = zeta1 + (zeta2 - zeta1) (base(t x) - base(0)) / (base(t) - base(0)),
+
+    with the base's analytic pad.  The base's series read on the stretched
+    interval [lo/t, hi/t] are base(t x) and t base'(t x), so the member only
+    rescales their coefficients (no refit).  Anchoring on base(0) rather
+    than zeta1 pins both endpoints to rounding for every t."""
+    zeta1, zeta2 = complex(zeta1), complex(zeta2)
+    if t == 0:
+        return affine_curve(zeta1, zeta2, base.analytic_pad)
+    lo, hi = base.g.lo / t, base.g.hi / t
+    # base(0) and base(t) are read off the stretched series itself, at the
+    # same mapped points the member's x = 0 and x = 1 use
+    stretched = ChebSeries(lo, hi, base.g.coef)
+    b0 = complex(stretched(0.0))
+    k = (zeta2 - zeta1) / (complex(stretched(1.0)) - b0)
+    coef_g = k * base.g.coef
+    coef_g[0] += zeta1 - k * b0
+    return Curve(ChebSeries(lo, hi, coef_g), ChebSeries(lo, hi, k * t * base.d1.coef),
+                 base.analytic_pad)
 
 
 def _endpoint_series(R: ComplexPolynomial, ze, p1, p2, a1):
@@ -249,65 +283,9 @@ def arc_mass(curve: Curve, z, tol=1e-9):
     return float(semicircle_cdf(min(max(x.real, 0.0), 1.0)))
 
 
-@dataclass(frozen=True)
-class CurveFamily:
-    """Interpolation between the straight segment (t=0) and the analytic
-    arc (t=1), with both endpoints pinned for every t.  point and deriv1
-    accept complex parameters (analytic continuation of the member)."""
-
-    base: Curve
-    zeta1: complex
-    zeta2: complex
-
-    def _denom(self, t):
-        # (gamma(t) - zeta1) / t, stable for small t
-        if t < 1e-5:
-            d1 = self.base.deriv1(0.0)
-            d2 = self.base.deriv2(0.0)
-            return d1 + d2 * t / 2
-        return (self.base(t) - self.zeta1) / t
-
-    def point(self, t, x):
-        x = np.asarray(x)
-        dz = self.zeta2 - self.zeta1
-        if t == 0.0:
-            out = self.zeta1 + x * dz
-            return out if out.shape else complex(out)
-        q = self._denom(t)
-        out = (self.base(t * x) - self.zeta1) * dz / (t * q) + self.zeta1
-        return out if out.shape else complex(out)
-
-    def deriv1(self, t, x):
-        x = np.asarray(x)
-        dz = self.zeta2 - self.zeta1
-        if t == 0.0:
-            out = np.full(x.shape, dz, dtype=complex)
-            return out if out.shape else complex(out)
-        out = self.base.deriv1(t * x) * dz / self._denom(t)
-        return out if out.shape else complex(out)
-
-    def deriv2(self, t, x):
-        x = np.asarray(x, dtype=float)
-        if t == 0.0:
-            out = np.zeros(x.shape, dtype=complex)
-            return out if out.shape else complex(out)
-        dz = self.zeta2 - self.zeta1
-        out = t * self.base.deriv2(t * x) * dz / self._denom(t)
-        return out if out.shape else complex(out)
-
-    def deriv3(self, t, x):
-        x = np.asarray(x, dtype=float)
-        if t == 0.0:
-            out = np.zeros(x.shape, dtype=complex)
-            return out if out.shape else complex(out)
-        dz = self.zeta2 - self.zeta1
-        out = t * t * self.base.deriv3(t * x) * dz / self._denom(t)
-        return out if out.shape else complex(out)
-
-
-def subtracted_chord_kernel(g, d1, d2, d3, x, y):
-    """K(x, y) = d1(x)/(g(y) - g(x)) - 1/(y - x), elementwise over x rows
-    and y columns.
+def subtracted_chord_kernel(curve: Curve, x, y):
+    """K(x, y) = g'(x)/(g(y) - g(x)) - 1/(y - x) for the curve g,
+    elementwise over x rows and y columns.
 
     The raw form loses ~1e-16/h^2 near the diagonal; intermediate distances
     use the even midpoint expansion of the divided difference and very small
@@ -318,9 +296,9 @@ def subtracted_chord_kernel(g, d1, d2, d3, x, y):
     X = x[:, None]
     Y = y[None, :]
     H = Y - X
-    gX = np.asarray(g(x), dtype=complex)[:, None]
-    gY = np.asarray(g(y), dtype=complex)[None, :]
-    d1X = np.asarray(d1(x), dtype=complex)[:, None]
+    gX = curve(x)[:, None]
+    gY = curve(y)[None, :]
+    d1X = curve.deriv1(x)[:, None]
     out = np.empty(H.shape, dtype=complex)
 
     far = np.abs(H) >= 1e-3
@@ -333,16 +311,16 @@ def subtracted_chord_kernel(g, d1, d2, d3, x, y):
         idx = np.nonzero(mid_mask)
         xm = (X + Y) / 2
         mpts = xm[idx]
-        G = np.asarray(d1(mpts), dtype=complex) + np.asarray(d3(mpts), dtype=complex) * H[idx] ** 2 / 24
+        G = curve.deriv1(mpts) + curve.deriv3(mpts) * H[idx] ** 2 / 24
         out[idx] = (np.broadcast_to(d1X, H.shape)[idx] / G - 1.0) / H[idx]
 
     tiny = np.abs(H) < 1e-6
     if np.any(tiny):
         idx = np.nonzero(tiny)
         xi = np.broadcast_to(X, H.shape)[idx]
-        d1v = np.asarray(d1(xi), dtype=complex)
-        a1 = np.asarray(d2(xi), dtype=complex) / (2 * d1v)
-        a2 = np.asarray(d3(xi), dtype=complex) / (6 * d1v)
+        d1v = curve.deriv1(xi)
+        a1 = curve.deriv2(xi) / (2 * d1v)
+        a2 = curve.deriv3(xi) / (6 * d1v)
         out[idx] = -a1 + (a1 * a1 - a2) * H[idx]
     return out
 

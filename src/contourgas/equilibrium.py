@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .contour import (Curve, CurveFamily, affine_curve, semicircle_cdf,
+from .contour import (Curve, affine_curve, family_member, semicircle_cdf,
                       semicircle_parametrization, subtracted_chord_kernel)
 from .numkit import (ChebSeries, ComplexPolynomial, WeightedGrid, make_grid,
                      pairwise_sum, track_arg)
@@ -135,12 +135,12 @@ def _newton_endpoints(vprime, z, tol, maxit):
     raise NoSolutionError("endpoint Newton did not converge from the seed")
 
 
-def _log_abs_distance(point_fn, x0, nu_grid):
+def _log_abs_distance(curve, x0, nu_grid):
     """int ln|gamma(x0) - gamma(y)| dnu(y): smooth chord/parameter ratio by
     quadrature plus the closed-form logarithmic moment of the flat kernel."""
     y = nu_grid.nodes
-    z0 = complex(point_fn(np.array([x0]))[0])
-    g = point_fn(y)
+    z0 = complex(curve(np.array([x0]))[0])
+    g = curve(y)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.log(np.abs((z0 - g) / (x0 - y)))
     if np.any(~np.isfinite(lam)):
@@ -150,15 +150,15 @@ def _log_abs_distance(point_fn, x0, nu_grid):
     return smooth + flat
 
 
-def _arg_average(point_fn, x0, n=400):
+def _arg_average(curve, x0, n=400):
     """Average of the two-sided boundary arguments of the log potential at
     gamma(x0), from one-sided branch-tracked argument integrals."""
-    z0 = point_fn(x0)
+    z0 = curve(x0)
     total = 0.0
     for (a, b, fwd) in ((0.0, x0, True), (x0, 1.0, False)):
         gl = make_grid("gauss_legendre", n, (a, b))
         ys = gl.nodes if fwd else gl.nodes[::-1]
-        diff = (z0 - point_fn(ys)) if fwd else (point_fn(ys) - z0)
+        diff = (z0 - curve(ys)) if fwd else (curve(ys) - z0)
         tr = track_arg(diff)
         args = tr.args if fwd else tr.args[::-1]
         dens = (8 / np.pi) * np.sqrt(gl.nodes * (1 - gl.nodes))
@@ -166,16 +166,43 @@ def _arg_average(point_fn, x0, n=400):
     return -total
 
 
-def _log_deriv_tracked(deriv_fn, nu_grid, chord):
+def _log_deriv_tracked(curve, nu_grid, chord):
     """Branch-tracked log of the curve slope on the measure grid, anchored
     near the chord direction."""
     y = nu_grid.nodes
-    gp = deriv_fn(y)
+    gp = curve.deriv1(y)
     tr = track_arg(gp)
     mid = len(y) // 2
     target = np.angle(chord)
     shift = 2 * np.pi * round((target - tr.args[mid]) / (2 * np.pi))
     return np.log(np.abs(gp)) + 1j * (tr.args + shift)
+
+
+# The arc of a solution and every interpolating member share these three
+# functionals; v_on_curve is x -> V(gamma(x)) for the member's potential.
+
+
+def _equilibrium_constant(curve, v_on_curve, nu_grid):
+    """Complex constant C with Phi_eff = V + g - C and Phi_eff(zeta1) = 0,
+    from the vanishing of (Phi_+ + Phi_-)/2 on the support at x = 1/2."""
+    x0 = 0.5
+    return (v_on_curve(x0) - _log_abs_distance(curve, x0, nu_grid)
+            + 1j * _arg_average(curve, x0))
+
+
+def _complex_energy(constant, v_on_curve, nu_grid):
+    """Complexified energy: the equilibrium constant plus the potential's
+    equilibrium average."""
+    vavg = (8 / np.pi) * pairwise_sum(nu_grid.weights * v_on_curve(nu_grid.nodes))
+    return constant + vavg
+
+
+def _entropy(curve, nu_grid, chord):
+    """Ent = -int ln(dmu/dz) dmu; the flat semicircle part is closed form
+    (Beta-function derivative), the curve part is smooth quadrature."""
+    flat = 0.5 + math.log(2 / np.pi)
+    logs = _log_deriv_tracked(curve, nu_grid, chord)
+    return -flat + (8 / np.pi) * pairwise_sum(nu_grid.weights * logs)
 
 
 @dataclass
@@ -191,7 +218,7 @@ class OneCutSolution:
     pad: float = 0.05
     pad_outer: float = 0.10
     _curve: Curve = field(default=None, repr=False)
-    _family: CurveFamily = field(default=None, repr=False)
+    _constant: complex = field(default=None, repr=False)
 
     @property
     def midpoint(self):
@@ -215,12 +242,6 @@ class OneCutSolution:
                 self._curve = semicircle_parametrization(
                     self.S, self.zeta1, self.zeta2, pad=self.pad_outer)
         return self._curve
-
-    @property
-    def family(self):
-        if self._family is None:
-            self._family = CurveFamily(self.curve, self.zeta1, self.zeta2)
-        return self._family
 
     # -- measure ---------------------------------------------------------
 
@@ -348,9 +369,6 @@ class OneCutSolution:
 
     # -- constants, energy, entropy ---------------------------------------
 
-    def _log_abs_distance_to(self, x0):
-        return _log_abs_distance(self.curve, float(x0), self.support_grid)
-
     def electrostatic_potential(self, z):
         """U[mu](z) = -int ln|z-w| dmu(w); valid on and off the arc (on-arc
         points should be passed as parameters via u_on_curve)."""
@@ -359,26 +377,24 @@ class OneCutSolution:
         return -self.nu_integrate(np.log(np.abs(complex(z) - g)))
 
     def u_on_curve(self, x0):
-        return -self._log_abs_distance_to(float(x0))
+        return -_log_abs_distance(self.curve, float(x0), self.support_grid)
+
+    def _v_on_curve(self, x):
+        return self.potential(self.curve(x))
 
     def equilibrium_constant(self):
-        """Complex constant C with Phi_eff = V + g - C and Phi_eff(zeta1)=0;
-        computed from the vanishing of (Phi_+ + Phi_-)/2 on the support."""
-        x0 = 0.5
-        z0 = self.curve(x0)
-        re_part = -self._log_abs_distance_to(x0)
-        im_part = self._arg_average(x0)
-        return self.potential(z0) + re_part + 1j * im_part
-
-    def _arg_average(self, x0, n=400):
-        return _arg_average(self.curve, x0, n=n)
+        """Complex constant C with Phi_eff = V + g - C and Phi_eff(zeta1)=0
+        (computed once)."""
+        if self._constant is None:
+            self._constant = _equilibrium_constant(self.curve, self._v_on_curve,
+                                                   self.support_grid)
+        return self._constant
 
     def complex_energy(self):
         """Complexified energy: equilibrium constant plus the potential's
         equilibrium average."""
-        y = self.support_grid.nodes
-        vavg = self.nu_integrate(self.potential(self.curve(y)))
-        return self.equilibrium_constant() + vavg
+        return _complex_energy(self.equilibrium_constant(), self._v_on_curve,
+                               self.support_grid)
 
     def real_energy_direct(self):
         """Direct double-quadrature oracle for Re of the complex energy."""
@@ -395,17 +411,9 @@ class OneCutSolution:
         phi = self.potential(g).real
         return -log_double + 2 * self.nu_integrate(phi)
 
-    def log_gamma_prime(self):
-        """Branch-tracked log of gamma' on the support grid, anchored near
-        the chord direction at the midpoint."""
-        return _log_deriv_tracked(self.curve.deriv1, self.support_grid,
-                                  self.zeta2 - self.zeta1)
-
     def entropy(self):
-        """Ent = -int ln(dmu/dz) dmu; the flat semicircle part is closed form
-        (Beta-function derivative), the curve part is smooth quadrature."""
-        flat = 0.5 + math.log(2 / np.pi)
-        return -flat + self.nu_integrate(self.log_gamma_prime())
+        """Ent = -int ln(dmu/dz) dmu."""
+        return _entropy(self.curve, self.support_grid, self.zeta2 - self.zeta1)
 
     # -- variational checks ------------------------------------------------
 
@@ -432,12 +440,10 @@ class OneCutSolution:
     def euler_lagrange_residual(self, x):
         """V'(gamma(x)) minus the principal-value Cauchy transform of the
         measure: identically zero for the true equilibrium data."""
-        from .contour import subtracted_chord_kernel
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = self.support_grid.nodes
         gpx = self.curve.deriv1(x)
-        K = subtracted_chord_kernel(self.curve, self.curve.deriv1,
-                                    self.curve.deriv2, self.curve.deriv3, x, y)
+        K = subtracted_chord_kernel(self.curve, x, y)
         ker = -K / gpx[:, None]
         wnu = (8 / np.pi) * self.support_grid.weights
         pv = pairwise_sum(ker * wnu[None, :], axis=-1) + 8 * (x - 0.5) / gpx
@@ -480,68 +486,37 @@ class OneCutSolution:
 
 @dataclass
 class InterpolationData:
-    """Frozen data of one member of the interpolating family: curve
-    evaluators, the prefactor of the cut square root, and the interpolating
-    potential."""
+    """Frozen data of one member of the interpolating family: the member
+    curve gamma_t, the prefactor of the cut square root, and the
+    interpolating potential."""
 
     sol: OneCutSolution
     t: float
     n_quad: int = 96
 
     def __post_init__(self):
-        self.family = self.sol.family
+        self.curve = family_member(self.sol.curve, self.sol.zeta1, self.sol.zeta2, self.t)
+        self.gt, self.gtp = self.curve, self.curve.deriv1
         self.gc2 = make_grid("gauss_chebyshev_sqrt", self.n_quad, (0.0, 1.0))
-
-    # curve shortcuts
-    def gt(self, x):
-        return self.family.point(self.t, x)
-
-    def gtp(self, x):
-        return self.family.deriv1(self.t, x)
-
-    def gtpp(self, x):
-        return self.family.deriv2(self.t, x)
-
-    def gt_inverse(self, z, x0=None):
-        base = self.sol.curve
-        if self.t == 0.0:
-            return (complex(z) - self.sol.zeta1) / (self.sol.zeta2 - self.sol.zeta1)
-        # invert through the base curve
-        q = self.family._denom(self.t)
-        w = (complex(z) - self.sol.zeta1) * self.t * q / (self.sol.zeta2 - self.sol.zeta1) + self.sol.zeta1
-        return base.invert(w, x0=x0) / self.t
-
-    def gt_inverse_many(self, z, x0, tol=1e-12, maxit=40):
-        """Vectorized Newton inversion of the flow member, seeded near the
-        answers (used by the flow-derivative evaluators)."""
-        z = np.asarray(z, dtype=complex)
-        x = np.asarray(x0, dtype=complex).copy()
-        for _ in range(maxit):
-            f = self.gt(x) - z
-            if np.max(np.abs(f)) < tol:
-                return x
-            x = x - f / self.gtp(x)
-        raise ValueError("vectorized curve inversion failed")
 
     # -- prefactor of the cut square root ---------------------------------
 
     def _q_ratio(self, x, t=None):
-        """64 x(x-1) / (gt'^2 (gt-z1)(gt-z2)): the square of the prefactor,
-        with endpoint cancellations done by stable ratios."""
-        t = self.t if t is None else t
-        x = np.asarray(x, dtype=float)
+        """64 x(x-1) / (g'^2 (g-z1)(g-z2)) on the member at t (default this
+        one): the square of the prefactor, with endpoint cancellations done
+        by stable ratios.  Complex x continues it off the interval."""
         z1, z2 = self.sol.zeta1, self.sol.zeta2
-        g = self.family.point(t, x)
-        gp = self.family.deriv1(t, x)
+        curve = self.curve if t is None else family_member(self.sol.curve, z1, z2, t)
+        x = np.asarray(x)
+        xa = np.atleast_1d(x)
+        g = curve(xa)
         with np.errstate(divide="ignore", invalid="ignore"):
-            A = x / (g - z1)
-            B = (x - 1) / (g - z2)
+            A = xa / (g - z1)
+            B = (xa - 1) / (g - z2)
         for arr, xe in ((A, 0.0), (B, 1.0)):
-            bad = np.abs(x - xe) < 1e-9
-            if np.any(bad):
-                d1 = self.family.deriv1(t, np.full(np.sum(bad), xe))
-                arr[bad] = 1.0 / d1
-        return 64 * A * B / gp**2
+            arr[np.abs(xa - xe) < 1e-9] = 1.0 / curve.deriv1(xe)
+        q = 64 * A * B / curve.deriv1(xa) ** 2
+        return q.reshape(x.shape) if x.shape else q[0]
 
     def st_grid(self, x, n_steps=9):
         """Prefactor values on an x-array, sign-fixed by continuation in the
@@ -570,17 +545,10 @@ class InterpolationData:
     def st_at(self, z):
         """Prefactor at a point z near the curve, sign by continuity from the
         nearest on-curve value."""
-        x = self.gt_inverse(z)
-        q = self._q_ratio_complex(x)
-        cand = np.sqrt(q)
+        x = self.curve.invert(z)
+        cand = np.sqrt(self._q_ratio(x))
         ref = self.st(np.clip(x.real, -self.sol.pad, 1 + self.sol.pad))
         return cand if abs(cand - ref) <= abs(cand + ref) else -cand
-
-    def _q_ratio_complex(self, x):
-        z1, z2 = self.sol.zeta1, self.sol.zeta2
-        g = self.gt(x)
-        gp = self.gtp(x)
-        return 64 * x * (x - 1) / (gp**2 * (g - z1) * (g - z2))
 
     def rt(self, z):
         """Deformed R at z: prefactor squared times the endpoint factors."""
@@ -589,19 +557,13 @@ class InterpolationData:
 
     # -- interpolating potential -------------------------------------------
 
-    def _kernel_fns(self):
-        t = self.t
-        fam = self.family
-        return (lambda s: fam.point(t, s), lambda s: fam.deriv1(t, s),
-                lambda s: fam.deriv2(t, s), lambda s: fam.deriv3(t, s))
-
     def vt_prime_pullback(self, x):
         """V_t'(gamma_t(x)) gamma_t'(x) by the subtracted-kernel formula;
         bounded uniformly in t."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = self.gc2.nodes
         w = (8 / np.pi) * self.gc2.weights
-        ker = subtracted_chord_kernel(*self._kernel_fns(), x, y)
+        ker = subtracted_chord_kernel(self.curve, x, y)
         return 8 * (x - 0.5) - pairwise_sum(ker * w[None, :], axis=-1)
 
     def vt_prime(self, z):
@@ -614,7 +576,7 @@ class InterpolationData:
         w = (8 / np.pi) * self.gc2.weights
         sy = self.st(y)
         Sz = self.st_at(z)
-        gy = self.gt(y)
+        gy = self.curve(y)
         integ = pairwise_sum(w * (sy - Sz) / (sy * (gy - z)))
         return Sz * (z - mid) - integ
 
@@ -637,7 +599,7 @@ class InterpolationData:
         anti = slope.antideriv()
         # pin the value at x = 1/2 to the path-integrated potential
         coef = anti.coef.copy()
-        coef[0] += self.vt(self.gt(0.5)) - anti(0.5)
+        coef[0] += self.vt(self.curve(0.5)) - anti(0.5)
         return ChebSeries(anti.lo, anti.hi, coef)
 
     def vt_gamma(self, x):
@@ -649,22 +611,12 @@ class InterpolationData:
         """Complexified energy of the flow member: equilibrium constant of
         the deformed data plus the potential's equilibrium average."""
         grid = self.sol.support_grid
-        point = lambda s: self.gt(s)
-        x0 = 0.5
-        C = (self.vt_gamma(x0)
-             - _log_abs_distance(point, x0, grid)
-             + 1j * _arg_average(point, x0))
-        y = grid.nodes
-        vavg = (8 / np.pi) * pairwise_sum(grid.weights * self.vt_gamma(y))
-        return C + vavg
+        C = _equilibrium_constant(self.curve, self.vt_gamma, grid)
+        return _complex_energy(C, self.vt_gamma, grid)
 
     def entropy(self):
         """- int ln(dmu_t/dz) dmu_t along the deformed arc."""
-        flat = 0.5 + math.log(2 / np.pi)
-        grid = self.sol.support_grid
-        logs = _log_deriv_tracked(lambda s: self.gtp(s), grid,
-                                  self.sol.zeta2 - self.sol.zeta1)
-        return -flat + (8 / np.pi) * pairwise_sum(grid.weights * logs)
+        return _entropy(self.curve, self.sol.support_grid, self.sol.zeta2 - self.sol.zeta1)
 
 
 def interpolation_data(sol: OneCutSolution, t: float, n_quad=96):

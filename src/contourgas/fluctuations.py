@@ -49,9 +49,8 @@ class GaussianLaw:
         self._y = gc2.nodes
         self._E_nu = self.op.colloc.eval_matrix(gc2.nodes)
         self._D = self.op.colloc.diff_matrix()
-        gp = self.data.gtp(gc2.nodes)
-        gpp = self.data.gtpp(gc2.nodes)
-        self._rfac = np.real(gpp / gp)
+        curve = self.data.curve
+        self._rfac = np.real(curve.deriv2(gc2.nodes) / curve.deriv1(gc2.nodes))
 
     def _nodal(self, f):
         xs = self.op.grid
@@ -180,8 +179,8 @@ def pair_angles(data: InterpolationData, x):
     (x - y)), unwrapped along rows, re-anchored on the diagonal a(x, x) =
     p(x) and symmetrized.  Returns (p, a)."""
     n = len(x)
-    gx = data.gt(x)
-    gpx = data.gtp(x)
+    gx = data.curve(x)
+    gpx = data.curve.deriv1(x)
     tr = track_arg(gpx)
     mid = n // 2
     p = tr.args + (np.angle(gpx[mid]) - tr.args[mid])
@@ -357,8 +356,8 @@ def one_stat_expansion(data: InterpolationData, f, beta, n=64):
     are reported."""
     op = complex_master_operator(data, n=n)
     xs = op.grid
-    zs = data.gt(xs)
-    gpx = data.gtp(xs)
+    zs = data.curve(xs)
+    gpx = data.curve.deriv1(xs)
     D_x = op.colloc.diff_matrix()
     Dz = D_x / gpx[:, None]
     gc2 = make_grid("gauss_chebyshev_sqrt", data.n_quad, (0.0, 1.0))
@@ -411,10 +410,8 @@ def loop_equation_check(N, beta, data_or_model, domain=None, M=64):
     vprime_pullback."""
     if isinstance(data_or_model, InterpolationData):
         data = data_or_model
-        gamma = lambda x: data.gt(x)
-        dgamma = lambda x: data.gtp(x)
-        ddgamma = lambda x: data.gtpp(x)
-        W_pull = lambda x: data.vt_prime_pullback(x)
+        gamma, dgamma, ddgamma = data.curve, data.curve.deriv1, data.curve.deriv2
+        W_pull = data.vt_prime_pullback
         phi_tilde = _phi_from_data(data)
     else:
         m = data_or_model
@@ -479,7 +476,7 @@ def _phi_from_data(data: InterpolationData):
     def phi(x):
         x = np.atleast_1d(x)
         out = np.empty(x.shape)
-        v_half = data.vt(data.gt(0.5))
+        v_half = data.vt(data.curve(0.5))
         for i, xi in enumerate(x):
             nodes = 0.5 + gl.nodes * (xi - 0.5)
             vals = data.vt_prime_pullback(nodes)

@@ -122,18 +122,18 @@ def real_master_operator(data: InterpolationData, n=64, n_quad=None):
     E_x = np.eye(n)
     D_x = colloc.diff_matrix()
 
-    g, d1, d2, d3 = data._kernel_fns()
+    curve = data.curve
 
     # forward: diag(Re V_t' g_t') - integral of the deformed difference
     # quotient against the semicircle law
     W = np.real(data.vt_prime_pullback(xs))
-    Kxy = subtracted_chord_kernel(g, d1, d2, d3, xs, y)
-    Kyx = subtracted_chord_kernel(g, d1, d2, d3, y, xs)
+    Kxy = subtracted_chord_kernel(curve, xs, y)
+    Kyx = np.real(subtracted_chord_kernel(curve, y, xs))
     dq = _difference_quotient_rows(xs[:, None] - y[None, :], _near_pairs(xs, y),
                                    E_x, E_y, D_x)
     forward = np.diag(W)
     forward += np.diag(pairwise_sum(np.real(Kxy) * w2[None, :], axis=-1))
-    forward += np.einsum("q,iq,qj->ij", w2, np.real(Kyx).T, E_y)
+    forward += np.einsum("q,iq,qj->ij", w2, Kyx.T, E_y)
     forward -= np.einsum("q,iqj->ij", w2, dq)
 
     # flat-interval master inverse rows at collocation points
@@ -149,8 +149,8 @@ def real_master_operator(data: InterpolationData, n=64, n_quad=None):
 
     # correction kernel tau(x, y) = Re(subtracted chord kernel at (y, x))
     # times the semicircle density, and its K_J-projected version
-    tau_x = np.real(subtracted_chord_kernel(g, d1, d2, d3, y, xs)).T   # (x rows, y cols)
-    tau_s = np.real(subtracted_chord_kernel(g, d1, d2, d3, y, s)).T    # (s rows, y cols)
+    tau_x = Kyx.T                                                      # (x rows, y cols)
+    tau_s = np.real(subtracted_chord_kernel(curve, y, s)).T            # (s rows, y cols)
     kJ_tau = (w1 @ tau_s) / np.pi                                      # K_J[tau(., y_q)]
     tau_x_til = tau_x - kJ_tau[None, :]
     tau_s_til = tau_s - kJ_tau[None, :]
@@ -195,11 +195,9 @@ def complex_master_operator(data: InterpolationData, n=64, n_quad=None):
     E_x = np.eye(n)
     D_x = colloc.diff_matrix()
 
-    zx = data.gt(xs)
-    zy = data.gt(y)
-    zs = data.gt(s)
-    gpx = data.gtp(xs)
-    gps = data.gtp(s)
+    curve = data.curve
+    zx, zy, zs = curve(xs), curve(y), curve(s)
+    gpx, gps = curve.deriv1(xs), curve.deriv1(s)
     vpx = data.vt_prime_pullback(xs) / gpx
 
     # forward: V_t'(z) f(z) - int (f(z)-f(w))/(z-w) dmu(w); near pairs of

@@ -220,7 +220,8 @@ def tensor_model_moment(N, beta, V, curve, domain, f_values_fn, M=96,
 
 def dt_potential(sol: OneCutSolution, t, h=1e-4, n_quad=96):
     """Evaluator of the t-derivative of the interpolating potential at fixed
-    z, by central differences across neighbouring family members.
+    z, by central differences across neighbouring family members; at t = 0
+    and t = 1 the difference is one-sided, with O(h) error.
 
     Each member's potential is read off its curve-parametrized
     antiderivative series after a vectorized inversion of the member's
@@ -234,31 +235,24 @@ def dt_potential(sol: OneCutSolution, t, h=1e-4, n_quad=96):
 
     def fz(z):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        x0 = d0.gt_inverse_many(z, _seed_params(d0, z))
-        xp = dp.gt_inverse_many(z, x0)
-        xm = dm.gt_inverse_many(z, x0)
+        x0 = d0.curve.invert(z)
+        xp = dp.curve.invert(z, x0)
+        xm = dm.curve.invert(z, x0)
         return (dp.vt_gamma(xp) - dm.vt_gamma(xm)) / span
 
     return fz
 
 
-def _seed_params(data, z):
-    """Initial inversion seeds from a coarse scan of the member curve."""
-    xs = np.linspace(-data.sol.pad, 1 + data.sol.pad, 129)
-    g = data.gt(xs)
-    idx = np.argmin(np.abs(z[:, None] - g[None, :]), axis=1)
-    return xs[idx].astype(complex)
-
-
 def dt_lnZ(sol: OneCutSolution, t, N, beta, n=48, h=1e-4):
     """- beta N^2 [ mu(dV/dt) + c1/N + c2/N^2 ] at one flow position;
-    returns the value and the three assembled pieces."""
+    returns the value and the three assembled pieces.  dV/dt is a central
+    difference of step h, one-sided (O(h) error) at t = 0 and t = 1."""
     from .fluctuations import one_stat_expansion
     data = interpolation_data(sol, t)
     fz = dt_potential(sol, t, h=h)
     y = data.gc2.nodes
     w = (8 / np.pi) * data.gc2.weights
-    mu_f = pairwise_sum(w * fz(data.gt(y)))
+    mu_f = pairwise_sum(w * fz(data.curve(y)))
     c1, c2, parts = one_stat_expansion(data, lambda zz: fz(zz), beta, n=n)
     total = -beta * N * N * (mu_f + c1 / N + c2 / N / N)
     return total, {"mu_dtV": mu_f, "c1": c1, "c2": c2, **parts}

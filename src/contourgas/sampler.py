@@ -67,8 +67,8 @@ def make_chain(data: InterpolationData, N, beta, n_chains=8, seed=12345,
     pad = data.sol.pad
     n_fit = 160
     xs = ChebSeries.nodes(*dom, n_fit)
-    gamma = ChebSeries.fit(*dom, data.gt(xs))
-    log_dg = ChebSeries.fit(*dom, np.log(np.abs(data.gtp(xs))))
+    gamma = ChebSeries.fit(*dom, data.curve(xs))
+    log_dg = ChebSeries.fit(*dom, np.log(np.abs(data.curve.deriv1(xs))))
     phi = ChebSeries.fit(*dom, np.real(data.vt_gamma(np.clip(xs, -pad, 1 + pad))))
 
     q = _semicircle_quantiles(N)
@@ -280,7 +280,7 @@ def concentration_scan(data: InterpolationData, N_list, f=lambda x: x,
                 reg, widths, masses = regularize(xs, N)
                 d2 = log_energy_distance(
                     (reg, masses, widths), "semicircle",
-                    _CurveAdapter(data), log_decades=log_dec, squared=True)
+                    data.curve, log_decades=log_dec, squared=True)
                 d2s.append(d2)
         rows.append({"N": int(N), "mean_abs_stat": float(np.mean(stats)),
                      "mean_D2": float(np.mean(d2s)),
@@ -289,20 +289,6 @@ def concentration_scan(data: InterpolationData, N_list, f=lambda x: x,
     ly = np.log([r["mean_D2"] for r in rows])
     slope = np.polyfit(lx, ly, 1)[0]
     return rows, float(-slope)
-
-
-class _CurveAdapter:
-    """Callable/deriv1 pair over the family member (curve protocol used by
-    the distance computations)."""
-
-    def __init__(self, data):
-        self.data = data
-
-    def __call__(self, x):
-        return self.data.gt(np.asarray(x, dtype=float))
-
-    def deriv1(self, x):
-        return self.data.gtp(np.asarray(x, dtype=float))
 
 
 def edge_density_estimate(data: InterpolationData, N_list, sweeps=300,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from contourgas import equilibrium as eq
-from contourgas.contour import (arc_mass, bilipschitz_check, semicircle_cdf,
-                                semicircle_density)
+from contourgas.contour import (arc_mass, bilipschitz_check, family_member,
+                                semicircle_cdf, semicircle_density)
 from contourgas.numkit import make_grid
 
 
@@ -58,21 +58,41 @@ def test_mass_map_composition(rot_sol):
         assert arc_mass(c, c(x)) == pytest.approx(semicircle_cdf(x), abs=1e-8)
 
 
+def _member(sol, t):
+    return family_member(sol.curve, sol.zeta1, sol.zeta2, t)
+
+
 def test_family_endpoints_pinned(rot_sol):
-    fam = rot_sol.family
-    for t in np.linspace(0, 1, 11):
-        assert abs(fam.point(t, 0.0) - rot_sol.zeta1) < 1e-12
-        assert abs(fam.point(t, 1.0) - rot_sol.zeta2) < 1e-12
+    # members near the straight segment carry coefficients of size 1/t
+    for t, tol in [(t, 1e-12) for t in np.linspace(0, 1, 11)] + [(1e-4, 1e-11)]:
+        assert abs(_member(rot_sol, t)(0.0) - rot_sol.zeta1) < tol
+        assert abs(_member(rot_sol, t)(1.0) - rot_sol.zeta2) < tol
 
 
 def test_family_limits(rot_sol):
-    fam = rot_sol.family
     x = np.linspace(-0.05, 1.05, 23)
-    assert np.max(np.abs(fam.point(1.0, x) - rot_sol.curve(x))) < 1e-10
-    mid = fam.point(0.0, 0.5)
+    assert np.max(np.abs(_member(rot_sol, 1.0)(x) - rot_sol.curve(x))) < 1e-10
+    mid = _member(rot_sol, 0.0)(0.5)
     assert mid == pytest.approx((rot_sol.zeta1 + rot_sol.zeta2) / 2)
     # small-t evaluation stays smooth (stable denominator)
-    assert np.all(np.isfinite(fam.point(1e-7, x)))
+    assert np.all(np.isfinite(_member(rot_sol, 1e-7)(x)))
+
+
+@pytest.mark.parametrize("t", [1e-4, 0.5, 1.0])
+def test_family_member_is_composition(rot_sol, t):
+    # gamma_t(x) = zeta1 + (zeta2 - zeta1) (g(t x) - g(0)) / (g(t) - g(0))
+    # and its x-derivatives t^k g^(k)(t x) times the same factor
+    g, z1, z2 = rot_sol.curve, rot_sol.zeta1, rot_sol.zeta2
+    member = _member(rot_sol, t)
+    x = np.linspace(-0.1, 1.1, 31)
+    k = (z2 - z1) / (g(t) - g(0.0))
+    pairs = [(member(x), z1 + k * (g(t * x) - g(0.0))),
+             (member.deriv1(x), k * t * g.deriv1(t * x)),
+             (member.deriv2(x), k * t**2 * g.deriv2(t * x)),
+             (member.deriv3(x), k * t**3 * g.deriv3(t * x))]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+    assert member.domain == g.domain
 
 
 def test_bilipschitz_affine():
@@ -82,8 +102,7 @@ def test_bilipschitz_affine():
 
 
 def test_bilipschitz_family_uniform(rot_sol):
-    fam = rot_sol.family
-    bounds = [bilipschitz_check(lambda x, t=t: fam.point(t, x), -0.05, 1.05, n=128)
+    bounds = [bilipschitz_check(_member(rot_sol, t), -0.05, 1.05, n=128)
               for t in (0.0, 0.5, 1.0)]
     lowers = [b[0] for b in bounds]
     assert min(lowers) > 0
@@ -139,3 +158,6 @@ def test_curve_invert_roundtrip(rot_sol):
     for x in (0.12, 0.5, 0.93):
         z = c(x)
         assert c.invert(z) == pytest.approx(x, abs=1e-11)
+    member = _member(rot_sol, 0.5)
+    xs = np.array([-0.05, 0.12, 0.5, 0.93, 1.05])
+    assert np.max(np.abs(member.invert(member(xs)) - xs)) < 1e-11

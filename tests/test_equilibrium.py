@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -244,6 +245,16 @@ def test_solution_report_fields(quad_sol):
                 "frostman_on_support_max_abs", "complex_energy", "entropy"):
         assert key in rep
     assert rep["mass_residual"] < 1e-10
+
+
+def test_report_computes_equilibrium_constant_once(rot_sol, monkeypatch):
+    sol = dataclasses.replace(rot_sol, _constant=None)
+    calls = []
+    arg_average = eq._arg_average
+    monkeypatch.setattr(eq, "_arg_average",
+                        lambda *a, **k: calls.append(a) or arg_average(*a, **k))
+    sol.report()
+    assert len(calls) == 1
 
 
 def test_solution_report_matches_separate_calls(rot_sol):

@@ -161,6 +161,13 @@ def test_dt_lnZ_vanishes_for_quadratic(quad_sol):
     assert abs(parts["mu_dtV"]) < 1e-9
 
 
+def test_dt_lnZ_near_straight_segment(rot_sol):
+    # t = 0 takes a one-sided difference; near it dt_lnZ is linear in t
+    vals = {t: pt.dt_lnZ(rot_sol, t, 2, 2.0)[0] for t in (0.0, 1e-4, 1e-3)}
+    assert all(np.isfinite(v) for v in vals.values())
+    assert abs(vals[1e-4] - 0.1 * vals[1e-3]) < 1e-5
+
+
 def _fd4(fn, t, h):
     return (-fn(t + 2 * h) + 8 * fn(t + h) - 8 * fn(t - h) + fn(t - 2 * h)) / (12 * h)
 

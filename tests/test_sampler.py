@@ -72,7 +72,7 @@ def test_regularize_examples():
 
 
 def test_log_energy_distance_identical(quad_data_t0):
-    curve = sp._CurveAdapter(quad_data_t0)
+    curve = quad_data_t0.curve
     assert sp.log_energy_distance("semicircle", "semicircle", curve) \
         == pytest.approx(0.0, abs=1e-7)
 
@@ -80,7 +80,7 @@ def test_log_energy_distance_identical(quad_data_t0):
 def test_log_energy_distance_boxed_positive(small_run, quad_data_t0):
     _, snaps, _ = small_run
     reg, widths, masses = sp.regularize(snaps[-1][0], 48)
-    curve = sp._CurveAdapter(quad_data_t0)
+    curve = quad_data_t0.curve
     d = sp.log_energy_distance((reg, masses, widths), "semicircle", curve,
                                log_decades=6 * math.log10(48) + 1)
     assert np.isfinite(d)
@@ -90,7 +90,7 @@ def test_log_energy_distance_boxed_positive(small_run, quad_data_t0):
 def test_log_energy_distance_fourier_vs_direct_smooth(quad_data_t0):
     # two smooth unit measures on the arc: push the flat density against
     # the semicircle; both routes agree
-    curve = sp._CurveAdapter(quad_data_t0)
+    curve = quad_data_t0.curve
     g = make_grid("gauss_legendre", 384, (0.0, 1.0))
     flat = (g.nodes, g.weights, None)
     d2_fourier = sp.log_energy_distance(flat, "semicircle", curve, squared=True,
@@ -111,7 +111,7 @@ def test_log_energy_distance_fourier_vs_direct_smooth(quad_data_t0):
 def test_log_energy_distance_boxed_fourier_vs_direct(small_run, quad_data_t0):
     _, snaps, _ = small_run
     reg, widths, masses = sp.regularize(snaps[-1][0], 48)
-    curve = sp._CurveAdapter(quad_data_t0)
+    curve = quad_data_t0.curve
     m = (reg, masses, widths)
     d2f = sp.log_energy_distance(m, "semicircle", curve, squared=True,
                                  log_decades=6 * math.log10(48) + 1,
