@@ -171,24 +171,20 @@ def _series_eval(ze, a1, a2, a3, a4, u):
     return g, d
 
 
-def semicircle_parametrization(S: ComplexPolynomial, zeta1, zeta2, pad=0.05,
+def semicircle_parametrization(R: ComplexPolynomial, zeta1, zeta2, pad=0.05,
                                n_cheb=120, delta=1e-3, rtol=1e-12,
                                direction_hint=None):
     """Arc through zeta1, zeta2 on which the equilibrium measure pulls back
     to the [0,1] semicircle law, extended analytically to [-pad, 1+pad].
 
     The parametrization solves gamma'(x)^2 R(gamma(x)) = 64 x (x-1) with
-    R = S^2 (z-zeta1)(z-zeta2); this squared form is branch-free.  Endpoints
-    are crossed with cubic local series (the 3/2-power singularities of the
-    mass map cancel there).  Raises ParametrizationError when no slope
-    choice at zeta1 leads to zeta2, which signals a potential that is not
-    one-cut regular for the supplied data.
+    R = S^2 (z-zeta1)(z-zeta2) (`OneCutSolution.R`); this squared form is
+    branch-free.  Endpoints are crossed with cubic local series (the
+    3/2-power singularities of the mass map cancel there).  Raises
+    ParametrizationError when no slope choice at zeta1 leads to zeta2, which
+    signals a potential that is not one-cut regular for the supplied data.
     """
     zeta1, zeta2 = complex(zeta1), complex(zeta2)
-    lin = ComplexPolynomial([zeta1 * zeta2, -(zeta1 + zeta2), 1.0])
-    Rcoef = np.polynomial.polynomial.polymul(
-        np.polynomial.polynomial.polymul(S.coeffs, S.coeffs), lin.coeffs)
-    R = ComplexPolynomial(Rcoef)
     Rp = R.deriv()
 
     def rhs(x, y):

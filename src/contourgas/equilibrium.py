@@ -240,7 +240,7 @@ class OneCutSolution:
                 self._curve = affine_curve(self.zeta1, self.zeta2, self.pad_outer)
             else:
                 self._curve = semicircle_parametrization(
-                    self.S, self.zeta1, self.zeta2, pad=self.pad_outer)
+                    self.R, self.zeta1, self.zeta2, pad=self.pad_outer)
         return self._curve
 
     # -- measure ---------------------------------------------------------
@@ -265,11 +265,9 @@ class OneCutSolution:
 
     # -- cut square root -------------------------------------------------
 
-    @property
+    @cached_property
     def _flat_grid(self):
-        if not hasattr(self, "_flat_grid_cache") or self._flat_grid_cache is None:
-            self._flat_grid_cache = make_grid("gauss_legendre", 160, (0.0, 1.0))
-        return self._flat_grid_cache
+        return make_grid("gauss_legendre", 160, (0.0, 1.0))
 
     def r_cut(self, z):
         """Square root of (z-zeta1)(z-zeta2) cut along the support arc,

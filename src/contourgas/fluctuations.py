@@ -11,6 +11,7 @@ import numpy as np
 from .equilibrium import InterpolationData
 from .numkit import make_grid, pairwise_sum, tensor_quadrature, track_arg
 from .operators import DiscretizedOperator, complex_master_operator, real_master_operator
+from .partition import _log_weights
 
 __all__ = [
     "GaussianLaw",
@@ -400,27 +401,15 @@ def one_stat_expansion(data: InterpolationData, f, beta, n=64):
 # -- small-N tensor quadrature and the first loop equation -------------------
 
 
-def loop_equation_check(N, beta, data_or_model, domain=None, M=64):
+def loop_equation_check(N, beta, data: InterpolationData, domain=None, M=64):
     """Residual of the first (k = 0) loop equation with the identity test
-    direction, all expectations by tensor quadrature, the exponentially
-    small boundary term dropped.
-
-    data_or_model: InterpolationData (the flat member with a wide domain is
-    the intended use) or a dict of callables gamma/dgamma/phi_tilde/
-    vprime_pullback."""
-    if isinstance(data_or_model, InterpolationData):
-        data = data_or_model
-        gamma, dgamma, ddgamma = data.curve, data.curve.deriv1, data.curve.deriv2
-        W_pull = data.vt_prime_pullback
-        phi_tilde = _phi_from_data(data)
-    else:
-        m = data_or_model
-        gamma, dgamma, ddgamma = m["gamma"], m["dgamma"], m["ddgamma"]
-        W_pull, phi_tilde = m["vprime_pullback"], m["phi_tilde"]
-        if domain is None:
-            raise ValueError("callable models must supply an explicit domain")
+    direction, all expectations by tensor quadrature of the real model, the
+    exponentially small boundary term dropped.  Curve, slope and potential
+    all come from the member `data`; the flat member with a wide domain is
+    the intended use, and the domain defaults to [-pad, 1 + pad]."""
+    gamma, dgamma, ddgamma = data.curve, data.curve.deriv1, data.curve.deriv2
     if domain is None:
-        domain = (-data_or_model.sol.pad, 1 + data_or_model.sol.pad)
+        domain = (-data.sol.pad, 1 + data.sol.pad)
 
     gl = make_grid("gauss_legendre", M, domain)
     x = gl.nodes
@@ -440,8 +429,8 @@ def loop_equation_check(N, beta, data_or_model, domain=None, M=64):
         return out
 
     # test direction h(x) = x
-    Xi_h = np.real(W_pull(x)) * x - pairwise_sum(Dkernel(x, y) * wy[None, :], axis=-1)
-    nu_Xi_h = pairwise_sum(wy * (np.real(W_pull(y)) * y
+    Xi_h = np.real(data.vt_prime_pullback(x)) * x - pairwise_sum(Dkernel(x, y) * wy[None, :], axis=-1)
+    nu_Xi_h = pairwise_sum(wy * (np.real(data.vt_prime_pullback(y)) * y
                                  - pairwise_sum(Dkernel(y, y) * wy[None, :], axis=-1)))
     R_h = np.real(ddgamma(x) / dgamma(x)) * x + 1.0
     Dgrid = Dkernel(x, x)
@@ -450,11 +439,9 @@ def loop_equation_check(N, beta, data_or_model, domain=None, M=64):
 
     # expectations under the N-particle curve ensemble by full tensor
     # quadrature on the same grid
-    g = gamma(x)
-    log_single = np.log(np.abs(dgamma(x))) - N * beta * phi_tilde(x)
-    log_pair = beta * np.log(np.abs(g[:, None] - g[None, :]) + np.eye(M))
-    np.fill_diagonal(log_pair, -1e30)  # integrand vanishes at collisions
-    W, _ = tensor_quadrature(N, log_single, log_pair, gl.weights)
+    _, w, log_single, log_pair = _log_weights(N, beta, _phi_from_data(data, x),
+                                              gamma, domain, M, real_model=True)
+    W, _ = tensor_quadrature(N, log_single, log_pair, w)
     Z = W.sum()
     m1 = W.sum(axis=tuple(range(1, N))) / Z         # one-point marginal
     E_Xi, E_R, E_Dbar = (pairwise_sum(m1 * s) for s in (Xi_h, R_h, Dbar))
@@ -470,17 +457,12 @@ def loop_equation_check(N, beta, data_or_model, domain=None, M=64):
     return lhs - rhs
 
 
-def _phi_from_data(data: InterpolationData):
+def _phi_from_data(data: InterpolationData, x):
+    """Re V_t(gamma_t(x)): the pulled-back slope integrated by 48-point
+    Gauss-Legendre from x = 1/2, all points in one slope evaluation."""
     gl = make_grid("gauss_legendre", 48, (0.0, 1.0))
-
-    def phi(x):
-        x = np.atleast_1d(x)
-        out = np.empty(x.shape)
-        v_half = data.vt(data.curve(0.5))
-        for i, xi in enumerate(x):
-            nodes = 0.5 + gl.nodes * (xi - 0.5)
-            vals = data.vt_prime_pullback(nodes)
-            out[i] = np.real(v_half + (xi - 0.5) * pairwise_sum(gl.weights * vals))
-        return out
-
-    return phi
+    x = np.atleast_1d(x)
+    nodes = 0.5 + gl.nodes[None, :] * (x[:, None] - 0.5)
+    vals = data.vt_prime_pullback(nodes.ravel()).reshape(nodes.shape)
+    v_half = data.vt(data.curve(0.5))
+    return np.real(v_half + (x - 0.5) * pairwise_sum(gl.weights * vals, axis=-1))

@@ -193,9 +193,6 @@ def poly_normalize(p: ComplexPolynomial):
     return ComplexPolynomial(out), (complex(a), complex(b)), complex(const)
 
 
-GRID_KINDS = ("gauss_legendre", "gauss_chebyshev_sqrt", "inverse_sqrt", "closed_loop_trapezoid")
-
-
 @dataclass(frozen=True)
 class WeightedGrid:
     nodes: np.ndarray

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import semicircle_cdf
+from .contour import Curve, semicircle_cdf
 from .equilibrium import InterpolationData
 from .fluctuations import pair_angles
 from .numkit import ChebSeries, log_energy_direct, log_energy_form, make_grid, pairwise_sum
@@ -46,30 +46,31 @@ def _semicircle_quantiles(N):
 
 @dataclass
 class ParticleChain:
+    """Chains of the real model on the member curve: the weight of a
+    configuration is prod |gamma'(x_i)| e^{-N beta phi(x_i)} times
+    prod |gamma(x_i) - gamma(x_j)|^beta, read off the member's own series."""
+
     positions: np.ndarray          # (n_chains, N)
     beta: float
     N: int
     domain: tuple
-    log_dgamma_abs: object         # callable x -> ln|gamma'(x)|
-    gamma: object                  # callable x -> complex point
-    phi_tilde: object              # callable x -> Re V(gamma(x))
+    curve: Curve                   # the member gamma_t
+    phi: ChebSeries                # Re V_t(gamma_t(x)) for real x
     rngs: list
     step_scale: float
     acceptance: float = 0.0
-    master_seed: int = 0
 
 
-def make_chain(data: InterpolationData, N, beta, n_chains=8, seed=12345,
-               domain=None, step_scale=None):
-    """Chains initialized at semicircle quantiles; per-chain RNG streams are
-    spawned from the master seed (stream k = SeedSequence(seed).spawn[k])."""
-    dom = domain or (-data.sol.pad, 1 + data.sol.pad)
-    pad = data.sol.pad
-    n_fit = 160
-    xs = ChebSeries.nodes(*dom, n_fit)
-    gamma = ChebSeries.fit(*dom, data.curve(xs))
-    log_dg = ChebSeries.fit(*dom, np.log(np.abs(data.curve.deriv1(xs))))
-    phi = ChebSeries.fit(*dom, np.real(data.vt_gamma(np.clip(xs, -pad, 1 + pad))))
+def make_chain(data: InterpolationData, N, beta, n_chains=8, seed=12345):
+    """Chains on the working interval [-pad, 1 + pad], initialized at
+    semicircle quantiles; per-chain RNG streams are spawned from the seed
+    (stream k = SeedSequence(seed).spawn[k]).  The chain holds the member
+    curve and the real part of its potential series."""
+    dom = (-data.sol.pad, 1 + data.sol.pad)
+    vt = data._vt_series
+    # for real x the real part of a complex-coefficient series is the
+    # series of the real parts, so phi = Re V_t(gamma_t) exactly
+    phi = ChebSeries(vt.lo, vt.hi, vt.coef.real)
 
     q = _semicircle_quantiles(N)
     pos = np.tile(q, (n_chains, 1))
@@ -79,9 +80,8 @@ def make_chain(data: InterpolationData, N, beta, n_chains=8, seed=12345,
     for c in range(n_chains):
         pos[c] += 0.5 / N * (rngs[c].random(N) - 0.5)
     pos = np.clip(pos, dom[0] + 1e-9, dom[1] - 1e-9)
-    step = step_scale or 0.6 / N
-    return ParticleChain(pos, float(beta), int(N), dom, log_dg, gamma, phi,
-                         rngs, step, master_seed=seed)
+    return ParticleChain(pos, float(beta), int(N), dom, data.curve, phi,
+                         rngs, 0.6 / N)
 
 
 def _reflect(x, lo, hi):
@@ -92,20 +92,21 @@ def _reflect(x, lo, hi):
     return lo + y
 
 
-def sample_real_model(chain: ParticleChain, sweeps, burn_fraction=0.2,
-                      tune=True, collect=True, target_rate=0.35):
-    """Single-site Metropolis sweeps, vectorized across chains.
+def sample_real_model(chain: ParticleChain, sweeps, burn_fraction=0.2):
+    """Single-site Metropolis sweeps, vectorized across chains, on the
+    member curve and potential series the chain holds.
 
     Returns (snapshots, info): snapshots has shape (n_kept, n_chains, N)
     with one retained configuration per post-burn-in sweep (N moves per
-    retained sample).  The proposal width is adapted toward the target
-    acceptance during burn-in; a final rate outside [0.2, 0.6] raises."""
+    retained sample).  The proposal width is adapted toward acceptance 0.35
+    during burn-in; a final rate outside [0.2, 0.6] raises."""
     C, N = chain.positions.shape
     beta, lo, hi = chain.beta, chain.domain[0], chain.domain[1]
+    curve = chain.curve
     pos = chain.positions
-    G = chain.gamma(pos)
-    logdg = chain.log_dgamma_abs(pos)
-    phi = chain.phi_tilde(pos)
+    G = curve(pos)
+    logdg = np.log(np.abs(curve.deriv1(pos)))
+    phi = chain.phi(pos)
     burn = int(burn_fraction * sweeps)
     sigma = chain.step_scale
     kept = []
@@ -119,9 +120,9 @@ def sample_real_model(chain: ParticleChain, sweeps, burn_fraction=0.2,
         # site i is untouched until its own turn, so all proposals and their
         # (curve, slope, potential) values can be batched per sweep
         props = _reflect(pos + sigma * noise, lo, hi)
-        gP = chain.gamma(props)
-        ldP = chain.log_dgamma_abs(props)
-        phP = chain.phi_tilde(props)
+        gP = curve(props)
+        ldP = np.log(np.abs(curve.deriv1(props)))
+        phP = chain.phi(props)
         log_thresh = np.log(unif + 1e-300)
         for i in range(N):
             diff_new = np.abs(gP[:, i][:, None] - G)
@@ -142,20 +143,19 @@ def sample_real_model(chain: ParticleChain, sweeps, burn_fraction=0.2,
             acc_block += int(np.sum(take))
             tot_block += C
         if sweep < burn:
-            if tune and (sweep + 1) % 20 == 0:
+            if (sweep + 1) % 20 == 0:
                 rate = acc_block / max(tot_block, 1)
-                sigma *= float(np.exp(1.2 * (rate - target_rate)))
+                sigma *= float(np.exp(1.2 * (rate - 0.35)))
                 sigma = min(max(sigma, 1e-5), 1.5 * (hi - lo))
                 acc_block = tot_block = 0
         else:
             acc_total += acc_block
             tot_total += tot_block
             acc_block = tot_block = 0
-            if collect:
-                kept.append(pos.copy())
+            kept.append(pos.copy())
     rate = acc_total / max(tot_total, 1)
     band_warning = None
-    if tune and not (0.2 <= rate <= 0.6):
+    if not (0.2 <= rate <= 0.6):
         if rate > 0.6 and sigma >= 1.4 * (hi - lo):
             # tuner saturated at the width cap: a shallow one-particle
             # density accepts near-uniform proposals at this rate
@@ -165,9 +165,9 @@ def sample_real_model(chain: ParticleChain, sweeps, burn_fraction=0.2,
     chain.positions = pos
     chain.acceptance = rate
     chain.step_scale = sigma
-    snaps = np.array(kept) if collect else np.empty((0, C, N))
+    snaps = np.array(kept)
     info = {"acceptance": rate, "step_scale": sigma, "band_warning": band_warning,
-            "gelman_rubin": _gelman_rubin(snaps) if collect and len(kept) > 4 else None}
+            "gelman_rubin": _gelman_rubin(snaps) if len(kept) > 4 else None}
     return snaps, info
 
 
@@ -183,7 +183,7 @@ def _gelman_rubin(snaps):
     var_b = n * means.var(ddof=1)
     if var_w <= 0:
         return np.inf
-    return float(np.sqrt((1 - 1 / n) + var_b / (n * var_w) / 1.0))
+    return float(np.sqrt((1 - 1 / n) + var_b / (n * var_w)))
 
 
 def regularize(positions, N=None):
@@ -336,10 +336,11 @@ def _angle_surface(data: InterpolationData, n_c=96):
 
 
 def phase_expectation_mc(data: InterpolationData, N, beta, sweeps=600,
-                         n_chains=8, seed=424242, return_se=True):
+                         n_chains=8, seed=424242):
     """Monte Carlo estimate of the oscillatory/real partition-function
     ratio: the sample average of the exponential of the quadratic phase
-    statistic under the real model."""
+    statistic under the real model.  Returns (estimate, standard error,
+    sampler info)."""
     Ca, p = _angle_surface(data)
     cp = p.coef
 
@@ -370,6 +371,4 @@ def phase_expectation_mc(data: InterpolationData, N, beta, sweeps=600,
     if se > 0.05:
         raise TuningError(f"phase-expectation standard error {se:.3f} > 0.05: "
                           "more sweeps needed")
-    if not return_se:
-        return est
     return est, se, info

@@ -200,17 +200,11 @@ def test_A7_phase_expectation(rot_sol, quartic_sol):
             f"se {se:.4f}); real line -> {one:.6f}", time.time() - t0, 600)
 
 
-def test_A8_loop_equation():
+def test_A8_loop_equation(quad_sol):
     t0 = time.time()
-    model = {
-        "gamma": lambda x: (2 * np.asarray(x) - 1).astype(complex),
-        "dgamma": lambda x: np.full(np.shape(x), 2.0 + 0j),
-        "ddgamma": lambda x: np.zeros(np.shape(x), dtype=complex),
-        "vprime_pullback": lambda x: 8 * (np.asarray(x) - 0.5) + 0j,
-        "phi_tilde": lambda x: (2 * np.asarray(x) - 1) ** 2,
-    }
-    r2 = abs(fl.loop_equation_check(2, 2.0, model, domain=(-1.0, 2.0), M=160))
-    r3 = abs(fl.loop_equation_check(3, 2.0, model, domain=(-1.0, 2.0), M=72))
+    data = eq.interpolation_data(quad_sol, 0.0)
+    r2 = abs(fl.loop_equation_check(2, 2.0, data, domain=(-1.0, 2.0), M=160))
+    r3 = abs(fl.loop_equation_check(3, 2.0, data, domain=(-1.0, 2.0), M=72))
     ok = r2 <= 1e-5 and r3 <= 1e-5
     _report("A8", ok, f"k=0 residuals: N=2 {r2:.1e}, N=3 {r3:.1e}",
             time.time() - t0, 300)

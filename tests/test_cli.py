@@ -127,6 +127,14 @@ def test_cli_import_leaves_numpy_unloaded():
     assert res.returncode == 0, res.stderr
 
 
+def test_public_names_resolve():
+    # every exported name goes through the lazy module __getattr__; a stale
+    # export table entry would otherwise fail only on first use
+    import contourgas
+    for name in contourgas.__all__:
+        assert getattr(contourgas, name) is not None, name
+
+
 def test_verify_reports_true_minimum_and_every_attempt(tmp_path):
     out = str(tmp_path / "out")
     cli.main(["verify", "--seed", "7", "--out", out])

@@ -281,32 +281,25 @@ def test_fredholm_grid_stability(rot_data_t1):
     assert abs(v1 - v2) < 1e-6
 
 
-def _flat_quadratic_model():
-    return {
-        "gamma": lambda x: (2 * np.asarray(x) - 1).astype(complex),
-        "dgamma": lambda x: np.full(np.shape(x), 2.0 + 0j),
-        "ddgamma": lambda x: np.zeros(np.shape(x), dtype=complex),
-        "vprime_pullback": lambda x: 8 * (np.asarray(x) - 0.5) + 0j,
-        "phi_tilde": lambda x: (2 * np.asarray(x) - 1) ** 2,
-    }
-
-
-def test_loop_equation_small_N():
-    model = _flat_quadratic_model()
-    r2 = fl.loop_equation_check(2, 2.0, model, domain=(-1.0, 2.0), M=160)
+def test_loop_equation_small_N(quad_data_t0):
+    r2 = fl.loop_equation_check(2, 2.0, quad_data_t0, domain=(-1.0, 2.0), M=160)
     assert abs(r2) < 1e-6
-    r3 = fl.loop_equation_check(3, 2.0, model, domain=(-1.0, 2.0), M=72)
+    r3 = fl.loop_equation_check(3, 2.0, quad_data_t0, domain=(-1.0, 2.0), M=72)
     assert abs(r3) < 1e-5
 
 
-def test_loop_equation_constant_direction():
-    # a constant test statistic integrates to zero against the centred
-    # empirical measure on both sides
-    model = _flat_quadratic_model()
-    gl = make_grid("gauss_legendre", 64, (-1.0, 2.0))
-    c = np.ones(64)
-    # both sides vanish by zero net mass; directly verify the statistic
-    assert abs(np.sum(gl.weights * 0 * c)) == 0.0
+def test_loop_equation_flat_member_closed_form(quad_data_t0):
+    # the V = z^2 member at t = 0 in closed form on the loop-equation
+    # domain: gamma = 2x - 1, gamma' = 2, gamma'' = 0, V'(gamma) gamma' =
+    # 8(x - 1/2) and Re V(gamma) = (2x - 1)^2
+    data = quad_data_t0
+    x = np.linspace(-1.0, 2.0, 61)
+    tol = 1e-13
+    assert np.max(np.abs(data.curve(x) - (2 * x - 1))) < tol
+    assert np.max(np.abs(data.curve.deriv1(x) - 2)) < tol
+    assert np.max(np.abs(data.curve.deriv2(x))) < tol
+    assert np.max(np.abs(data.vt_prime_pullback(x) - 8 * (x - 0.5))) < tol
+    assert np.max(np.abs(fl._phi_from_data(data, x) - (2 * x - 1) ** 2)) < tol
 
 
 def test_one_stat_expansion_beta2_prefactor_terms(rot_data_t1):

@@ -126,16 +126,6 @@ def test_edge_density_estimate(quad_data_t0):
     assert rows[1]["bulk_density_mid"] == pytest.approx(4 / math.pi, rel=0.1)
 
 
-def test_histogram_density_normalization(small_run, quad_data_t0):
-    # the estimated one-point density integrates to one over the partition
-    _, snaps, _ = small_run
-    xs = snaps.reshape(-1)
-    pad = quad_data_t0.sol.pad
-    counts, edges = np.histogram(xs, bins=60, range=(-pad, 1 + pad))
-    dens = counts / xs.size / np.diff(edges)
-    assert np.sum(dens * np.diff(edges)) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_phase_expectation_real_line_is_one(quartic_sol):
     data = eq.interpolation_data(quartic_sol, 1.0)
     val, se, info = sp.phase_expectation_mc(data, 16, 2.0, sweeps=60, seed=5)
@@ -153,6 +143,16 @@ def test_chain_determinism(quad_data_t0):
     c2 = sp.make_chain(quad_data_t0, 16, 2.0, n_chains=2, seed=99)
     s2, _ = sp.sample_real_model(c2, 40)
     assert np.array_equal(s1, s2)
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_chain_reads_member_series(rot_sol, t):
+    # the chain samples on the member's own curve and potential series
+    data = eq.interpolation_data(rot_sol, t)
+    chain = sp.make_chain(data, 8, 2.0, n_chains=2, seed=5)
+    assert chain.curve is data.curve
+    x = np.linspace(*chain.domain, 101)
+    assert np.max(np.abs(chain.phi(x) - np.real(data.vt_gamma(x)))) < 1e-14
 
 
 @pytest.mark.filterwarnings("error")
