@@ -13,7 +13,7 @@ import numpy as np
 from .contour import (Curve, affine_curve, family_member, semicircle_cdf,
                       semicircle_parametrization, subtracted_chord_kernel)
 from .numkit import (ChebSeries, ComplexPolynomial, WeightedGrid, make_grid,
-                     pairwise_sum, track_arg)
+                     pairwise_sum, semicircle_rule, track_arg)
 
 __all__ = [
     "OneCutSolution",
@@ -102,8 +102,7 @@ def solve_one_cut(V: ComplexPolynomial, seeds=None, tol=1e-12, maxit=50,
         raise NotOneCutError(f"polynomial part has leading {lead}, expected {expected}")
     S = ComplexPolynomial(S_w.shift(-mid).coeffs)
 
-    grid = make_grid("gauss_chebyshev_sqrt", n_grid, (0.0, 1.0))
-    sol = OneCutSolution(V, z1, z2, S, grid, pad)
+    sol = OneCutSolution(V, z1, z2, S, semicircle_rule(n_grid), pad)
     if validate:
         sol.validate()
     return sol
@@ -135,17 +134,17 @@ def _newton_endpoints(vprime, z, tol, maxit):
     raise NoSolutionError("endpoint Newton did not converge from the seed")
 
 
-def _log_abs_distance(curve, x0, nu_grid):
+def _log_abs_distance(curve, x0, nu):
     """int ln|gamma(x0) - gamma(y)| dnu(y): smooth chord/parameter ratio by
     quadrature plus the closed-form logarithmic moment of the flat kernel."""
-    y = nu_grid.nodes
+    y = nu.nodes
     z0 = complex(curve(np.array([x0]))[0])
     g = curve(y)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.log(np.abs((z0 - g) / (x0 - y)))
     if np.any(~np.isfinite(lam)):
         raise ValueError("reference parameter coincides with a grid node")
-    smooth = (8 / np.pi) * pairwise_sum(nu_grid.weights * lam)
+    smooth = nu.integrate(lam)
     flat = 4 * x0 * (x0 - 1) + 0.5 - 2 * LN2
     return smooth + flat
 
@@ -166,10 +165,10 @@ def _arg_average(curve, x0, n=400):
     return -total
 
 
-def _log_deriv_tracked(curve, nu_grid, chord):
-    """Branch-tracked log of the curve slope on the measure grid, anchored
+def _log_deriv_tracked(curve, nu, chord):
+    """Branch-tracked log of the curve slope on the nodes of nu, anchored
     near the chord direction."""
-    y = nu_grid.nodes
+    y = nu.nodes
     gp = curve.deriv1(y)
     tr = track_arg(gp)
     mid = len(y) // 2
@@ -182,39 +181,39 @@ def _log_deriv_tracked(curve, nu_grid, chord):
 # functionals; v_on_curve is x -> V(gamma(x)) for the member's potential.
 
 
-def _equilibrium_constant(curve, v_on_curve, nu_grid):
+def _equilibrium_constant(curve, v_on_curve, nu):
     """Complex constant C with Phi_eff = V + g - C and Phi_eff(zeta1) = 0,
     from the vanishing of (Phi_+ + Phi_-)/2 on the support at x = 1/2."""
     x0 = 0.5
-    return (v_on_curve(x0) - _log_abs_distance(curve, x0, nu_grid)
+    return (v_on_curve(x0) - _log_abs_distance(curve, x0, nu)
             + 1j * _arg_average(curve, x0))
 
 
-def _complex_energy(constant, v_on_curve, nu_grid):
+def _complex_energy(constant, v_on_curve, nu):
     """Complexified energy: the equilibrium constant plus the potential's
     equilibrium average."""
-    vavg = (8 / np.pi) * pairwise_sum(nu_grid.weights * v_on_curve(nu_grid.nodes))
-    return constant + vavg
+    return constant + nu.integrate(v_on_curve(nu.nodes))
 
 
-def _entropy(curve, nu_grid, chord):
+def _entropy(curve, nu, chord):
     """Ent = -int ln(dmu/dz) dmu; the flat semicircle part is closed form
     (Beta-function derivative), the curve part is smooth quadrature."""
     flat = 0.5 + math.log(2 / np.pi)
-    logs = _log_deriv_tracked(curve, nu_grid, chord)
-    return -flat + (8 / np.pi) * pairwise_sum(nu_grid.weights * logs)
+    return -flat + nu.integrate(_log_deriv_tracked(curve, nu, chord))
 
 
 @dataclass
 class OneCutSolution:
     """Endpoints, monic polynomial part S of the cut square root, and the
-    support quadrature grid; the analytic parametrization is built lazily."""
+    Gauss rule `nu` of the [0, 1] semicircle law, the pull-back of the
+    equilibrium measure along the arc (`numkit.semicircle_rule`); the
+    analytic parametrization is built lazily."""
 
     potential: ComplexPolynomial
     zeta1: complex
     zeta2: complex
     S: ComplexPolynomial
-    support_grid: WeightedGrid
+    nu: WeightedGrid
     pad: float = 0.05
     pad_outer: float = 0.10
     _curve: Curve = field(default=None, repr=False)
@@ -244,11 +243,6 @@ class OneCutSolution:
         return self._curve
 
     # -- measure ---------------------------------------------------------
-
-    def nu_integrate(self, values):
-        """Integral against the pulled-back equilibrium measure (the [0,1]
-        semicircle law) sampled at the support grid nodes."""
-        return (8 / np.pi) * pairwise_sum(self.support_grid.weights * np.asarray(values))
 
     def density(self, z):
         """Complex density dmu/dz at a point on the support arc."""
@@ -303,10 +297,8 @@ class OneCutSolution:
         """Independent route to the same function: V'(z) + 2*pi*i*C[mu](z),
         with the Cauchy transform evaluated by support quadrature."""
         z = np.asarray(z, dtype=complex)
-        y = self.support_grid.nodes
-        g = self.curve(y)
-        wnu = (8 / np.pi) * self.support_grid.weights
-        cau = pairwise_sum(wnu[None, :] / (z.reshape(-1, 1) - g[None, :]), axis=-1)
+        g = self.curve(self.nu.nodes)
+        cau = pairwise_sum(self.nu.weights[None, :] / (z.reshape(-1, 1) - g[None, :]), axis=-1)
         out = self.potential.deriv()(z.reshape(-1)) - cau
         return out.reshape(z.shape) if z.shape else complex(out[0])
 
@@ -329,14 +321,12 @@ class OneCutSolution:
     def _g_function(self, z):
         """Branch-tracked logarithmic potential -int ln(z - w) dmu(w) for z
         off the support arc."""
-        y = self.support_grid.nodes
-        g = self.curve(y)
-        diff = complex(z) - g
+        diff = complex(z) - self.curve(self.nu.nodes)
         if np.min(np.abs(diff)) < 1e-11:
             raise PathError("logarithmic potential evaluated on the support")
         tr = track_arg(diff, base=float(np.angle(diff[0])))
         logs = np.log(np.abs(diff)) + 1j * tr.args
-        return -self.nu_integrate(logs)
+        return -self.nu.integrate(logs)
 
     def effective_potential(self, z):
         """Complex effective potential at z off the contour; the reference
@@ -370,12 +360,11 @@ class OneCutSolution:
     def electrostatic_potential(self, z):
         """U[mu](z) = -int ln|z-w| dmu(w); valid on and off the arc (on-arc
         points should be passed as parameters via u_on_curve)."""
-        y = self.support_grid.nodes
-        g = self.curve(y)
-        return -self.nu_integrate(np.log(np.abs(complex(z) - g)))
+        g = self.curve(self.nu.nodes)
+        return -self.nu.integrate(np.log(np.abs(complex(z) - g)))
 
     def u_on_curve(self, x0):
-        return -_log_abs_distance(self.curve, float(x0), self.support_grid)
+        return -_log_abs_distance(self.curve, float(x0), self.nu)
 
     def _v_on_curve(self, x):
         return self.potential(self.curve(x))
@@ -384,19 +373,17 @@ class OneCutSolution:
         """Complex constant C with Phi_eff = V + g - C and Phi_eff(zeta1)=0
         (computed once)."""
         if self._constant is None:
-            self._constant = _equilibrium_constant(self.curve, self._v_on_curve,
-                                                   self.support_grid)
+            self._constant = _equilibrium_constant(self.curve, self._v_on_curve, self.nu)
         return self._constant
 
     def complex_energy(self):
         """Complexified energy: equilibrium constant plus the potential's
         equilibrium average."""
-        return _complex_energy(self.equilibrium_constant(), self._v_on_curve,
-                               self.support_grid)
+        return _complex_energy(self.equilibrium_constant(), self._v_on_curve, self.nu)
 
     def real_energy_direct(self):
         """Direct double-quadrature oracle for Re of the complex energy."""
-        y = self.support_grid.nodes
+        y = self.nu.nodes
         g = self.curve(y)
         dz = g[:, None] - g[None, :]
         dy = y[:, None] - y[None, :]
@@ -404,14 +391,13 @@ class OneCutSolution:
             lam = np.log(np.abs(dz / dy))
         d1 = np.abs(self.curve.deriv1(y))
         np.fill_diagonal(lam, np.log(d1))
-        wnu = (8 / np.pi) * self.support_grid.weights
+        wnu = self.nu.weights
         log_double = wnu @ lam @ wnu + (-0.25 - 2 * LN2)
-        phi = self.potential(g).real
-        return -log_double + 2 * self.nu_integrate(phi)
+        return -log_double + 2 * self.nu.integrate(self.potential(g).real)
 
     def entropy(self):
         """Ent = -int ln(dmu/dz) dmu."""
-        return _entropy(self.curve, self.support_grid, self.zeta2 - self.zeta1)
+        return _entropy(self.curve, self.nu, self.zeta2 - self.zeta1)
 
     # -- variational checks ------------------------------------------------
 
@@ -439,12 +425,9 @@ class OneCutSolution:
         """V'(gamma(x)) minus the principal-value Cauchy transform of the
         measure: identically zero for the true equilibrium data."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = self.support_grid.nodes
         gpx = self.curve.deriv1(x)
-        K = subtracted_chord_kernel(self.curve, x, y)
-        ker = -K / gpx[:, None]
-        wnu = (8 / np.pi) * self.support_grid.weights
-        pv = pairwise_sum(ker * wnu[None, :], axis=-1) + 8 * (x - 0.5) / gpx
+        ker = -subtracted_chord_kernel(self.curve, x, self.nu.nodes) / gpx[:, None]
+        pv = pairwise_sum(ker * self.nu.weights[None, :], axis=-1) + 8 * (x - 0.5) / gpx
         return self.potential.deriv()(self.curve(x)) - pv
 
     def validate(self, tol_mass=1e-10, tol_decomp=1e-8):
@@ -485,8 +468,10 @@ class OneCutSolution:
 @dataclass
 class InterpolationData:
     """Frozen data of one member of the interpolating family: the member
-    curve gamma_t, the prefactor of the cut square root, and the
-    interpolating potential."""
+    curve gamma_t, the n_quad-point rule `nu` of the semicircle law that
+    every integral against the member's measure uses (the master operators
+    included), and two cached series over the working interval: the
+    prefactor `st` of the cut square root and the potential `vt_gamma`."""
 
     sol: OneCutSolution
     t: float
@@ -495,7 +480,7 @@ class InterpolationData:
     def __post_init__(self):
         self.curve = family_member(self.sol.curve, self.sol.zeta1, self.sol.zeta2, self.t)
         self.gt, self.gtp = self.curve, self.curve.deriv1
-        self.gc2 = make_grid("gauss_chebyshev_sqrt", self.n_quad, (0.0, 1.0))
+        self.nu = semicircle_rule(self.n_quad)
 
     # -- prefactor of the cut square root ---------------------------------
 
@@ -532,13 +517,10 @@ class InterpolationData:
         return s_prev
 
     @cached_property
-    def st_series(self):
+    def st(self):
+        """Prefactor along the curve as a series in the parameter x."""
         pad = self.sol.pad
         return ChebSeries.interpolate(self.st_grid, -pad, 1 + pad, 96)
-
-    def st(self, x):
-        """Prefactor along the curve at parameter x (interpolated)."""
-        return self.st_series(x)
 
     def st_at(self, z):
         """Prefactor at a point z near the curve, sign by continuity from the
@@ -559,10 +541,8 @@ class InterpolationData:
         """V_t'(gamma_t(x)) gamma_t'(x) by the subtracted-kernel formula;
         bounded uniformly in t."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = self.gc2.nodes
-        w = (8 / np.pi) * self.gc2.weights
-        ker = subtracted_chord_kernel(self.curve, x, y)
-        return 8 * (x - 0.5) - pairwise_sum(ker * w[None, :], axis=-1)
+        ker = subtracted_chord_kernel(self.curve, x, self.nu.nodes)
+        return 8 * (x - 0.5) - pairwise_sum(ker * self.nu.weights[None, :], axis=-1)
 
     def vt_prime(self, z):
         """V_t' at a point z in the analytic strip around the curve, by the
@@ -570,12 +550,10 @@ class InterpolationData:
         singularity; the remaining kernel is the equilibrium measure)."""
         z = complex(z)
         mid = self.sol.midpoint
-        y = self.gc2.nodes
-        w = (8 / np.pi) * self.gc2.weights
+        y = self.nu.nodes
         sy = self.st(y)
         Sz = self.st_at(z)
-        gy = self.curve(y)
-        integ = pairwise_sum(w * (sy - Sz) / (sy * (gy - z)))
+        integ = pairwise_sum(self.nu.weights * (sy - Sz) / (sy * (self.curve(y) - z)))
         return Sz * (z - mid) - integ
 
     def vt(self, z):
@@ -589,9 +567,9 @@ class InterpolationData:
         return self.sol.potential(mid) + (z - mid) * pairwise_sum(gl.weights * vals)
 
     @cached_property
-    def _vt_series(self):
-        """Chebyshev antiderivative of the pulled-back potential slope:
-        V_t(gamma_t(x)) as a fast series over the working interval."""
+    def vt_gamma(self):
+        """V_t(gamma_t(x)) as the Chebyshev antiderivative of the pulled-back
+        potential slope; complex x continues it analytically."""
         pad = self.sol.pad
         slope = ChebSeries.interpolate(self.vt_prime_pullback, -pad, 1 + pad, 96)
         anti = slope.antideriv()
@@ -600,21 +578,16 @@ class InterpolationData:
         coef[0] += self.vt(self.curve(0.5)) - anti(0.5)
         return ChebSeries(anti.lo, anti.hi, coef)
 
-    def vt_gamma(self, x):
-        """V_t(gamma_t(x)) from the cached antiderivative series; complex x
-        continues it analytically."""
-        return self._vt_series(x)
-
     def complex_energy(self):
         """Complexified energy of the flow member: equilibrium constant of
         the deformed data plus the potential's equilibrium average."""
-        grid = self.sol.support_grid
-        C = _equilibrium_constant(self.curve, self.vt_gamma, grid)
-        return _complex_energy(C, self.vt_gamma, grid)
+        nu = self.sol.nu
+        return _complex_energy(_equilibrium_constant(self.curve, self.vt_gamma, nu),
+                               self.vt_gamma, nu)
 
     def entropy(self):
         """- int ln(dmu_t/dz) dmu_t along the deformed arc."""
-        return _entropy(self.curve, self.sol.support_grid, self.sol.zeta2 - self.sol.zeta1)
+        return _entropy(self.curve, self.sol.nu, self.sol.zeta2 - self.sol.zeta1)
 
 
 def interpolation_data(sol: OneCutSolution, t: float, n_quad=96):

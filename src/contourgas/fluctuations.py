@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import InterpolationData
-from .numkit import make_grid, pairwise_sum, tensor_quadrature, track_arg
+from .numkit import make_grid, pairwise_sum, semicircle_rule, tensor_quadrature, track_arg
 from .operators import DiscretizedOperator, complex_master_operator, real_master_operator
 from .partition import _log_weights
 
@@ -38,44 +38,37 @@ class CovarianceError(ValueError):
 @dataclass
 class GaussianLaw:
     """Limit law of centred linear statistics: mean, variance and covariance
-    functionals built on the real master operator."""
+    functionals built on the real master operator `op`, integrating against
+    its rule op.nu through op.E_nu and op.D.  The one factor of its own is
+    rfac = Re(g''/g') of the member curve at the nu nodes."""
 
     data: InterpolationData
     beta: float
     op: DiscretizedOperator
 
     def __post_init__(self):
-        gc2 = make_grid("gauss_chebyshev_sqrt", self.data.n_quad, (0.0, 1.0))
-        self._w_nu = (8 / np.pi) * gc2.weights
-        self._y = gc2.nodes
-        self._E_nu = self.op.colloc.eval_matrix(gc2.nodes)
-        self._D = self.op.colloc.diff_matrix()
-        curve = self.data.curve
-        self._rfac = np.real(curve.deriv2(gc2.nodes) / curve.deriv1(gc2.nodes))
+        curve, y = self.data.curve, self.op.nu.nodes
+        self.rfac = np.real(curve.deriv2(y) / curve.deriv1(y))
 
     def _nodal(self, f):
         xs = self.op.grid
         return f(xs) if callable(f) else np.asarray(f)
 
-    def nu(self, values_at_nu_nodes):
-        return pairwise_sum(self._w_nu * values_at_nu_nodes)
-
     def mean(self, f):
         """(1/beta - 1/2) nu( Re(g''/g') u + u' ) with u the master-operator
         inverse of f."""
-        fv = self._nodal(f)
-        u = self.op.inverse_apply(fv)
-        u_nu = self._E_nu @ u
-        up_nu = self._E_nu @ (self._D @ u)
-        return (1 / self.beta - 0.5) * self.nu(self._rfac * u_nu + up_nu)
+        op = self.op
+        u = op.inverse_apply(self._nodal(f))
+        u_nu = op.E_nu @ u
+        up_nu = op.E_nu @ (op.D @ u)
+        return (1 / self.beta - 0.5) * op.nu.integrate(self.rfac * u_nu + up_nu)
 
     def cov(self, f, g):
         """(1/beta) nu( f' * inverse[g] ); symmetric in its arguments."""
-        fv = self._nodal(f)
-        gv = self._nodal(g)
-        fp_nu = self._E_nu @ (self._D @ fv)
-        u_nu = self._E_nu @ self.op.inverse_apply(gv)
-        return (1 / self.beta) * self.nu(fp_nu * u_nu)
+        op = self.op
+        fp_nu = op.E_nu @ (op.D @ self._nodal(f))
+        u_nu = op.E_nu @ op.inverse_apply(self._nodal(g))
+        return (1 / self.beta) * op.nu.integrate(fp_nu * u_nu)
 
     def variance(self, f):
         return self.cov(f, f)
@@ -83,18 +76,6 @@ class GaussianLaw:
 
 def gaussian_law(data: InterpolationData, beta, n=64):
     return GaussianLaw(data, float(beta), real_master_operator(data, n=n))
-
-
-def gaussian_law_table(law: GaussianLaw, fs=None):
-    """Rows (name, mean, variance) for a family of test statistics, CSV
-    friendly."""
-    xs = law.op.grid
-    if fs is None:
-        fs = [(f"x^{k}", xs**k) for k in range(1, 5)]
-    rows = []
-    for name, fv in fs:
-        rows.append((name, complex(law.mean(fv)), complex(law.variance(fv))))
-    return rows
 
 
 def wick_moments(fs, law: GaussianLaw):
@@ -153,24 +134,6 @@ class KernelPair:
     B: np.ndarray
     m: np.ndarray
     cutoff: tuple
-
-    def write_csv(self, directory):
-        """Matrices and vectors as CSV files (re/im columns interleaved)."""
-        import os
-        os.makedirs(directory, exist_ok=True)
-        np.savetxt(os.path.join(directory, "frequencies.csv"),
-                   np.column_stack([self.freq, self.weights]),
-                   delimiter=",", header="freq,weight", comments="")
-        for name, arr in (("A", self.A), ("B", self.B)):
-            stacked = np.empty((arr.shape[0], 2 * arr.shape[1]))
-            stacked[:, 0::2] = arr.real
-            stacked[:, 1::2] = arr.imag
-            np.savetxt(os.path.join(directory, f"kernel_{name}.csv"),
-                       stacked, delimiter=",")
-        for name, vec in (("P", self.P), ("m", self.m)):
-            np.savetxt(os.path.join(directory, f"vector_{name}.csv"),
-                       np.column_stack([vec.real, vec.imag]),
-                       delimiter=",", header="re,im", comments="")
 
 
 def pair_angles(data: InterpolationData, x):
@@ -231,18 +194,18 @@ def fourier_kernels(data: InterpolationData, beta, law: GaussianLaw = None,
     P = Em @ p
 
     # law functionals on restricted exponentials
-    xs = law.op.grid
-    expm = np.exp(-2j * np.pi * np.outer(freq, xs))      # rows: e^{-2pi i u x}
-    E_nu, D, w_nu = law._E_nu, law._D, law._w_nu
+    op = law.op
+    expm = np.exp(-2j * np.pi * np.outer(freq, op.grid))  # rows: e^{-2pi i u x}
+    E_nu, D, w_nu = op.E_nu, op.D, op.nu.weights
     # B(u,v) = (1/beta) nu( d/dx[e^{-2pi i u x}] inverse[e^{2pi i v x}] )
     fprime_nu = (E_nu @ (D @ expm.T))                     # columns: derivative of e^{-2pi i u x}
-    u_nu = E_nu @ (law.op.inverse @ expm.conj().T)       # columns: inverse[e^{+2pi i v *}]
+    u_nu = E_nu @ (op.inverse @ expm.conj().T)           # columns: inverse[e^{+2pi i v *}]
     B = (1 / beta) * np.einsum("q,qu,qv->uv", w_nu, fprime_nu, u_nu)
     # m(u) = (1/beta-1/2) nu( R inverse[e^{-2pi i u x}] )
-    Um = law.op.inverse @ expm.T
+    Um = op.inverse @ expm.T
     m = (1 / beta - 0.5) * np.einsum(
         "q,qu->u", w_nu,
-        law._rfac[:, None] * (E_nu @ Um) + E_nu @ (D @ Um))
+        law.rfac[:, None] * (E_nu @ Um) + E_nu @ (D @ Um))
     # decay sanity: the transform of the smooth kernels must be small at the
     # grid border, otherwise the window is too narrow
     peak = np.abs(A).max()
@@ -358,13 +321,8 @@ def one_stat_expansion(data: InterpolationData, f, beta, n=64):
     op = complex_master_operator(data, n=n)
     xs = op.grid
     zs = data.curve(xs)
-    gpx = data.curve.deriv1(xs)
-    D_x = op.colloc.diff_matrix()
-    Dz = D_x / gpx[:, None]
-    gc2 = make_grid("gauss_chebyshev_sqrt", data.n_quad, (0.0, 1.0))
-    w_nu = (8 / np.pi) * gc2.weights
-    E_nu = op.colloc.eval_matrix(gc2.nodes)
-    mu_row = w_nu @ E_nu
+    Dz = op.D / data.curve.deriv1(xs)[:, None]
+    mu_row = op.nu.weights @ op.E_nu
 
     fv = f(zs) if callable(f) else np.asarray(f, dtype=complex)
     pref = 1 / beta - 0.5
@@ -401,20 +359,20 @@ def one_stat_expansion(data: InterpolationData, f, beta, n=64):
 # -- small-N tensor quadrature and the first loop equation -------------------
 
 
-def loop_equation_check(N, beta, data: InterpolationData, domain=None, M=64):
+def loop_equation_check(N, beta, data: InterpolationData, domain, M=64):
     """Residual of the first (k = 0) loop equation with the identity test
     direction, all expectations by tensor quadrature of the real model, the
-    exponentially small boundary term dropped.  Curve, slope and potential
-    all come from the member `data`; the flat member with a wide domain is
-    the intended use, and the domain defaults to [-pad, 1 + pad]."""
+    boundary term dropped.  Curve, slope and potential all come from the
+    member `data`; the flat member with a wide domain such as (-1, 2) is
+    the intended use.  The domain has no default: the dropped term is
+    exponentially small only when the domain reaches well past the support,
+    and on the working interval [-pad, 1 + pad] it is not (the flat z^2
+    member at N = 2 leaves -2.67e-2 there, -1.5e-14 on (-1, 2))."""
     gamma, dgamma, ddgamma = data.curve, data.curve.deriv1, data.curve.deriv2
-    if domain is None:
-        domain = (-data.sol.pad, 1 + data.sol.pad)
 
-    gl = make_grid("gauss_legendre", M, domain)
-    x = gl.nodes
-    gc2 = make_grid("gauss_chebyshev_sqrt", 128, (0.0, 1.0))
-    y, wy = gc2.nodes, (8 / np.pi) * gc2.weights
+    x = make_grid("gauss_legendre", M, domain).nodes
+    nu = semicircle_rule(128)
+    y, wy = nu.nodes, nu.weights
 
     def Dkernel(xa, xb):
         ga, gb = gamma(xa), gamma(xb)
@@ -428,14 +386,14 @@ def loop_equation_check(N, beta, data: InterpolationData, domain=None, M=64):
             out = np.where(same, lim[:, None] * np.ones_like(out), out)
         return out
 
-    # test direction h(x) = x
-    Xi_h = np.real(data.vt_prime_pullback(x)) * x - pairwise_sum(Dkernel(x, y) * wy[None, :], axis=-1)
-    nu_Xi_h = pairwise_sum(wy * (np.real(data.vt_prime_pullback(y)) * y
-                                 - pairwise_sum(Dkernel(y, y) * wy[None, :], axis=-1)))
+    # test direction h(x) = x; Dbar = int D(., y) dnu(y) on both node sets
+    Dbar = pairwise_sum(Dkernel(x, y) * wy[None, :], axis=-1)
+    Dbar_y = pairwise_sum(Dkernel(y, y) * wy[None, :], axis=-1)
+    Xi_h = np.real(data.vt_prime_pullback(x)) * x - Dbar
+    nu_Xi_h = nu.integrate(np.real(data.vt_prime_pullback(y)) * y - Dbar_y)
     R_h = np.real(ddgamma(x) / dgamma(x)) * x + 1.0
     Dgrid = Dkernel(x, x)
-    Dbar = pairwise_sum(Dkernel(x, y) * wy[None, :], axis=-1)
-    nu_D_nu = pairwise_sum(wy * pairwise_sum(Dkernel(y, y) * wy[None, :], axis=-1))
+    nu_D_nu = nu.integrate(Dbar_y)
 
     # expectations under the N-particle curve ensemble by full tensor
     # quadrature on the same grid
@@ -464,5 +422,5 @@ def _phi_from_data(data: InterpolationData, x):
     x = np.atleast_1d(x)
     nodes = 0.5 + gl.nodes[None, :] * (x[:, None] - 0.5)
     vals = data.vt_prime_pullback(nodes.ravel()).reshape(nodes.shape)
-    v_half = data.vt(data.curve(0.5))
+    v_half = data.vt_gamma(0.5)    # the value the series is pinned to
     return np.real(v_half + (x - 0.5) * pairwise_sum(gl.weights * vals, axis=-1))

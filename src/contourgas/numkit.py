@@ -15,6 +15,7 @@ __all__ = [
     "WeightedGrid",
     "BranchTrack",
     "make_grid",
+    "semicircle_rule",
     "tensor_quadrature",
     "track_arg",
     "log_energy_form",
@@ -197,7 +198,6 @@ def poly_normalize(p: ComplexPolynomial):
 class WeightedGrid:
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
 
     def integrate(self, values):
         return pairwise_sum(self.weights * np.asarray(values))
@@ -218,7 +218,7 @@ def make_grid(kind, n, interval=(0.0, 1.0)):
         x, w = np.polynomial.legendre.leggauss(n)
         nodes = (x + 1) * (b - a) / 2 + a
         weights = w * (b - a) / 2
-        return WeightedGrid(nodes, weights, kind)
+        return WeightedGrid(nodes, weights)
     if kind == "gauss_chebyshev_sqrt":
         a, b = interval
         k = np.arange(1, n + 1)
@@ -226,21 +226,28 @@ def make_grid(kind, n, interval=(0.0, 1.0)):
         w = (np.pi / (n + 1)) * np.sin(k * np.pi / (n + 1)) ** 2
         h = (b - a) / 2
         # int_a^b f sqrt((x-a)(b-x)) dx = h^2 * int_-1^1 f((u+1)h+a) sqrt(1-u^2) du
-        return WeightedGrid((u + 1) * h + a, w[::-1] * h * h, kind)
+        return WeightedGrid((u + 1) * h + a, w[::-1] * h * h)
     if kind == "inverse_sqrt":
         a, b = interval
         k = np.arange(1, n + 1)
         u = np.cos((2 * k - 1) * np.pi / (2 * n))[::-1]
         # int_a^b f / sqrt((x-a)(b-x)) dx = int_-1^1 f((u+1)h+a)/sqrt(1-u^2) du
-        return WeightedGrid((u + 1) * (b - a) / 2 + a, np.full(n, np.pi / n), kind)
+        return WeightedGrid((u + 1) * (b - a) / 2 + a, np.full(n, np.pi / n))
     if kind == "closed_loop_trapezoid":
         center, radius = interval
         th = 2 * np.pi * np.arange(n) / n
         nodes = center + radius * np.exp(1j * th)
         # weights are dz increments: oint f dz ~ sum w f(node)
         weights = 1j * radius * np.exp(1j * th) * (2 * np.pi / n)
-        return WeightedGrid(nodes, weights, kind)
+        return WeightedGrid(nodes, weights)
     raise ValueError(f"unsupported grid kind: {kind}")
+
+
+def semicircle_rule(n):
+    """n-point Gauss rule of the [0, 1] semicircle law nu, density
+    (8/pi) sqrt(x(1-x)): the weights are probabilities."""
+    g = make_grid("gauss_chebyshev_sqrt", n, (0.0, 1.0))
+    return WeightedGrid(g.nodes, (8 / np.pi) * g.weights)
 
 
 def tensor_quadrature(N, log_single, log_pair, weights):

@@ -10,7 +10,7 @@ import numpy as np
 
 from .contour import subtracted_chord_kernel
 from .equilibrium import InterpolationData
-from .numkit import ChebSeries, make_grid, pairwise_sum
+from .numkit import ChebSeries, WeightedGrid, make_grid, pairwise_sum
 
 __all__ = [
     "ChebCollocation",
@@ -58,12 +58,18 @@ class ChebCollocation:
 @dataclass
 class DiscretizedOperator:
     """Dense forward matrix, normalizing-functional row and dense inverse
-    for one master operator on a collocation grid."""
+    for one master operator on a collocation grid, with the member's rule
+    `nu` of the semicircle law the operator integrates against, the matrix
+    E_nu taking nodal values to values at the nu nodes, and the collocation
+    derivative D."""
 
     colloc: ChebCollocation
     forward: np.ndarray
     k_row: np.ndarray
     inverse: np.ndarray
+    nu: WeightedGrid
+    E_nu: np.ndarray
+    D: np.ndarray
 
     @property
     def grid(self):
@@ -77,10 +83,6 @@ class DiscretizedOperator:
 
     def inverse_apply(self, values):
         return self.inverse @ np.asarray(values)
-
-    def dump(self, path):
-        """Dense binary dump of the assembled matrices for debugging."""
-        np.savez(path, grid=self.grid, forward=self.forward, k_row=self.k_row)
 
 
 def _difference_quotient_rows(H, close, E_targets, E_nodes, D_targets):
@@ -102,25 +104,29 @@ def _near_pairs(targets, nodes):
     return np.abs(targets[:, None] - nodes[None, :]) < _PAIR_TOL
 
 
-def real_master_operator(data: InterpolationData, n=64, n_quad=None):
+def _member_rules(data: InterpolationData, n):
+    """Set-up shared by both operators: collocation on the working
+    interval, the member's nu rule and the inverse-sqrt rule of the same
+    size, the nodal-value maps to both node sets and the collocation
+    derivative."""
+    pad = data.sol.pad
+    colloc = ChebCollocation(-pad, 1 + pad, n)
+    gc1 = make_grid("inverse_sqrt", data.n_quad, (0.0, 1.0))
+    return (colloc, data.nu, gc1, colloc.eval_matrix(data.nu.nodes),
+            colloc.eval_matrix(gc1.nodes), colloc.diff_matrix())
+
+
+def real_master_operator(data: InterpolationData, n=64):
     """Discretization of the real master operator and its explicit inverse.
 
     The inverse composes the flat-interval closed-form inverse with the
     Fredholm resolvent of the compact curve-dependent correction; the
     normalizing functional is assembled along the same path."""
-    pad = data.sol.pad
-    nq = n_quad or data.n_quad
-    colloc = ChebCollocation(-pad, 1 + pad, n)
+    colloc, nu, gc1, E_y, E_s, D_x = _member_rules(data, n)
     xs = colloc.x
-    gc2 = make_grid("gauss_chebyshev_sqrt", nq, (0.0, 1.0))
-    gc1 = make_grid("inverse_sqrt", nq, (0.0, 1.0))
-    y, w2 = gc2.nodes, (8 / np.pi) * gc2.weights
+    y, w2 = nu.nodes, nu.weights
     s, w1 = gc1.nodes, gc1.weights
-
-    E_y = colloc.eval_matrix(y)
-    E_s = colloc.eval_matrix(s)
     E_x = np.eye(n)
-    D_x = colloc.diff_matrix()
 
     curve = data.curve
 
@@ -174,26 +180,18 @@ def real_master_operator(data: InterpolationData, n=64, n_quad=None):
     tau_row_s = np.einsum("q,pq,qj->pj", w2, tau_s, E_y)   # int tau(s_p, y) f(y) dy
     k_row = kJ - (w1 @ (tau_row_s @ inv_mat)) / np.pi
 
-    return DiscretizedOperator(colloc, forward, k_row, inv_mat)
+    return DiscretizedOperator(colloc, forward, k_row, inv_mat, nu, E_y, D_x)
 
 
-def complex_master_operator(data: InterpolationData, n=64, n_quad=None):
+def complex_master_operator(data: InterpolationData, n=64):
     """Discretization of the holomorphic master operator on the deformed
     arc, with the closed-form inverse built on the prefactor of the cut
     square root."""
-    pad = data.sol.pad
-    nq = n_quad or data.n_quad
-    colloc = ChebCollocation(-pad, 1 + pad, n)
+    colloc, nu, gc1, E_y, E_s, D_x = _member_rules(data, n)
     xs = colloc.x
-    gc2 = make_grid("gauss_chebyshev_sqrt", nq, (0.0, 1.0))
-    gc1 = make_grid("inverse_sqrt", nq, (0.0, 1.0))
-    y, w2 = gc2.nodes, (8 / np.pi) * gc2.weights
+    y, w2 = nu.nodes, nu.weights
     s, w1 = gc1.nodes, gc1.weights
-
-    E_y = colloc.eval_matrix(y)
-    E_s = colloc.eval_matrix(s)
     E_x = np.eye(n)
-    D_x = colloc.diff_matrix()
 
     curve = data.curve
     zx, zy, zs = curve(xs), curve(y), curve(s)
@@ -221,7 +219,7 @@ def complex_master_operator(data: InterpolationData, n=64, n_quad=None):
     Dinv = np.einsum("ipj->ij", pref * rows_s) / (8 * np.pi * st_x[:, None])
 
     k_row = (w1 * gps**2 * st_s) @ E_s / (8 * np.pi)
-    return DiscretizedOperator(colloc, forward, k_row, Dinv)
+    return DiscretizedOperator(colloc, forward, k_row, Dinv, nu, E_y, D_x)
 
 
 def finite_hilbert_transform(phi, x, n=128):

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .equilibrium import OneCutSolution, interpolation_data
-from .numkit import make_grid, pairwise_sum, tensor_quadrature
+from .numkit import make_grid, tensor_quadrature
 
 __all__ = [
     "ExpansionReport",
@@ -250,9 +250,7 @@ def dt_lnZ(sol: OneCutSolution, t, N, beta, n=48, h=1e-4):
     from .fluctuations import one_stat_expansion
     data = interpolation_data(sol, t)
     fz = dt_potential(sol, t, h=h)
-    y = data.gc2.nodes
-    w = (8 / np.pi) * data.gc2.weights
-    mu_f = pairwise_sum(w * fz(data.curve(y)))
+    mu_f = data.nu.integrate(fz(data.curve(data.nu.nodes)))
     c1, c2, parts = one_stat_expansion(data, lambda zz: fz(zz), beta, n=n)
     total = -beta * N * N * (mu_f + c1 / N + c2 / N / N)
     return total, {"mu_dtV": mu_f, "c1": c1, "c2": c2, **parts}

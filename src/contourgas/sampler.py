@@ -11,7 +11,7 @@ import numpy as np
 from .contour import Curve, semicircle_cdf
 from .equilibrium import InterpolationData
 from .fluctuations import pair_angles
-from .numkit import ChebSeries, log_energy_direct, log_energy_form, make_grid, pairwise_sum
+from .numkit import ChebSeries, log_energy_direct, log_energy_form, semicircle_rule
 
 __all__ = [
     "ParticleChain",
@@ -67,7 +67,7 @@ def make_chain(data: InterpolationData, N, beta, n_chains=8, seed=12345):
     (stream k = SeedSequence(seed).spawn[k]).  The chain holds the member
     curve and the real part of its potential series."""
     dom = (-data.sol.pad, 1 + data.sol.pad)
-    vt = data._vt_series
+    vt = data.vt_gamma
     # for real x the real part of a complex-coefficient series is the
     # series of the real parts, so phi = Re V_t(gamma_t) exactly
     phi = ChebSeries(vt.lo, vt.hi, vt.coef.real)
@@ -204,8 +204,8 @@ def _measure_atoms(measure, n_smooth=256):
     """(params, masses, widths) from a measure spec: either the tuple
     itself, or the string 'semicircle'."""
     if measure == "semicircle":
-        gc2 = make_grid("gauss_chebyshev_sqrt", n_smooth, (0.0, 1.0))
-        return gc2.nodes, (8 / np.pi) * gc2.weights, None
+        nu = semicircle_rule(n_smooth)
+        return nu.nodes, nu.weights, None
     params, masses, widths = measure
     return np.asarray(params), np.asarray(masses), widths
 
@@ -263,8 +263,8 @@ def concentration_scan(data: InterpolationData, N_list, f=lambda x: x,
     """Empirical statistics of the centred empirical measure across N:
     mean |L_N(f) - nu(f)|, mean squared log-energy distance, and the fitted
     decay exponent of the latter."""
-    gc2 = make_grid("gauss_chebyshev_sqrt", 256, (0.0, 1.0))
-    nu_f = (8 / np.pi) * pairwise_sum(gc2.weights * f(gc2.nodes))
+    nu = semicircle_rule(256)
+    nu_f = nu.integrate(f(nu.nodes))
     rows = []
     for N in N_list:
         chain = make_chain(data, int(N), 2.0, n_chains=n_chains, seed=seed + N)
@@ -344,9 +344,8 @@ def phase_expectation_mc(data: InterpolationData, N, beta, sweeps=600,
     Ca, p = _angle_surface(data)
     cp = p.coef
 
-    gc2 = make_grid("gauss_chebyshev_sqrt", 192, (0.0, 1.0))
-    wnu = (8 / np.pi) * gc2.weights
-    vbar = wnu @ p.vander(gc2.nodes)
+    nu = semicircle_rule(192)
+    vbar = nu.weights @ p.vander(nu.nodes)
     abar_coef = Ca @ vbar           # 1D coefficients of int a(x,y) dnu(y)
     a_nu_nu = vbar @ Ca @ vbar
     p_nu = vbar @ cp

@@ -185,13 +185,11 @@ def test_effective_potential_off_support_positive_t_independent(rot_sol):
     gl = make_grid("gauss_legendre", 64, (x0, 0.0))
     closed = 8 * gl.integrate(np.sqrt(gl.nodes * (gl.nodes - 1)))
     assert closed > 0
-    grid = rot_sol.support_grid
+    grid = rot_sol.nu
     for t in (0.0, 0.5, 1.0):
         data = eq.interpolation_data(rot_sol, t)
-        u = -(8 / math.pi) * np.sum(
-            grid.weights * np.log(np.abs(data.gt(x0) - data.gt(grid.nodes))))
-        c_t = data.complex_energy() - (8 / math.pi) * np.sum(
-            grid.weights * data.vt_gamma(grid.nodes))
+        u = -np.sum(grid.weights * np.log(np.abs(data.gt(x0) - data.gt(grid.nodes))))
+        c_t = data.complex_energy() - np.sum(grid.weights * data.vt_gamma(grid.nodes))
         phi_eff = np.real(data.vt_gamma(x0)) + u - c_t.real
         assert phi_eff == pytest.approx(closed, abs=2e-6)
 
@@ -222,10 +220,10 @@ def test_energy_vs_direct_double_quadrature(request, fix):
 
 def test_moment_identity(rot_sol):
     # -1/2 iint (f(z)-f(w))/(z-w) dmu dmu + int V' f dmu = 0 for low moments
-    grid = rot_sol.support_grid
+    grid = rot_sol.nu
     y = grid.nodes
     z = rot_sol.curve(y)
-    w = (8 / math.pi) * grid.weights
+    w = grid.weights
     vp = rot_sol.potential.deriv()
     for f, fp in ((lambda s: np.ones_like(s), lambda s: np.zeros_like(s)),
                   (lambda s: s, lambda s: np.ones_like(s)),

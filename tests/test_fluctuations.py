@@ -340,20 +340,6 @@ def test_covariance_error_guard():
         fl.finite_rank_oracle(bad, mu, A, lam, 2.0)
 
 
-def test_kernel_pair_csv_export(rot_data_t1, tmp_path):
-    kp = fl.fourier_kernels(rot_data_t1, 2.0, n_freq=32)
-    kp.write_csv(str(tmp_path))
-    loaded = np.loadtxt(tmp_path / "kernel_A.csv", delimiter=",")
-    assert loaded.shape == (32, 64)
-    assert np.allclose(loaded[:, 0::2] + 1j * loaded[:, 1::2], kp.A)
-
-
-def test_gaussian_law_table(rot_laws):
-    rows = fl.gaussian_law_table(rot_laws[(0.0, 2.0)])
-    assert rows[0][0] == "x^1"
-    assert rows[0][2].real == pytest.approx(1 / 16, abs=1e-9)
-
-
 def test_structured_index_map_entries():
     # xi = T X for real X: conj(xi_j) = xi_{-j}, -j the reversed index
     assert np.array_equal(fl.structured_index_map(1), [[1, -1j], [1, 1j]])

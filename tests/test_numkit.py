@@ -8,7 +8,8 @@ from scipy.special import beta as beta_fn
 from contourgas.numkit import (BranchError, ChebSeries, ComplexPolynomial,
                                InvalidPotentialError, NetMassError,
                                log_energy_form, make_grid, pairwise_sum,
-                               poly_normalize, tensor_quadrature, track_arg)
+                               poly_normalize, semicircle_rule, tensor_quadrature,
+                               track_arg)
 
 
 def test_poly_eval_examples():
@@ -96,10 +97,11 @@ def test_grid_semicircle_mass():
     ("gauss_chebyshev_sqrt", lambda j: beta_fn(j + 1.5, 1.5)),
     ("inverse_sqrt", lambda j: beta_fn(j + 0.5, 0.5)),
     ("gauss_legendre", lambda j: 1.0 / (j + 1)),
+    ("semicircle_rule", lambda j: (8 / math.pi) * beta_fn(j + 1.5, 1.5)),
 ])
 def test_grid_exactness(kind, weight_moment):
     n = 12
-    g = make_grid(kind, n, (0.0, 1.0))
+    g = semicircle_rule(n) if kind == "semicircle_rule" else make_grid(kind, n, (0.0, 1.0))
     # exactness degree of an n-point Gauss rule is 2n-1
     for j in range(2 * n - 1):
         exact = weight_moment(j)

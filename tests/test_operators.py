@@ -18,6 +18,17 @@ def rot_ops(rot_sol):
     return out
 
 
+def test_operators_carry_member_rule(rot_ops):
+    # both operators integrate against the member's own nu rule, and carry
+    # its evaluation map and the collocation derivative
+    p = np.polynomial.Polynomial([0.3, -1.2, 0.7, 2.1])
+    for t, (data, X, D) in rot_ops.items():
+        for op in (X, D):
+            assert op.nu is data.nu
+            assert np.max(np.abs(op.E_nu @ p(op.grid) - p(data.nu.nodes))) < 1e-12
+            assert np.max(np.abs(op.D @ p(op.grid) - p.deriv()(op.grid))) < 1e-10
+
+
 def test_k_normalization(rot_ops):
     for t, (data, X, D) in rot_ops.items():
         one = np.ones(64)
@@ -190,11 +201,3 @@ def test_colloc_interpolation_accuracy():
     dexact = np.exp(t) * (np.cos(3 * t) - 3 * np.sin(3 * t))
     assert np.max(np.abs(d - dexact)) < 1e-9
 
-
-def test_operator_dump(rot_ops, tmp_path):
-    _, X, _ = rot_ops[0.0]
-    path = tmp_path / "xi_matrices.npz"
-    X.dump(str(path))
-    back = np.load(str(path))
-    assert np.allclose(back["forward"], X.forward)
-    assert np.allclose(back["k_row"], X.k_row)

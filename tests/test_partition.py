@@ -178,8 +178,7 @@ def test_energy_derivative_identity(rot_sol):
     dE = _fd4(lambda t: eq.interpolation_data(rot_sol, t).complex_energy(), t0, h)
     data = eq.interpolation_data(rot_sol, t0)
     fz = pt.dt_potential(rot_sol, t0, h=1e-4)
-    w = (8 / math.pi) * data.gc2.weights
-    mu_dtv = np.sum(w * fz(data.gt(data.gc2.nodes)))
+    mu_dtv = np.sum(data.nu.weights * fz(data.gt(data.nu.nodes)))
     assert mu_dtv == pytest.approx(dE / 2, abs=1e-6)
 
 
@@ -194,9 +193,8 @@ def test_entropy_derivative_identity(rot_sol):
     xs = op.grid
     u = op.inverse_apply(fz(data.gt(xs)))
     Dz = op.colloc.diff_matrix() / data.gtp(xs)[:, None]
-    E_nu = op.colloc.eval_matrix(data.gc2.nodes)
-    w = (8 / math.pi) * data.gc2.weights
-    mu_d1u = w @ (E_nu @ (Dz @ u))
+    E_nu = op.colloc.eval_matrix(data.nu.nodes)
+    mu_d1u = data.nu.weights @ (E_nu @ (Dz @ u))
     assert mu_d1u == pytest.approx(dLnRho, abs=1e-5)
 
 
@@ -207,8 +205,7 @@ def test_flow_integral_reproduces_leading_orders(rot_sol):
     for t in gl.nodes:
         data = eq.interpolation_data(rot_sol, float(t))
         fz = pt.dt_potential(rot_sol, float(t), h=1e-4)
-        w = (8 / math.pi) * data.gc2.weights
-        vals.append(np.sum(w * fz(data.gt(data.gc2.nodes))))
+        vals.append(np.sum(data.nu.weights * fz(data.gt(data.nu.nodes))))
     integral = np.sum(gl.weights * np.asarray(vals))
     E1 = eq.interpolation_data(rot_sol, 1.0).complex_energy()
     E0 = eq.interpolation_data(rot_sol, 0.0).complex_energy()
