@@ -5,6 +5,7 @@ regularity certificates."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -53,7 +54,8 @@ class Curve:
     """Analytic arc given by Chebyshev series on a common interval.
 
     g and d1 interpolate the parametrization and its first derivative; the
-    higher derivatives are exact series derivatives of d1.  The parameter
+    second derivative is the series derivative of d1, and every chord
+    (g(x) - g(y))/(x - y) is an exact divided difference of g.  The parameter
     domain is [-analytic_pad, 1 + analytic_pad]; the series' interval may be
     wider (a family member reads its base's series on a stretched one).
     """
@@ -71,8 +73,11 @@ class Curve:
     def deriv2(self, x):
         return self.d1.deriv()(x)
 
-    def deriv3(self, x):
-        return self.d1.deriv(2)(x)
+    @cached_property
+    def end_chord(self):
+        """Chords Q(x, 0) and Q(x, 1) to the two ends of the support, as the
+        two columns of one series."""
+        return self.g.divided_difference([0.0, 1.0])
 
     @property
     def domain(self):
@@ -280,45 +285,15 @@ def arc_mass(curve: Curve, z, tol=1e-9):
 
 
 def subtracted_chord_kernel(curve: Curve, x, y):
-    """K(x, y) = g'(x)/(g(y) - g(x)) - 1/(y - x) for the curve g,
-    elementwise over x rows and y columns.
-
-    The raw form loses ~1e-16/h^2 near the diagonal; intermediate distances
-    use the even midpoint expansion of the divided difference and very small
-    ones a Taylor polynomial, keeping the absolute error near 1e-10
-    throughout."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    X = x[:, None]
-    Y = y[None, :]
-    H = Y - X
-    gX = curve(x)[:, None]
-    gY = curve(y)[None, :]
-    d1X = curve.deriv1(x)[:, None]
-    out = np.empty(H.shape, dtype=complex)
-
-    far = np.abs(H) >= 1e-3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[far] = (np.broadcast_to(d1X, H.shape)[far] / (gY - gX + 0j)[far]
-                    - 1.0 / H[far])
-
-    mid_mask = (~far) & (np.abs(H) >= 1e-6)
-    if np.any(mid_mask):
-        idx = np.nonzero(mid_mask)
-        xm = (X + Y) / 2
-        mpts = xm[idx]
-        G = curve.deriv1(mpts) + curve.deriv3(mpts) * H[idx] ** 2 / 24
-        out[idx] = (np.broadcast_to(d1X, H.shape)[idx] / G - 1.0) / H[idx]
-
-    tiny = np.abs(H) < 1e-6
-    if np.any(tiny):
-        idx = np.nonzero(tiny)
-        xi = np.broadcast_to(X, H.shape)[idx]
-        d1v = curve.deriv1(xi)
-        a1 = curve.deriv2(xi) / (2 * d1v)
-        a2 = curve.deriv3(xi) / (6 * d1v)
-        out[idx] = -a1 + (a1 * a1 - a2) * H[idx]
-    return out
+    """K(x, y) = g'(x)/(g(y) - g(x)) - 1/(y - x) = -d/dx ln Q(x, y), elementwise
+    over x rows and y columns, for the chord Q(x, y) = (g(x) - g(y))/(x - y),
+    the exact divided difference of the g series: no cancellation at any
+    distance, and K(x, x) = -g''/(2 g').  A quotient by the slope that must
+    cancel K's own g' reads g.deriv(), not the separately fitted d1."""
+    Q = curve.g.divided_difference(y)
+    dQ = Q.deriv()
+    V = Q.vander(np.atleast_1d(x))
+    return -(V[:, :len(dQ.coef)] @ dQ.coef) / (V @ Q.coef)
 
 
 def bilipschitz_check(point_fn, lo, hi, n=256):

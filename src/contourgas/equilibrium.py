@@ -134,35 +134,16 @@ def _newton_endpoints(vprime, z, tol, maxit):
     raise NoSolutionError("endpoint Newton did not converge from the seed")
 
 
-def _log_abs_distance(curve, x0, nu):
-    """int ln|gamma(x0) - gamma(y)| dnu(y): smooth chord/parameter ratio by
-    quadrature plus the closed-form logarithmic moment of the flat kernel."""
-    y = nu.nodes
-    z0 = complex(curve(np.array([x0]))[0])
-    g = curve(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.log(np.abs((z0 - g) / (x0 - y)))
-    if np.any(~np.isfinite(lam)):
-        raise ValueError("reference parameter coincides with a grid node")
-    smooth = nu.integrate(lam)
-    flat = 4 * x0 * (x0 - 1) + 0.5 - 2 * LN2
-    return smooth + flat
-
-
-def _arg_average(curve, x0, n=400):
-    """Average of the two-sided boundary arguments of the log potential at
-    gamma(x0), from one-sided branch-tracked argument integrals."""
-    z0 = curve(x0)
-    total = 0.0
-    for (a, b, fwd) in ((0.0, x0, True), (x0, 1.0, False)):
-        gl = make_grid("gauss_legendre", n, (a, b))
-        ys = gl.nodes if fwd else gl.nodes[::-1]
-        diff = (z0 - curve(ys)) if fwd else (curve(ys) - z0)
-        tr = track_arg(diff)
-        args = tr.args if fwd else tr.args[::-1]
-        dens = (8 / np.pi) * np.sqrt(gl.nodes * (1 - gl.nodes))
-        total += pairwise_sum(gl.weights * dens * args)
-    return -total
+def _log_distance(curve, x0, nu):
+    """int ln(gamma(x0) - gamma(y)) dnu(y), complex: the nu-rule integral of
+    the log chord ln Q(x0, y), its argument continuous along the nodes, plus
+    the closed-form logarithmic moment of the flat kernel ln(x0 - y).  Q is
+    continuous through y = x0, so the imaginary part averages the arguments
+    of gamma(x0) - gamma(y) for y < x0 and of gamma(y) - gamma(x0) for
+    y > x0, the two boundary values of the log potential."""
+    q = curve.g.divided_difference([x0])(nu.nodes)[0]
+    smooth = nu.integrate(np.log(np.abs(q)) + 1j * track_arg(q).args)
+    return smooth + 4 * x0 * (x0 - 1) + 0.5 - 2 * LN2
 
 
 def _log_deriv_tracked(curve, nu, chord):
@@ -185,8 +166,7 @@ def _equilibrium_constant(curve, v_on_curve, nu):
     """Complex constant C with Phi_eff = V + g - C and Phi_eff(zeta1) = 0,
     from the vanishing of (Phi_+ + Phi_-)/2 on the support at x = 1/2."""
     x0 = 0.5
-    return (v_on_curve(x0) - _log_abs_distance(curve, x0, nu)
-            + 1j * _arg_average(curve, x0))
+    return v_on_curve(x0) - _log_distance(curve, x0, nu)
 
 
 def _complex_energy(constant, v_on_curve, nu):
@@ -277,17 +257,14 @@ class OneCutSolution:
 
     def r_plus(self, x):
         """Boundary value of r_cut on the support, from the + side, at
-        parameter x in (0,1)."""
+        parameter x in (0,1): the principal value of the Cauchy integral is
+        the subtracted chord kernel plus the flat closed form."""
         fg = self._flat_grid
-        y, w = fg.nodes, fg.weights
-        g = self.curve(y)
-        gp = self.curve.deriv1(y)
         x = np.asarray(x, dtype=float)
-        zx = self.curve(x)
-        ker = gp[None, :] / (g[None, :] - zx.reshape(-1, 1)) - 1.0 / (y[None, :] - x.reshape(-1, 1))
-        pv = pairwise_sum(ker * w[None, :], axis=-1) + np.log((1 - x.reshape(-1)) / x.reshape(-1))
-        out = 1j * (zx.reshape(-1) - self.zeta1) * np.exp(0.5 * pv)
-        return out.reshape(x.shape) if x.shape else complex(out[0])
+        ker = subtracted_chord_kernel(self.curve, fg.nodes, x.reshape(-1))
+        pv = np.log((1 - x) / x) - fg.integrate(ker.T).reshape(x.shape)
+        out = 1j * (self.curve(x) - self.zeta1) * np.exp(0.5 * pv)
+        return out if x.shape else complex(out)
 
     def sqrtR(self, z):
         """S(z) * r_cut(z): the branch fixed by ~ V'(z) at infinity."""
@@ -364,7 +341,7 @@ class OneCutSolution:
         return -self.nu.integrate(np.log(np.abs(complex(z) - g)))
 
     def u_on_curve(self, x0):
-        return -_log_abs_distance(self.curve, float(x0), self.nu)
+        return -_log_distance(self.curve, float(x0), self.nu).real
 
     def _v_on_curve(self, x):
         return self.potential(self.curve(x))
@@ -422,10 +399,10 @@ class OneCutSolution:
         return rep
 
     def euler_lagrange_residual(self, x):
-        """V'(gamma(x)) minus the principal-value Cauchy transform of the
-        measure: identically zero for the true equilibrium data."""
+        """V'(gamma(x)) minus the principal-value Cauchy transform of the measure
+        (slope: g's own derivative, as in the kernel); zero for the true data."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        gpx = self.curve.deriv1(x)
+        gpx = self.curve.g.deriv()(x)
         ker = -subtracted_chord_kernel(self.curve, x, self.nu.nodes) / gpx[:, None]
         pv = pairwise_sum(ker * self.nu.weights[None, :], axis=-1) + 8 * (x - 0.5) / gpx
         return self.potential.deriv()(self.curve(x)) - pv
@@ -485,21 +462,17 @@ class InterpolationData:
     # -- prefactor of the cut square root ---------------------------------
 
     def _q_ratio(self, x, t=None):
-        """64 x(x-1) / (g'^2 (g-z1)(g-z2)) on the member at t (default this
-        one): the square of the prefactor, with endpoint cancellations done
-        by stable ratios.  Complex x continues it off the interval."""
+        """64 x(x-1) / (g'^2 (g-z1)(g-z2)) = 64 / (g'^2 Q(x, 0) Q(x, 1)) on the
+        member at t (default this one), with Q the curve's chord to each end
+        (g(0) = z1, g(1) = z2): the square of the prefactor, finite up to
+        both ends.  Complex x continues it off the interval."""
         z1, z2 = self.sol.zeta1, self.sol.zeta2
         curve = self.curve if t is None else family_member(self.sol.curve, z1, z2, t)
-        x = np.asarray(x)
-        xa = np.atleast_1d(x)
-        g = curve(xa)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            A = xa / (g - z1)
-            B = (xa - 1) / (g - z2)
-        for arr, xe in ((A, 0.0), (B, 1.0)):
-            arr[np.abs(xa - xe) < 1e-9] = 1.0 / curve.deriv1(xe)
-        q = 64 * A * B / curve.deriv1(xa) ** 2
-        return q.reshape(x.shape) if x.shape else q[0]
+        V = curve.g.vander(x)
+        Q = curve.end_chord.coef
+        gp = V[..., :len(curve.d1.coef)] @ curve.d1.coef
+        q = V[..., :len(Q)] @ Q
+        return 64 / (q[..., 0] * q[..., 1] * gp**2)
 
     def st_grid(self, x, n_steps=9):
         """Prefactor values on an x-array, sign-fixed by continuation in the

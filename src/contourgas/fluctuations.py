@@ -139,18 +139,16 @@ class KernelPair:
 def pair_angles(data: InterpolationData, x):
     """Uncut phase kernels on an ordered parameter grid: the slope argument
     p(x) = arg gamma_t'(x), anchored at its principal value at the middle
-    node, and the pair argument a(x, y) = arg((gamma_t(x) - gamma_t(y)) /
-    (x - y)), unwrapped along rows, re-anchored on the diagonal a(x, x) =
-    p(x) and symmetrized.  Returns (p, a)."""
-    n = len(x)
-    gx = data.curve(x)
+    node, and the pair argument a(x, y) = arg Q(x, y) of the chord
+    Q(x, y) = (gamma_t(x) - gamma_t(y)) / (x - y), the curve's divided
+    difference (Q(x, x) = gamma_t'(x)), unwrapped along rows, re-anchored
+    on the diagonal a(x, x) = p(x) and symmetrized.  Returns (p, a)."""
     gpx = data.curve.deriv1(x)
     tr = track_arg(gpx)
-    mid = n // 2
+    mid = len(x) // 2
     p = tr.args + (np.angle(gpx[mid]) - tr.args[mid])
-    Q = (gx[:, None] - gx[None, :]) / (x[:, None] - x[None, :] + np.eye(n))
-    np.fill_diagonal(Q, gpx)
-    ang = np.unwrap(np.angle(Q), axis=1)
+    Q = data.curve.g.divided_difference(x)
+    ang = np.unwrap(np.angle(Q.vander(x) @ Q.coef), axis=1)
     ang += (p - np.diag(ang))[:, None]
     return p, (ang + ang.T) / 2
 

@@ -159,8 +159,9 @@ class ChebSeries:
         return _cheb.chebval(self.map(x), self.coef)
 
     def vander(self, x):
-        """Rows T_0..T_deg at the points x: vander(x) @ coef evaluates."""
-        return _cheb.chebvander(self.map(x), len(self.coef) - 1)
+        """T_0..T_deg at the points x, shape x.shape + (deg + 1,): vander(x) @ coef."""
+        v = _cheb.chebvander(self.map(x), len(self.coef) - 1)
+        return v.reshape(np.shape(x) + v.shape[-1:])
 
     def deriv(self, m=1):
         """m-th derivative in x (chain-rule scale included)."""
@@ -171,6 +172,28 @@ class ChebSeries:
         """Antiderivative in x, vanishing at the interval midpoint."""
         return ChebSeries(self.lo, self.hi,
                           _cheb.chebint(self.coef) * (self.hi - self.lo) / 2)
+
+    def divided_difference(self, y):
+        """Divided differences Q_j(x) = (f(x) - f(y_j)) / (x - y_j) of a
+        single series, one column per point y_j (real or complex), with
+        Q_j(y_j) = f'(y_j); its deriv() is the x-derivative.
+
+        (T_k(s) - T_k(u)) / (s - u) = 2 sum'_{i<k} U_{k-1-i}(s) T_i(u) (the
+        i = 0 term halved) puts the U-coefficients of Q in the Hankel matrix
+        H[m, i] = coef[m + i + 1]; U_m = sum'_{k<=m, k=m mod 2} 2 T_k turns
+        them into T-coefficients.  Nothing is subtracted, so there is no
+        cancellation at any distance |x - y_j|."""
+        n = len(self.coef) - 1
+        padded = np.concatenate([self.coef, np.zeros(n, dtype=self.coef.dtype)])
+        hankel = padded[np.add.outer(np.arange(n), np.arange(n)) + 1]
+        tu = _cheb.chebvander(self.map(np.atleast_1d(y)), n - 1).T
+        tu[1:] *= 2
+        u_coef = hankel @ tu * (2.0 / (self.hi - self.lo))
+        t_coef = np.empty_like(u_coef)
+        for p in (0, 1):   # T_k collects U_m, m >= k of its parity
+            t_coef[p::2] = np.cumsum(u_coef[p::2][::-1], axis=0)[::-1]
+        t_coef[1:] *= 2
+        return ChebSeries(self.lo, self.hi, t_coef)
 
 
 def poly_normalize(p: ComplexPolynomial):

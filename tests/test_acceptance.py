@@ -12,7 +12,7 @@ from contourgas import fluctuations as fl
 from contourgas import operators as ops
 from contourgas import partition as pt
 from contourgas import sampler as sp
-from contourgas.numkit import log_energy_form, make_grid
+from contourgas.numkit import log_energy_form, semicircle_rule
 
 LN2 = math.log(2)
 
@@ -85,37 +85,21 @@ def test_A3_operator_roundtrips(rot_sol):
             f"airfoil {worst_airfoil:.1e}", time.time() - t0, 30)
 
 
-def _pullback_relative_error(sol, t, n=64):
-    data = eq.interpolation_data(sol, t)
-    g = make_grid("gauss_chebyshev_sqrt", n, (0.0, 1.0))
-    x = g.nodes
-    target = (8 / math.pi) * np.sqrt(x * (1 - x))
-    if t == 1.0:
-        lhs = (1 / (1j * math.pi)) * sol.S(sol.curve(x)) * sol.r_plus(x) \
-            * sol.curve.deriv1(x)
-        return np.max(np.abs(lhs - target) / target)
-    st = data.st_grid(x)
-    gt = data.gt(x)
-    gtp = data.gtp(x)
-    sq = st**2 * (gt - sol.zeta1) * (gt - sol.zeta2) * gtp**2
-    return np.max(np.abs(sq - (1j * math.pi * target) ** 2) / np.abs(target) ** 2)
-
-
-def test_A4_semicircle_pullback(quad_sol, quartic_sol):
+def test_A4_semicircle_pullback(quad_sol, quartic_sol, pullback_residual):
     t0 = time.time()
     worst = 0.0
     for sol in (quad_sol, quartic_sol):
         for t in np.round(np.linspace(0, 1, 11), 2):
-            worst = max(worst, _pullback_relative_error(sol, float(t)))
-    ok = worst <= 1e-8
+            worst = max(worst, pullback_residual(sol, float(t)))
+    ok = worst <= 1e-9
     _report("A4", ok, f"max relative residual {worst:.1e} over 2 potentials x 11 t",
             time.time() - t0, 10)
 
 
 def test_A5_clt_agreement(rot_sol):
     t0 = time.time()
-    nu_grid = make_grid("gauss_chebyshev_sqrt", 256, (0.0, 1.0))
-    wn = (8 / math.pi) * nu_grid.weights
+    nu_grid = semicircle_rule(256)
+    wn = nu_grid.weights
     details = []
     ok = True
     for t in (0.0, 1.0):

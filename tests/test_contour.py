@@ -1,12 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from contourgas import equilibrium as eq
 from contourgas.contour import (arc_mass, bilipschitz_check, family_member,
-                                semicircle_cdf, semicircle_density)
-from contourgas.numkit import make_grid
+                                semicircle_cdf, semicircle_density,
+                                subtracted_chord_kernel)
 
 
 def test_cdf_endpoints_and_midpoint():
@@ -88,11 +88,31 @@ def test_family_member_is_composition(rot_sol, t):
     k = (z2 - z1) / (g(t) - g(0.0))
     pairs = [(member(x), z1 + k * (g(t * x) - g(0.0))),
              (member.deriv1(x), k * t * g.deriv1(t * x)),
-             (member.deriv2(x), k * t**2 * g.deriv2(t * x)),
-             (member.deriv3(x), k * t**3 * g.deriv3(t * x))]
+             (member.deriv2(x), k * t**2 * g.deriv2(t * x))]
     for got, want in pairs:
         assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
     assert member.domain == g.domain
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.5, 1.0])
+def test_subtracted_chord_kernel_vs_mpmath(rot_sol, mp_series, t):
+    # K(x, y) = -d/dx ln Q(x, y) of the member's own g series, from
+    # separations 0.5 down to 1e-9, on the diagonal and at the domain ends
+    member = _member(rot_sol, t)
+    with mpmath.workdps(40):
+        f = mp_series(member.g)
+        for x in (-0.099, 0.0, 0.3, 0.5, 1.0, 1.099):
+            side = -1.0 if x > 0.5 else 1.0
+            ys = np.array([x + side * h for h in (0.5, 1e-1, 1e-3, 1e-6, 1e-9)] + [x])
+            got = subtracted_chord_kernel(member, [x], ys)[0]
+            g, gp, gpp = f(x)
+            for y, k in zip(ys, got):
+                if y == x:
+                    ref = -gpp / (2 * gp)
+                else:
+                    ref = -(gp / (g - f(y)[0]) - 1 / (mpmath.mpf(x) - mpmath.mpf(y)))
+                # K shrinks like t near the straight segment: relative to the row
+                assert abs(k - complex(ref)) < 1e-13 * np.max(np.abs(got)), (x, y)
 
 
 def test_bilipschitz_affine():
@@ -117,34 +137,14 @@ def test_bilipschitz_circle_arc():
     assert hi == pytest.approx(1.0, abs=1e-6)
 
 
-def _pullback_residual(sol, t, n=64):
-    """Relative error of the measure pullback identity at the sqrt-weighted
-    nodes, with the cut square root from the independent polynomial data
-    (prefactor times exponential-of-integral boundary value at t = 1, the
-    branch-free squared form otherwise)."""
-    data = eq.interpolation_data(sol, t)
-    g = make_grid("gauss_chebyshev_sqrt", n, (0.0, 1.0))
-    x = g.nodes
-    target = (8 / math.pi) * np.sqrt(x * (1 - x))
-    if t == 1.0:
-        lhs = (1 / (1j * math.pi)) * sol.S(sol.curve(x)) * sol.r_plus(x) \
-            * sol.curve.deriv1(x)
-        return np.max(np.abs(lhs - target) / target)
-    st = data.st_grid(x)
-    gt = data.gt(x)
-    gtp = data.gtp(x)
-    sq = st**2 * (gt - sol.zeta1) * (gt - sol.zeta2) * gtp**2
-    return np.max(np.abs(sq - (1j * math.pi * target) ** 2) / np.abs(target) ** 2)
-
-
 @pytest.mark.parametrize("t", np.round(np.linspace(0, 1, 11), 2))
-def test_semicircle_pullback_identity_quartic(quartic_sol, t):
-    assert _pullback_residual(quartic_sol, float(t)) < 1e-8
+def test_semicircle_pullback_identity_quartic(quartic_sol, pullback_residual, t):
+    assert pullback_residual(quartic_sol, float(t)) < 1e-9
 
 
-def test_semicircle_pullback_identity_quadratic(quad_sol):
+def test_semicircle_pullback_identity_quadratic(quad_sol, pullback_residual):
     for t in (0.0, 0.5, 1.0):
-        assert _pullback_residual(quad_sol, t) < 1e-8
+        assert pullback_residual(quad_sol, t) < 1e-9
 
 
 def test_curve_table_shape(quad_sol):

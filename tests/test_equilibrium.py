@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from contourgas import equilibrium as eq
 from contourgas.equilibrium import NoSolutionError, PathError
-from contourgas.numkit import ComplexPolynomial, make_grid
+from contourgas.numkit import ComplexPolynomial, make_grid, track_arg
 
 LN2 = math.log(2)
 
@@ -59,7 +60,7 @@ def test_cubic_one_cut_structure(cubic_sol):
     lhs = (1 / (1j * math.pi)) * cubic_sol.S(cubic_sol.curve(x)) \
         * cubic_sol.r_plus(x) * cubic_sol.curve.deriv1(x)
     target = (8 / math.pi) * np.sqrt(x * (1 - x))
-    assert np.max(np.abs(lhs - target) / target) < 1e-8
+    assert np.max(np.abs(lhs - target) / target) < 1e-10
 
 
 def test_density_edge_and_domain(quad_sol):
@@ -74,7 +75,7 @@ def test_density_via_cut_sqrt(rot_sol):
     z = rot_sol.curve(x)
     lhs = (1 / (1j * math.pi)) * rot_sol.S(z) * rot_sol.r_plus(x)
     rho = (8 / math.pi) * np.sqrt(x * (1 - x)) / rot_sol.curve.deriv1(x)
-    assert np.max(np.abs(lhs - rho)) < 1e-8
+    assert np.max(np.abs(lhs - rho)) < 1e-10
 
 
 def test_sqrt_decomposition_residual(rot_sol):
@@ -248,11 +249,43 @@ def test_solution_report_fields(quad_sol):
 def test_report_computes_equilibrium_constant_once(rot_sol, monkeypatch):
     sol = dataclasses.replace(rot_sol, _constant=None)
     calls = []
-    arg_average = eq._arg_average
-    monkeypatch.setattr(eq, "_arg_average",
-                        lambda *a, **k: calls.append(a) or arg_average(*a, **k))
+    constant = eq._equilibrium_constant
+    monkeypatch.setattr(eq, "_equilibrium_constant",
+                        lambda *a, **k: calls.append(a) or constant(*a, **k))
     sol.report()
     assert len(calls) == 1
+
+
+def test_report_with_odd_rule(rot_sol):
+    # x = 1/2, where the constant is fixed, is a node of every odd rule
+    V = rot_sol.potential
+    even = eq.solve_one_cut(V, seeds=(-1.2 + 0.1j, 1.2 - 0.1j), n_grid=64).report()
+    odd = eq.solve_one_cut(V, seeds=(-1.2 + 0.1j, 1.2 - 0.1j), n_grid=65).report()
+    assert abs(complex(*odd["complex_energy"]) - complex(*even["complex_energy"])) < 1e-12
+
+
+def _two_sided_arg_integral(sol, n=6400):
+    """int arg(gamma(x0) - gamma(y)) dnu over y < x0 plus int arg(gamma(y) -
+    gamma(x0)) dnu over y > x0, x0 = 1/2, each side branch-tracked from
+    its parameter end by an n-node Gauss-Legendre rule."""
+    x0 = 0.5
+    z0 = sol.curve(x0)
+    u, w = roots_legendre(n)
+    total = 0.0
+    for a, b, fwd in ((0.0, x0, True), (x0, 1.0, False)):
+        y = (u + 1) * (b - a) / 2 + a
+        ys = y if fwd else y[::-1]
+        args = track_arg(z0 - sol.curve(ys) if fwd else sol.curve(ys) - z0).args
+        dens = (8 / math.pi) * np.sqrt(y * (1 - y))
+        total += np.sum(w * (b - a) / 2 * dens * (args if fwd else args[::-1]))
+    return total
+
+
+def test_equilibrium_constant_argument_vs_dense_quadrature(rot_sol, cubic_sol):
+    # Im C = Im V(gamma(1/2)) minus the averaged boundary argument
+    for sol in (rot_sol, cubic_sol):
+        ref = sol.potential(sol.curve(0.5)).imag - _two_sided_arg_integral(sol)
+        assert abs(sol.equilibrium_constant().imag - ref) < 1e-12
 
 
 def test_solution_report_matches_separate_calls(rot_sol):

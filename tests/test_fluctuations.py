@@ -5,7 +5,7 @@ import pytest
 
 from contourgas import equilibrium as eq
 from contourgas import fluctuations as fl
-from contourgas.numkit import make_grid
+from contourgas.numkit import semicircle_rule
 
 
 @pytest.fixture(scope="module")
@@ -316,8 +316,8 @@ def test_one_stat_expansion_vs_tensor_scan(quartic_sol):
     from contourgas.partition import tensor_model_moment
     data = eq.interpolation_data(quartic_sol, 1.0)
     f = lambda z: z**2
-    grid = make_grid("gauss_chebyshev_sqrt", 96, (0.0, 1.0))
-    mu_f = (8 / math.pi) * np.sum(grid.weights * f(data.gt(grid.nodes)))
+    nu = semicircle_rule(96)
+    mu_f = nu.integrate(f(data.gt(nu.nodes)))
     V = quartic_sol.potential
     zeta = abs(quartic_sol.zeta2)
     for beta in (2.0, 4.0):

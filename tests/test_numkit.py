@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -283,6 +284,28 @@ def test_cheb_series_fits_columns_separately():
     assert s.coef.shape == (13, 2)
     one = ChebSeries.fit(0.0, 2.0, nodes**3)
     assert np.allclose(s.coef[:, 1], one.coef, atol=1e-14)
+
+
+def test_cheb_divided_difference_against_mpmath(mp_series):
+    # a complex degree-40 series on a stretched interval; several points y
+    # at once, separations 1e-1 down to 1e-12, x = y (Q = f') and complex x
+    rng = np.random.default_rng(11)
+    f = ChebSeries(-0.2, 2.2, (rng.normal(size=41) + 1j * rng.normal(size=41))
+                   * 0.8 ** np.arange(41))
+    ys = np.array([0.3, 1.0, 2.1])
+    Q = f.divided_difference(ys)
+    assert Q.coef.shape == (40, 3)
+    with mpmath.workdps(40):
+        F = mp_series(f)
+        for j, y in enumerate(ys):
+            xs = [y + h for h in 10.0 ** -np.arange(1, 13)] + [y, y + 0.01j, y - 0.2 + 0.05j]
+            got = Q.vander(np.array(xs)) @ Q.coef[:, j]
+            for x, q in zip(xs, got):
+                if x == y:
+                    ref = F(y)[1]
+                else:
+                    ref = (F(x)[0] - F(y)[0]) / (mpmath.mpmathify(x) - mpmath.mpf(y))
+                assert abs(q - complex(ref)) < 1e-14 * abs(ref), (x, y)
 
 
 def test_tensor_quadrature_against_direct_sum():

@@ -5,7 +5,7 @@ import pytest
 
 from contourgas import equilibrium as eq
 from contourgas import operators as ops
-from contourgas.numkit import make_grid
+from contourgas.numkit import semicircle_rule
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +63,8 @@ def test_forward_complex_examples(rot_ops, rot_sol):
     outz = D.apply(zs)
     assert np.max(np.abs(outz - (vp * zs - 1.0))) < 1e-8
     # z^2 subtracts the first moment
-    grid = make_grid("gauss_chebyshev_sqrt", 96, (0.0, 1.0))
-    m1 = (8 / math.pi) * np.sum(grid.weights * data.gt(grid.nodes))
+    nu = semicircle_rule(96)
+    m1 = nu.integrate(data.gt(nu.nodes))
     outz2 = D.apply(zs**2)
     assert np.max(np.abs(outz2 - (vp * zs**2 - zs - m1))) < 1e-8
 
@@ -76,11 +76,10 @@ def test_forward_real_flat_examples(quad_data_t0):
     assert np.max(np.abs(out - 8 * (xs - 0.5))) < 1e-10
     # dense-quadrature oracle for f(x) = x at a few points; the affine
     # member's difference quotient is identically one
-    grid = make_grid("gauss_chebyshev_sqrt", 400, (0.0, 1.0))
-    w = (8 / math.pi) * grid.weights
+    nu = semicircle_rule(400)
     fx = X.apply(xs)
     for i in (7, 31, 55):
-        oracle = 8 * (xs[i] - 0.5) * xs[i] - np.sum(w * np.ones_like(grid.nodes))
+        oracle = 8 * (xs[i] - 0.5) * xs[i] - np.sum(nu.weights * np.ones_like(nu.nodes))
         assert fx[i] == pytest.approx(oracle, abs=1e-9)
 
 
@@ -162,9 +161,9 @@ def test_bilinear_symmetry(rot_ops):
     rng = np.random.default_rng(4)
     data, X, D = rot_ops[1.0]
     xs = X.grid
-    grid = make_grid("gauss_chebyshev_sqrt", 96, (0.0, 1.0))
-    w = (8 / math.pi) * grid.weights
-    E = X.colloc.eval_matrix(grid.nodes)
+    nu = semicircle_rule(96)
+    w = nu.weights
+    E = X.colloc.eval_matrix(nu.nodes)
     for _ in range(5):
         p1 = np.polynomial.Polynomial(rng.normal(size=5))
         p2 = np.polynomial.Polynomial(rng.normal(size=5))

@@ -5,7 +5,7 @@ import pytest
 
 from contourgas import equilibrium as eq
 from contourgas import sampler as sp
-from contourgas.numkit import make_grid
+from contourgas.numkit import make_grid, semicircle_rule
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +101,8 @@ def test_log_energy_distance_fourier_vs_direct_smooth(quad_data_t0):
     U_nu = 4 * x * (x - 1) + 0.5 - 2 * math.log(2)      # int ln|x-y| dnu(y)
     # int ln|x-y| dy over [0,1] (flat): closed antiderivative
     U_flat = (1 - x) * np.log(1 - x + 1e-300) + x * np.log(x + 1e-300) - 1
-    gc = make_grid("gauss_chebyshev_sqrt", 384, (0.0, 1.0))
-    wn = (8 / math.pi) * gc.weights
+    gc = semicircle_rule(384)
+    wn = gc.weights
     Un_nu = 4 * gc.nodes * (gc.nodes - 1) + 0.5 - 2 * math.log(2)
     d2_direct = -(g.weights @ U_flat - 2 * (g.weights @ U_nu) + wn @ Un_nu)
     assert d2_fourier == pytest.approx(d2_direct, abs=1e-4)
