@@ -496,15 +496,18 @@ class InterpolationData:
         return ChebSeries.interpolate(self.st_grid, -pad, 1 + pad, 96)
 
     def st_at(self, z):
-        """Prefactor at a point z near the curve, sign by continuity from the
-        nearest on-curve value."""
+        """Prefactor at points z near the curve (a scalar or an array), sign
+        by continuity from the nearest on-curve value; one curve inversion
+        for all of them."""
         x = self.curve.invert(z)
         cand = np.sqrt(self._q_ratio(x))
         ref = self.st(np.clip(x.real, -self.sol.pad, 1 + self.sol.pad))
-        return cand if abs(cand - ref) <= abs(cand + ref) else -cand
+        s = np.where(np.abs(cand - ref) <= np.abs(cand + ref), cand, -cand)
+        return s if s.shape else complex(s)
 
     def rt(self, z):
-        """Deformed R at z: prefactor squared times the endpoint factors."""
+        """Deformed R at z (a scalar or an array): prefactor squared times
+        the endpoint factors."""
         st = self.st_at(z)
         return st**2 * (z - self.sol.zeta1) * (z - self.sol.zeta2)
 
@@ -518,26 +521,29 @@ class InterpolationData:
         return 8 * (x - 0.5) - pairwise_sum(ker * self.nu.weights[None, :], axis=-1)
 
     def vt_prime(self, z):
-        """V_t' at a point z in the analytic strip around the curve, by the
-        prefactor-difference integral (the subtraction removes the
-        singularity; the remaining kernel is the equilibrium measure)."""
-        z = complex(z)
-        mid = self.sol.midpoint
+        """V_t' at points z in the analytic strip around the curve (a scalar
+        or an array), by the prefactor-difference integral (the subtraction
+        removes the singularity; the remaining kernel is the equilibrium
+        measure)."""
+        z = np.asarray(z, dtype=complex)
         y = self.nu.nodes
-        sy = self.st(y)
-        Sz = self.st_at(z)
-        integ = pairwise_sum(self.nu.weights * (sy - Sz) / (sy * (self.curve(y) - z)))
-        return Sz * (z - mid) - integ
+        sy, gy = self.st(y), self.curve(y)
+        Sz = np.asarray(self.st_at(z))
+        integ = pairwise_sum(self.nu.weights * (sy - Sz[..., None])
+                             / (sy * (gy - z[..., None])))
+        v = Sz * (z - self.sol.midpoint) - integ
+        return v if v.shape else complex(v)
 
     def vt(self, z):
-        """Interpolating potential; path integral of vt_prime from the
-        endpoint midpoint along a straight segment."""
-        z = complex(z)
+        """Interpolating potential at z (a scalar or an array); path integral
+        of vt_prime from the endpoint midpoint along a straight segment, all
+        quadrature points in one vt_prime call."""
+        z = np.asarray(z, dtype=complex)
         mid = self.sol.midpoint
         gl = make_grid("gauss_legendre", 48, (0.0, 1.0))
-        pts = mid + gl.nodes * (z - mid)
-        vals = np.array([self.vt_prime(p) for p in pts])
-        return self.sol.potential(mid) + (z - mid) * pairwise_sum(gl.weights * vals)
+        vals = self.vt_prime(mid + gl.nodes * (z[..., None] - mid))
+        v = self.sol.potential(mid) + (z - mid) * pairwise_sum(gl.weights * vals)
+        return v if v.shape else complex(v)
 
     @cached_property
     def vt_gamma(self):

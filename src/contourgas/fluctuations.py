@@ -198,12 +198,10 @@ def fourier_kernels(data: InterpolationData, beta, law: GaussianLaw = None,
     # B(u,v) = (1/beta) nu( d/dx[e^{-2pi i u x}] inverse[e^{2pi i v x}] )
     fprime_nu = (E_nu @ (D @ expm.T))                     # columns: derivative of e^{-2pi i u x}
     u_nu = E_nu @ (op.inverse @ expm.conj().T)           # columns: inverse[e^{+2pi i v *}]
-    B = (1 / beta) * np.einsum("q,qu,qv->uv", w_nu, fprime_nu, u_nu)
+    B = (1 / beta) * ((fprime_nu.T * w_nu) @ u_nu)
     # m(u) = (1/beta-1/2) nu( R inverse[e^{-2pi i u x}] )
     Um = op.inverse @ expm.T
-    m = (1 / beta - 0.5) * np.einsum(
-        "q,qu->u", w_nu,
-        law.rfac[:, None] * (E_nu @ Um) + E_nu @ (D @ Um))
+    m = (1 / beta - 0.5) * (w_nu @ (law.rfac[:, None] * (E_nu @ Um) + E_nu @ (D @ Um)))
     # decay sanity: the transform of the smooth kernels must be small at the
     # grid border, otherwise the window is too narrow
     peak = np.abs(A).max()

@@ -4,6 +4,7 @@ branch-tracked arguments and the planar-Fourier log-energy form."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,10 +227,20 @@ class WeightedGrid:
         return pairwise_sum(self.weights * np.asarray(values))
 
 
-def make_grid(kind, n, interval=(0.0, 1.0)):
-    """Quadrature rules used throughout.
+@functools.cache
+def _legendre_rule(n):
+    """The n-point Gauss-Legendre rule on [-1, 1], solved once per n; its
+    arrays are read-only, so no caller can change the cached rule."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
-    gauss_legendre       weight 1 on [a, b]
+
+def make_grid(kind, n, interval=(0.0, 1.0)):
+    """Quadrature rules used throughout, as fresh arrays on every call.
+
+    gauss_legendre       weight 1 on [a, b]; the Legendre rule itself is
+                         computed once per n
     gauss_chebyshev_sqrt weight sqrt((x-a)(b-x)) scaled to [a, b] (2nd kind)
     inverse_sqrt         weight 1/sqrt((x-a)(b-x)) (1st kind)
     closed_loop_trapezoid uniform nodes on a circle; interval = (center, radius)
@@ -238,7 +249,7 @@ def make_grid(kind, n, interval=(0.0, 1.0)):
         raise ValueError("node count must be >= 1")
     if kind == "gauss_legendre":
         a, b = interval
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = _legendre_rule(n)
         nodes = (x + 1) * (b - a) / 2 + a
         weights = w * (b - a) / 2
         return WeightedGrid(nodes, weights)

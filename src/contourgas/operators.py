@@ -139,8 +139,8 @@ def real_master_operator(data: InterpolationData, n=64):
                                    E_x, E_y, D_x)
     forward = np.diag(W)
     forward += np.diag(pairwise_sum(np.real(Kxy) * w2[None, :], axis=-1))
-    forward += np.einsum("q,iq,qj->ij", w2, Kyx.T, E_y)
-    forward -= np.einsum("q,iqj->ij", w2, dq)
+    forward += (Kyx.T * w2) @ E_y
+    forward -= w2 @ dq
 
     # flat-interval master inverse rows at collocation points
     X = xs[:, None] - s[None, :]
@@ -148,7 +148,7 @@ def real_master_operator(data: InterpolationData, n=64):
     if np.any(close_s):
         raise NearSingularError("collocation and quadrature grids collide")
     dq_s = _difference_quotient_rows(X, close_s, E_x, E_s, D_x)
-    Dinv_x = np.einsum("p,ipj->ij", w1, dq_s) / (8 * np.pi)
+    Dinv_x = (w1 @ dq_s) / (8 * np.pi)
 
     # K_J functional (flat interval)
     kJ = (w1 @ E_s) / np.pi
@@ -161,8 +161,8 @@ def real_master_operator(data: InterpolationData, n=64):
     tau_x_til = tau_x - kJ_tau[None, :]
     tau_s_til = tau_s - kJ_tau[None, :]
 
-    T_x = np.einsum("iq,q,qj->ij", tau_x_til, w2, E_y)
-    T_s = np.einsum("pq,q,qj->pj", tau_s_til, w2, E_y)
+    T_x = (tau_x_til * w2) @ E_y
+    T_s = (tau_s_til * w2) @ E_y
 
     # L = flat-inverse of the projected correction, as a dense matrix:
     # L[r] = (1/8pi) sum_p w1_p (T_s[p] - T_x[r]) / (s_p - x_r)
@@ -177,7 +177,7 @@ def real_master_operator(data: InterpolationData, n=64):
     inv_mat = np.linalg.solve(A, Dinv_x)
 
     # K_{gamma_t}[g] = K_J[g] - K_J[ tau(., y) f(y) dy ] with f the inverse
-    tau_row_s = np.einsum("q,pq,qj->pj", w2, tau_s, E_y)   # int tau(s_p, y) f(y) dy
+    tau_row_s = (tau_s * w2) @ E_y                       # int tau(s_p, y) f(y) dy
     k_row = kJ - (w1 @ (tau_row_s @ inv_mat)) / np.pi
 
     return DiscretizedOperator(colloc, forward, k_row, inv_mat, nu, E_y, D_x)
@@ -204,7 +204,7 @@ def complex_master_operator(data: InterpolationData, n=64):
     rows = _difference_quotient_rows(zx[:, None] - zy[None, :], _near_pairs(xs, y),
                                      E_x, E_y, Dz_x)
     forward = np.diag(vpx).astype(complex)
-    forward -= np.einsum("q,iqj->ij", w2, rows)
+    forward -= w2 @ rows
 
     st_s = data.st(s)
     st_x = data.st(xs)
@@ -215,10 +215,10 @@ def complex_master_operator(data: InterpolationData, n=64):
     # inverse rows: subtracted Cauchy kernel against the inverse-sqrt grid
     rows_s = _difference_quotient_rows(zx[:, None] - zs[None, :], _near_pairs(xs, s),
                                        E_x, E_s, Dz_x)
-    pref = (w1 * gps**2 * st_s)[None, :, None]
-    Dinv = np.einsum("ipj->ij", pref * rows_s) / (8 * np.pi * st_x[:, None])
+    pref = w1 * gps**2 * st_s
+    Dinv = (pref @ rows_s) / (8 * np.pi * st_x[:, None])
 
-    k_row = (w1 * gps**2 * st_s) @ E_s / (8 * np.pi)
+    k_row = pref @ E_s / (8 * np.pi)
     return DiscretizedOperator(colloc, forward, k_row, Dinv, nu, E_y, D_x)
 
 

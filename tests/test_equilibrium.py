@@ -6,6 +6,7 @@ import pytest
 from scipy.special import roots_legendre
 
 from contourgas import equilibrium as eq
+from contourgas.contour import Curve
 from contourgas.equilibrium import NoSolutionError, PathError
 from contourgas.numkit import ComplexPolynomial, make_grid, track_arg
 
@@ -106,8 +107,51 @@ def test_rt_st_consistency(rot_sol):
     z = rot_sol.curve(x)
     assert np.max(np.abs(data.st(x) - rot_sol.S(z))) < 1e-8
     R = rot_sol.R
-    rt = np.array([data.rt(zz) for zz in z])
+    rt = data.rt(z)
     assert np.max(np.abs(rt - R(z)) / np.abs(R(z))) < 1e-8
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.5, 1.0])
+def test_pin_evaluators_batch_equals_pointwise(rot_sol, t):
+    # on-curve points and points off the curve on either side, in one array
+    data = eq.interpolation_data(rot_sol, t)
+    g = data.curve(np.array([0.1, 0.3, 0.5, 0.7, 0.9]))
+    z = np.concatenate([g, g + 0.02j, g - 0.03])
+    # a batch and single calls round S(z) differently (each single inversion
+    # stops at its own residual target); a relative change d of S(z) moves
+    # st_at by d |S|, rt by 2 d |rt| and vt_prime by
+    # d |S| (|z - mid| + int |s(y) (gamma(y) - z)|^-1 dnu(y))
+    S = np.abs(data.st_at(z))
+    y, w = data.nu.nodes, data.nu.weights
+    cauchy = np.sum(w / np.abs(data.st(y) * (data.curve(y) - z[:, None])), axis=1)
+    scales = ((data.st_at, S), (data.rt, 2 * np.abs(data.rt(z))),
+              (data.vt_prime, S * (np.abs(z - rot_sol.midpoint) + cauchy)))
+    for f, scale in scales:
+        batch = f(z)
+        single = [f(complex(zz)) for zz in z]
+        assert all(isinstance(v, complex) for v in single)
+        assert batch.shape == z.shape
+        assert np.max(np.abs(batch - single) / scale) < 1e-14
+
+
+def test_vt_gamma_pins_with_one_curve_inversion(rot_sol, monkeypatch):
+    data = eq.interpolation_data(rot_sol, 0.5)
+    calls = []
+    invert = Curve.invert
+    monkeypatch.setattr(Curve, "invert",
+                        lambda self, *a, **k: calls.append(a) or invert(self, *a, **k))
+    data.vt_gamma
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.5])
+def test_pinned_potential_matches_path_integral(rot_sol, t):
+    # two independent routes to V_t on the member: the antiderivative of the
+    # subtracted-kernel slope (pinned at x = 1/2 only) and the path integral
+    # of the prefactor-difference slope from the endpoint midpoint
+    data = eq.interpolation_data(rot_sol, t)
+    x = np.array([0.1, 0.3, 0.8, 0.97])
+    assert np.max(np.abs(data.vt_gamma(x) - data.vt(data.curve(x)))) < 1e-11
 
 
 def _prefactor_formula(sol, t, x):

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
+from contourgas import numkit
 from contourgas.numkit import (BranchError, ChebSeries, ComplexPolynomial,
                                InvalidPotentialError, NetMassError,
                                log_energy_form, make_grid, pairwise_sum,
@@ -87,6 +88,19 @@ def test_grid_two_point_legendre():
     for j in range(4):
         exact = (1 - (-1) ** (j + 1)) / (j + 1)
         assert g.integrate(g.nodes**j) == pytest.approx(exact, abs=1e-14)
+
+
+def test_grid_legendre_rule_is_cached_safely():
+    a = make_grid("gauss_legendre", 7, (-1.0, 1.0))
+    b = make_grid("gauss_legendre", 7, (-1.0, 1.0))
+    assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
+    nodes, weights = a.nodes.copy(), a.weights.copy()
+    a.nodes[:] = 0.0
+    a.weights[:] = 0.0
+    c = make_grid("gauss_legendre", 7, (-1.0, 1.0))
+    assert np.array_equal(c.nodes, nodes) and np.array_equal(c.weights, weights)
+    x, w = numkit._legendre_rule(7)
+    assert not x.flags.writeable and not w.flags.writeable
 
 
 def test_grid_semicircle_mass():
