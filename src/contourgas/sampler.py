@@ -92,6 +92,23 @@ def _reflect(x, lo, hi):
     return lo + y
 
 
+def _curve_and_slope(curve: Curve):
+    """gamma and gamma' as one two-column series on their common interval,
+    the shorter coefficient column padded with zeros."""
+    g, d1 = curve.g, curve.d1
+    coef = np.zeros((max(len(g.coef), len(d1.coef)), 2), dtype=complex)
+    coef[:len(g.coef), 0] = g.coef
+    coef[:len(d1.coef), 1] = d1.coef
+    return ChebSeries(g.lo, g.hi, coef)
+
+
+def _pair_logs(G):
+    """L[c, i, j] = log|G[c, i] - G[c, j]|, with a zero diagonal."""
+    d = np.abs(G[:, :, None] - G[:, None, :])
+    d[:, np.arange(G.shape[1]), np.arange(G.shape[1])] = 1.0
+    return np.log(d)
+
+
 def sample_real_model(chain: ParticleChain, sweeps, burn_fraction=0.2):
     """Single-site Metropolis sweeps, vectorized across chains, on the
     member curve and potential series the chain holds.
@@ -99,14 +116,25 @@ def sample_real_model(chain: ParticleChain, sweeps, burn_fraction=0.2):
     Returns (snapshots, info): snapshots has shape (n_kept, n_chains, N)
     with one retained configuration per post-burn-in sweep (N moves per
     retained sample).  The proposal width is adapted toward acceptance 0.35
-    during burn-in; a final rate outside [0.2, 0.6] raises."""
+    during burn-in; a final rate outside [0.2, 0.6] raises.
+
+    Each call caches the pair logs L[c, i, j] = log|G[c, i] - G[c, j]| of
+    the current curve points G, with a zero diagonal; an accepted move
+    rewrites row and column i, so L matches G before every step and a site
+    step computes only the proposal's row (|a - b| and |b - a| agree to the
+    bit, so the current row's sum is the one a fresh row would give).
+    Site i is untouched until its own turn in a sweep, so its proposal, the
+    slope and potential terms of its ratio, and the positions, slopes and
+    potentials of its accepted moves are batched per sweep; only G changes
+    per site, because later sites read it."""
     C, N = chain.positions.shape
     beta, lo, hi = chain.beta, chain.domain[0], chain.domain[1]
-    curve = chain.curve
+    gd, phi_s = _curve_and_slope(chain.curve), chain.phi
     pos = chain.positions
-    G = curve(pos)
-    logdg = np.log(np.abs(curve.deriv1(pos)))
-    phi = chain.phi(pos)
+    G, dg = np.moveaxis(gd.vander(pos) @ gd.coef, -1, 0)
+    logdg = np.log(np.abs(dg))
+    phi = phi_s.vander(pos) @ phi_s.coef
+    L = _pair_logs(G)
     burn = int(burn_fraction * sweeps)
     sigma = chain.step_scale
     kept = []
@@ -114,45 +142,47 @@ def sample_real_model(chain: ParticleChain, sweeps, burn_fraction=0.2):
     tot_block = 0
     acc_total = 0
     tot_total = 0
-    for sweep in range(sweeps + burn):
-        noise = np.stack([r.standard_normal(N) for r in chain.rngs])
-        unif = np.stack([r.random(N) for r in chain.rngs])
-        # site i is untouched until its own turn, so all proposals and their
-        # (curve, slope, potential) values can be batched per sweep
-        props = _reflect(pos + sigma * noise, lo, hi)
-        gP = curve(props)
-        ldP = np.log(np.abs(curve.deriv1(props)))
-        phP = chain.phi(props)
-        log_thresh = np.log(unif + 1e-300)
-        for i in range(N):
-            diff_new = np.abs(gP[:, i][:, None] - G)
-            diff_old = np.abs(G[:, i][:, None] - G)
-            diff_new[:, i] = 1.0
-            diff_old[:, i] = 1.0
-            with np.errstate(divide="ignore"):
-                logr = beta * (np.sum(np.log(diff_new), axis=1)
-                               - np.sum(np.log(diff_old), axis=1))
-            logr += ldP[:, i] - logdg[:, i]
-            logr += -N * beta * (phP[:, i] - phi[:, i])
-            take = log_thresh[:, i] < logr
-            if np.any(take):
-                pos[take, i] = props[take, i]
-                G[take, i] = gP[take, i]
-                logdg[take, i] = ldP[take, i]
-                phi[take, i] = phP[take, i]
-            acc_block += int(np.sum(take))
-            tot_block += C
-        if sweep < burn:
-            if (sweep + 1) % 20 == 0:
-                rate = acc_block / max(tot_block, 1)
-                sigma *= float(np.exp(1.2 * (rate - 0.35)))
-                sigma = min(max(sigma, 1e-5), 1.5 * (hi - lo))
+    moved = np.empty((C, N), dtype=bool)
+    with np.errstate(divide="ignore"):
+        for sweep in range(sweeps + burn):
+            noise = np.stack([r.standard_normal(N) for r in chain.rngs])
+            unif = np.stack([r.random(N) for r in chain.rngs])
+            props = _reflect(pos + sigma * noise, lo, hi)
+            gP, dP = np.moveaxis(gd.vander(props) @ gd.coef, -1, 0)
+            ldP = np.log(np.abs(dP))
+            phP = phi_s.vander(props) @ phi_s.coef
+            slope_term = ldP - logdg
+            pot_term = -N * beta * (phP - phi)
+            log_thresh = np.log(unif + 1e-300)
+            for i in range(N):
+                row = np.abs(gP[:, i][:, None] - G)
+                row[:, i] = 1.0
+                row = np.log(row)
+                logr = beta * (row.sum(axis=1) - L[:, i].sum(axis=1))
+                logr += slope_term[:, i]
+                logr += pot_term[:, i]
+                take = log_thresh[:, i] < logr
+                moved[:, i] = take
+                if take.any():
+                    G[take, i] = gP[take, i]
+                    np.copyto(L[:, i], row, where=take[:, None])
+                    np.copyto(L[:, :, i], row, where=take[:, None])
+            np.copyto(pos, props, where=moved)
+            np.copyto(logdg, ldP, where=moved)
+            np.copyto(phi, phP, where=moved)
+            acc_block += int(moved.sum())
+            tot_block += C * N
+            if sweep < burn:
+                if (sweep + 1) % 20 == 0:
+                    rate = acc_block / max(tot_block, 1)
+                    sigma *= float(np.exp(1.2 * (rate - 0.35)))
+                    sigma = min(max(sigma, 1e-5), 1.5 * (hi - lo))
+                    acc_block = tot_block = 0
+            else:
+                acc_total += acc_block
+                tot_total += tot_block
                 acc_block = tot_block = 0
-        else:
-            acc_total += acc_block
-            tot_total += tot_block
-            acc_block = tot_block = 0
-            kept.append(pos.copy())
+                kept.append(pos.copy())
     rate = acc_total / max(tot_total, 1)
     band_warning = None
     if not (0.2 <= rate <= 0.6):
@@ -192,9 +222,8 @@ def regularize(positions, N=None):
     x = np.sort(np.asarray(positions, dtype=float))
     N = N or len(x)
     gap = N**-3.0
-    out = x.copy()
-    for k in range(1, len(x)):
-        out[k] = out[k - 1] + max(x[k] - x[k - 1], gap)
+    # a sequential accumulate, in the order of out[k] = out[k-1] + max(dx, gap)
+    out = np.cumsum(np.concatenate([x[:1], np.maximum(np.diff(x), gap)]))
     widths = np.full(len(x), N**-6.0)
     masses = np.full(len(x), 1.0 / len(x))
     return out, widths, masses
@@ -354,17 +383,16 @@ def phase_expectation_mc(data: InterpolationData, N, beta, sweeps=600,
     snaps, info = sample_real_model(chain, sweeps)
     vals = []
     for snap in snaps:
-        for c in range(snap.shape[0]):
-            xs = snap[c]
-            Vx = p.vander(xs)
-            M = Vx @ Ca @ Vx.T
-            a_LL = M.mean()
-            a_Lnu = (Vx @ abar_coef).mean()
-            quad = a_LL - 2 * a_Lnu + a_nu_nu
-            lin = (Vx @ cp).mean() - p_nu
-            g_in = 0.5j * beta * N * N * quad + 1j * N * (1 - beta / 2) * lin
-            vals.append(np.exp(g_in))
-    vals = np.asarray(vals)
+        # one Vandermonde block for all chains of a snapshot; the whole
+        # run's at once would hold n_kept * n_chains * N * (n_c + 1) floats
+        V = p.vander(snap)                                  # (chains, N, n_c + 1)
+        a_LL = (V @ Ca @ V.transpose(0, 2, 1)).mean(axis=(1, 2))
+        a_Lnu = (V @ abar_coef).mean(axis=1)
+        quad = a_LL - 2 * a_Lnu + a_nu_nu
+        lin = (V @ cp).mean(axis=1) - p_nu
+        g_in = 0.5j * beta * N * N * quad + 1j * N * (1 - beta / 2) * lin
+        vals.append(np.exp(g_in))
+    vals = np.concatenate(vals)
     est = vals.mean()
     se = max(vals.real.std(), vals.imag.std()) / np.sqrt(len(vals))
     if se > 0.05:

@@ -5,7 +5,7 @@ import pytest
 
 from contourgas import equilibrium as eq
 from contourgas import sampler as sp
-from contourgas.numkit import make_grid, semicircle_rule
+from contourgas.numkit import ChebSeries, make_grid, semicircle_rule
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +69,27 @@ def test_regularize_examples():
     # idempotent on its own output
     out3, _, _ = sp.regularize(out, 2)
     assert np.allclose(out3, out)
+
+
+def _regularize_loop(x, gap):
+    out = x.copy()
+    for k in range(1, len(x)):
+        out[k] = out[k - 1] + max(x[k] - x[k - 1], gap)
+    return out
+
+
+def test_regularize_matches_sequential_loop():
+    # the accumulate reproduces the loop to the bit, ties and gaps at the
+    # N^-3 scale included
+    rng = np.random.default_rng(8)
+    cases = [np.array([0.3]), np.full(7, 0.25)]
+    for n in rng.integers(1, 1001, size=30):
+        cases.append(rng.integers(0, n, size=n) / n**2)                 # ties
+        cases.append(np.cumsum(rng.random(n) * 2 * float(n) ** -3))     # gaps near N^-3
+        cases.append(rng.random(n))
+    for x in cases:
+        out, _, _ = sp.regularize(x, len(x))
+        assert np.array_equal(out, _regularize_loop(np.sort(x), len(x) ** -3.0))
 
 
 def test_log_energy_distance_identical(quad_data_t0):
@@ -161,3 +182,113 @@ def test_single_chain_has_no_gelman_rubin(quad_data_t0):
     snaps, info = sp.sample_real_model(chain, 30)
     assert snaps.shape[1] == 1
     assert info["gelman_rubin"] is None
+
+
+def _reference_sample(chain, sweeps, burn_fraction=0.2):
+    """Reference kernel: both pair rows recomputed in full at every site
+    step, and every series read by Clenshaw at every sweep."""
+    C, N = chain.positions.shape
+    beta, (lo, hi) = chain.beta, chain.domain
+    curve, pos, sigma = chain.curve, chain.positions, chain.step_scale
+    G = curve(pos)
+    logdg = np.log(np.abs(curve.deriv1(pos)))
+    phi = chain.phi(pos)
+    burn = int(burn_fraction * sweeps)
+    kept, acc, tot, acc_total, tot_total = [], 0, 0, 0, 0
+    for sweep in range(sweeps + burn):
+        noise = np.stack([r.standard_normal(N) for r in chain.rngs])
+        unif = np.stack([r.random(N) for r in chain.rngs])
+        props = sp._reflect(pos + sigma * noise, lo, hi)
+        gP, ldP, phP = curve(props), np.log(np.abs(curve.deriv1(props))), chain.phi(props)
+        log_thresh = np.log(unif + 1e-300)
+        for i in range(N):
+            diff_new = np.abs(gP[:, i][:, None] - G)
+            diff_old = np.abs(G[:, i][:, None] - G)
+            diff_new[:, i] = diff_old[:, i] = 1.0
+            with np.errstate(divide="ignore"):
+                logr = beta * (np.sum(np.log(diff_new), axis=1)
+                               - np.sum(np.log(diff_old), axis=1))
+            logr += ldP[:, i] - logdg[:, i]
+            logr += -N * beta * (phP[:, i] - phi[:, i])
+            take = log_thresh[:, i] < logr
+            pos[take, i], G[take, i] = props[take, i], gP[take, i]
+            logdg[take, i], phi[take, i] = ldP[take, i], phP[take, i]
+            acc, tot = acc + int(np.sum(take)), tot + C
+        if sweep < burn:
+            if (sweep + 1) % 20 == 0:
+                sigma *= float(np.exp(1.2 * (acc / max(tot, 1) - 0.35)))
+                sigma = min(max(sigma, 1e-5), 1.5 * (hi - lo))
+                acc = tot = 0
+        else:
+            acc_total, tot_total, acc, tot = acc_total + acc, tot_total + tot, 0, 0
+            kept.append(pos.copy())
+    rate = acc_total / max(tot_total, 1)
+    if not 0.2 <= rate <= 0.6 and not (rate > 0.6 and sigma >= 1.4 * (hi - lo)):
+        raise sp.TuningError(f"acceptance {rate:.2f} outside [0.2, 0.6] after tuning")
+    chain.acceptance, chain.step_scale = rate, sigma
+    return np.array(kept), {"acceptance": rate, "step_scale": sigma}
+
+
+def _outcome(sample, chain, sweeps):
+    """What a sampling call leaves: its snapshots, acceptance and step
+    scale (or its tuning error), and the chain's final positions."""
+    try:
+        snaps, info = sample(chain, sweeps)
+        out = [snaps, info["acceptance"], info["step_scale"]]
+    except sp.TuningError as exc:
+        out = [str(exc)]
+    return out + [chain.positions.copy()]
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+@pytest.mark.parametrize("beta", [2.0, 4.0])
+@pytest.mark.parametrize("N, n_chains, sweeps", [(1, 4, 200), (2, 4, 100),
+                                                 (7, 3, 40), (33, 3, 25)])
+def test_sampler_matches_reference_kernel(rot_sol, t, beta, N, n_chains, sweeps):
+    # the cached pair logs and per-sweep local terms reproduce the full
+    # recompute's chain to the bit; a second call on the same chain (which
+    # rebuilds the cache) too.  At t = 0 the slope series is shorter than
+    # the curve's and is padded.
+    data = eq.interpolation_data(rot_sol, t)
+    fast = sp.make_chain(data, N, beta, n_chains=n_chains, seed=17)
+    ref = sp.make_chain(data, N, beta, n_chains=n_chains, seed=17)
+    for _ in range(2):
+        got = _outcome(sp.sample_real_model, fast, sweeps)
+        want = _outcome(_reference_sample, ref, sweeps)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_sampler_evaluates_two_series_per_sweep(rot_data_t1, monkeypatch):
+    # curve and slope share one Vandermonde product, the potential has its
+    # own: two series evaluations per sweep and two at the start (the full
+    # per-series evaluation made three of each)
+    chain = sp.make_chain(rot_data_t1, 8, 2.0, n_chains=4, seed=5)
+    calls = []
+    for name in ("__call__", "vander"):
+        method = getattr(ChebSeries, name)
+        monkeypatch.setattr(ChebSeries, name, lambda self, *a, _m=method, **k:
+                            calls.append(_m) or _m(self, *a, **k))
+    sweeps = 50
+    sp.sample_real_model(chain, sweeps)
+    assert len(calls) <= 2 * (sweeps + int(0.2 * sweeps)) + 2
+
+
+def test_phase_expectation_matches_per_configuration_loop(rot_data_t1):
+    # the per-snapshot batched statistic against one configuration at a time
+    data, N, beta, sweeps, seed = rot_data_t1, 16, 2.0, 80, 6
+    est, se, _ = sp.phase_expectation_mc(data, N, beta, sweeps=sweeps, seed=seed)
+    Ca, p = sp._angle_surface(data)
+    nu = semicircle_rule(192)
+    vbar = nu.weights @ p.vander(nu.nodes)
+    snaps, _ = sp.sample_real_model(sp.make_chain(data, N, beta, seed=seed), sweeps)
+    vals = []
+    for xs in snaps.reshape(-1, N):
+        Vx = p.vander(xs)
+        quad = (Vx @ Ca @ Vx.T).mean() - 2 * (Vx @ (Ca @ vbar)).mean() + vbar @ Ca @ vbar
+        lin = (Vx @ p.coef).mean() - vbar @ p.coef
+        vals.append(np.exp(0.5j * beta * N * N * quad + 1j * N * (1 - beta / 2) * lin))
+    vals = np.asarray(vals)
+    ref_se = max(vals.real.std(), vals.imag.std()) / np.sqrt(len(vals))
+    assert abs(est - vals.mean()) <= 1e-12 * abs(vals.mean())
+    assert abs(se - ref_se) <= 1e-12 * ref_se
