@@ -55,6 +55,10 @@ class RunConfig:
             raise ConfigError("tolerances must be positive")
         if not (0.0 <= self.t <= 1.0):
             raise ConfigError("interpolation parameter t must lie in [0, 1]")
+        if self.N < 1:
+            raise ConfigError("particle count N must be >= 1")
+        if self.sweeps < 1:
+            raise ConfigError("sweeps must be >= 1")
         return self
 
 

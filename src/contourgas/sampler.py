@@ -48,7 +48,9 @@ def _semicircle_quantiles(N):
 class ParticleChain:
     """Chains of the real model on the member curve: the weight of a
     configuration is prod |gamma'(x_i)| e^{-N beta phi(x_i)} times
-    prod |gamma(x_i) - gamma(x_j)|^beta, read off the member's own series."""
+    prod |gamma(x_i) - gamma(x_j)|^beta, read off the member's own series.
+    Each sampling call re-expands those series, once, as one real series on
+    the chain's domain."""
 
     positions: np.ndarray          # (n_chains, N)
     beta: float
@@ -66,6 +68,8 @@ def make_chain(data: InterpolationData, N, beta, n_chains=8, seed=12345):
     semicircle quantiles; per-chain RNG streams are spawned from the seed
     (stream k = SeedSequence(seed).spawn[k]).  The chain holds the member
     curve and the real part of its potential series."""
+    if N < 1:
+        raise ValueError(f"particle count must be >= 1, got {N}")
     dom = (-data.sol.pad, 1 + data.sol.pad)
     vt = data.vt_gamma
     # for real x the real part of a complex-coefficient series is the
@@ -92,14 +96,22 @@ def _reflect(x, lo, hi):
     return lo + y
 
 
-def _curve_and_slope(curve: Curve):
-    """gamma and gamma' as one two-column series on their common interval,
-    the shorter coefficient column padded with zeros."""
-    g, d1 = curve.g, curve.d1
-    coef = np.zeros((max(len(g.coef), len(d1.coef)), 2), dtype=complex)
-    coef[:len(g.coef), 0] = g.coef
-    coef[:len(d1.coef), 1] = d1.coef
-    return ChebSeries(g.lo, g.hi, coef)
+def _chain_series(chain: ParticleChain):
+    """Re gamma, Im gamma, Re gamma', Im gamma' and phi as one real
+    five-column series on the chain's domain, interpolated at the Chebyshev
+    points of the highest of the three degrees.  The domain lies inside both
+    fit intervals, so these are the same polynomials to rounding."""
+    g, d1, phi = chain.curve.g, chain.curve.d1, chain.phi
+    lo, hi = chain.domain
+    x = ChebSeries.nodes(lo, hi, max(len(s.coef) for s in (g, d1, phi)) - 1)
+    gx, dx = g(x), d1(x)
+    return ChebSeries.fit(lo, hi, np.stack([gx.real, gx.imag, dx.real, dx.imag, phi(x)], 1))
+
+
+def _local_terms(series, x):
+    """gamma, log|gamma'| and phi at x: one product with the chain series."""
+    re, im, dre, dim, phi = np.moveaxis(series.vander(x) @ series.coef, -1, 0)
+    return re + 1j * im, np.log(np.hypot(dre, dim)), phi
 
 
 def _pair_logs(G):
@@ -111,7 +123,9 @@ def _pair_logs(G):
 
 def sample_real_model(chain: ParticleChain, sweeps, burn_fraction=0.2):
     """Single-site Metropolis sweeps, vectorized across chains, on the
-    member curve and potential series the chain holds.
+    member curve and potential series the chain holds, re-expanded once per
+    call as one real five-column series on the chain's domain, so gamma,
+    gamma' and phi at all proposals of a sweep cost one Vandermonde product.
 
     Returns (snapshots, info): snapshots has shape (n_kept, n_chains, N)
     with one retained configuration per post-burn-in sweep (N moves per
@@ -127,13 +141,13 @@ def sample_real_model(chain: ParticleChain, sweeps, burn_fraction=0.2):
     slope and potential terms of its ratio, and the positions, slopes and
     potentials of its accepted moves are batched per sweep; only G changes
     per site, because later sites read it."""
+    if sweeps < 1:
+        raise ValueError(f"sweep count must be >= 1, got {sweeps}")
     C, N = chain.positions.shape
     beta, lo, hi = chain.beta, chain.domain[0], chain.domain[1]
-    gd, phi_s = _curve_and_slope(chain.curve), chain.phi
+    series = _chain_series(chain)
     pos = chain.positions
-    G, dg = np.moveaxis(gd.vander(pos) @ gd.coef, -1, 0)
-    logdg = np.log(np.abs(dg))
-    phi = phi_s.vander(pos) @ phi_s.coef
+    G, logdg, phi = _local_terms(series, pos)
     L = _pair_logs(G)
     burn = int(burn_fraction * sweeps)
     sigma = chain.step_scale
@@ -148,9 +162,7 @@ def sample_real_model(chain: ParticleChain, sweeps, burn_fraction=0.2):
             noise = np.stack([r.standard_normal(N) for r in chain.rngs])
             unif = np.stack([r.random(N) for r in chain.rngs])
             props = _reflect(pos + sigma * noise, lo, hi)
-            gP, dP = np.moveaxis(gd.vander(props) @ gd.coef, -1, 0)
-            ldP = np.log(np.abs(dP))
-            phP = phi_s.vander(props) @ phi_s.coef
+            gP, ldP, phP = _local_terms(series, props)
             slope_term = ldP - logdg
             pot_term = -N * beta * (phP - phi)
             log_thresh = np.log(unif + 1e-300)

@@ -35,6 +35,17 @@ def test_invalid_config_exit_code(tmp_path):
     assert "beta" in rep["error"]["message"]
 
 
+@pytest.mark.parametrize("key", ["N", "sweeps"])
+def test_empty_sample_run_rejected(tmp_path, key):
+    # no particles or no sweeps: a config error, not a failed tuning
+    cfg = _write_cfg(tmp_path, f"mode = sample\n{key} = 0\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["sample", "--config", cfg, "--out", out]) == 3
+    rep = json.load(open(os.path.join(out, "report.json")))
+    assert rep["error"]["kind"] == "invalid-config"
+    assert key in rep["error"]["message"]
+
+
 def test_unknown_key_rejected(tmp_path):
     cfg = _write_cfg(tmp_path, "mode = selberg\nbogus = 1\n")
     rc = cli.main(["selberg", "--config", cfg, "--out", str(tmp_path / "o")])

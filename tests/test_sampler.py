@@ -260,9 +260,10 @@ def test_sampler_matches_reference_kernel(rot_sol, t, beta, N, n_chains, sweeps)
 
 
 def test_sampler_evaluates_two_series_per_sweep(rot_data_t1, monkeypatch):
-    # curve and slope share one Vandermonde product, the potential has its
-    # own: two series evaluations per sweep and two at the start (the full
-    # per-series evaluation made three of each)
+    # curve, slope and potential are one real series on the chain's domain:
+    # one Vandermonde product per sweep and one at the start, after three
+    # evaluations at its interpolation nodes (two products per sweep when
+    # the potential had its own series)
     chain = sp.make_chain(rot_data_t1, 8, 2.0, n_chains=4, seed=5)
     calls = []
     for name in ("__call__", "vander"):
@@ -271,7 +272,33 @@ def test_sampler_evaluates_two_series_per_sweep(rot_data_t1, monkeypatch):
                             calls.append(_m) or _m(self, *a, **k))
     sweeps = 50
     sp.sample_real_model(chain, sweeps)
-    assert len(calls) <= 2 * (sweeps + int(0.2 * sweeps)) + 2
+    assert len(calls) <= sweeps + int(0.2 * sweeps) + 4
+
+
+@pytest.mark.parametrize("sol", ["rot_sol", "cubic_sol", "quad_sol"])
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.5, 1.0])
+def test_chain_series_matches_member_series(sol, t, request):
+    # the five real columns are the member's curve, slope and potential
+    # re-expanded on the chain's domain: the same polynomials to rounding
+    data = eq.interpolation_data(request.getfixturevalue(sol), t)
+    chain = sp.make_chain(data, 4, 2.0, n_chains=1, seed=3)
+    series = sp._chain_series(chain)
+    assert series.coef.dtype == np.float64 and series.coef.shape[1] == 5
+    assert (series.lo, series.hi) == chain.domain
+    x = np.linspace(*chain.domain, 2001)
+    v = series(x)
+    for got, want in ((v[0] + 1j * v[1], chain.curve.g(x)),
+                      (np.hypot(v[2], v[3]), np.abs(chain.curve.d1(x))),
+                      (v[4], chain.phi(x))):
+        assert np.max(np.abs(got - want)) <= 2e-12 * np.max(np.abs(want))
+
+
+def test_empty_runs_raise(quad_data_t0):
+    with pytest.raises(ValueError, match="particle count"):
+        sp.make_chain(quad_data_t0, 0, 2.0)
+    chain = sp.make_chain(quad_data_t0, 4, 2.0, n_chains=2, seed=1)
+    with pytest.raises(ValueError, match="sweep count"):
+        sp.sample_real_model(chain, 0)
 
 
 def test_phase_expectation_matches_per_configuration_loop(rot_data_t1):
