@@ -59,6 +59,12 @@ class RunConfig:
             raise ConfigError("particle count N must be >= 1")
         if self.sweeps < 1:
             raise ConfigError("sweeps must be >= 1")
+        if self.nodes < 1:
+            raise ConfigError("nodes must be >= 1")
+        if any(n < 1 for n in self.N_list):
+            raise ConfigError("every N_list entry must be >= 1")
+        if self.mode == "quadrature" and self.N > 4:
+            raise ConfigError("quadrature mode needs particle count N <= 4")
         return self
 
 
@@ -267,8 +273,7 @@ def run_verify(cfg):
     from .numkit import ComplexPolynomial, make_grid, log_energy_form
     from .equilibrium import solve_one_cut, interpolation_data
     from . import operators as ops
-    from .fluctuations import (KernelPair, finite_rank_oracle, fredholm_expectation,
-                               gaussian_law, structured_index_map)
+    from .fluctuations import finite_rank_oracle, gaussian_law
     from .partition import selberg_exact, selberg_expansion, z_complex_quadrature, quadratic_line_domain
 
     rng = np.random.default_rng(cfg.seed)
@@ -318,20 +323,15 @@ def run_verify(cfg):
     add("partition.residual_decay", abs(r[2] - r[1]) <= 0.6 * abs(r[1] - r[0]),
         abs(r[2] - r[1]) / max(abs(r[1] - r[0]), 1e-300), 0.6, "selberg")
 
-    # finite rank identity
-    n2 = 4
-    T = structured_index_map(n2 // 2)
-    G = rng.normal(size=(n2, n2)) * 0.3
-    B = T @ (G @ G.T) @ T.conj().T
-    mu = T @ rng.normal(size=n2)
-    A = rng.normal(size=(n2, n2)) + 1j * rng.normal(size=(n2, n2))
-    A = 0.2 * (A + A.conj().T)
-    A = 0.5 * (A + A[::-1, ::-1].T)
-    lam = rng.normal(size=n2) + 1j * rng.normal(size=n2)
-    lam = 0.5 * (lam + lam[::-1].conj())
-    kp = KernelPair(np.arange(n2, dtype=float), np.ones(n2), A, lam, B, mu, (0, 0))
-    diff = abs(fredholm_expectation(kp, cfg.beta) - finite_rank_oracle(B, mu, A, lam, cfg.beta))
-    add("fluctuations.finite_rank", diff < 1e-9, diff, 1e-9, "finite-rank-lemma")
+    # finite-rank formula on one real Gaussian variable xi ~ N(m, s^2):
+    # E exp(i beta (a xi^2 / 2 + l xi)) in closed form
+    a, m, l, s = rng.normal(size=4)
+    b = cfg.beta
+    d = 1 - 1j * b * a * s**2
+    closed = d**-0.5 * np.exp(1j * b * (a * m**2 / 2 + l * m)
+                              - b**2 * s**2 * (a * m + l) ** 2 / (2 * d))
+    diff = abs(finite_rank_oracle([[s**2]], [m], [[a]], [l], b) - closed)
+    add("fluctuations.finite_rank", diff < 1e-12, diff, 1e-12, "closed-form")
 
     # CLT closed value
     law = gaussian_law(data, cfg.beta, n=32)

@@ -1,6 +1,7 @@
 """Fluctuation functionals of linear statistics, the phase kernels of the
-complex/real partition-function ratio, their Fourier transforms, and the
-Gaussian expectation evaluated through a Fredholm determinant."""
+complex/real partition-function ratio as Chebyshev series, and the Gaussian
+expectation of the phase functional through the finite-rank determinant
+formula in that basis."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import InterpolationData
-from .numkit import make_grid, pairwise_sum, semicircle_rule, tensor_quadrature, track_arg
+from .numkit import ChebSeries, make_grid, pairwise_sum, semicircle_rule, tensor_quadrature, track_arg
 from .operators import DiscretizedOperator, complex_master_operator, real_master_operator
 from .partition import _log_weights
 
@@ -102,38 +103,23 @@ def wick_moments(fs, law: GaussianLaw):
 
 # -- phase kernels -----------------------------------------------------------
 
-
-def smooth_cutoff(x, inner, outer):
-    """C-infinity plateau function: 1 on [-inner, 1+inner], 0 outside
-    [-outer, 1+outer]."""
-    x = np.asarray(x, dtype=float)
-
-    def h(s):
-        out = np.zeros_like(s)
-        pos = s > 0
-        out[pos] = np.exp(-1.0 / s[pos])
-        return out
-
-    def ramp(s):
-        a = h(s)
-        return a / (a + h(1.0 - s))
-
-    left = ramp((x + outer) / (outer - inner))
-    right = ramp((1 + outer - x) / (outer - inner))
-    return left * right
+# Chebyshev degree of the phase kernels on the outer interval; their
+# coefficients fall below 1e-8 by degree 32, and truncating the Gaussian
+# data to 64 coefficients moves the expectation by about 1e-12
+_N_C = 96
 
 
 @dataclass
 class KernelPair:
-    """Fourier data of the phase kernels on a symmetric frequency grid."""
+    """The phase functional and its Gaussian law in the Chebyshev basis
+    T_0..T_{_N_C} of the outer interval: a(x, y) = sum A_jk T_j(x) T_k(y),
+    p(x) = sum P_k T_k(x), and the limit law's mean m_k and covariance
+    B_jk of the centred linear statistics xi(T_k)."""
 
-    freq: np.ndarray
-    weights: np.ndarray
     A: np.ndarray
     P: np.ndarray
     B: np.ndarray
     m: np.ndarray
-    cutoff: tuple
 
 
 def pair_angles(data: InterpolationData, x):
@@ -153,102 +139,44 @@ def pair_angles(data: InterpolationData, x):
     return p, (ang + ang.T) / 2
 
 
-def phase_kernels(data: InterpolationData, n_x=192, inner=None, outer=None):
-    """Smooth compactly supported phase kernels of the deformed curve:
-    the pair argument a_t(x,y) and the slope argument p_t(x), with branches
-    fixed by continuity from the diagonal.
-
-    Returns (x_grid, x_weights, a_matrix, p_vector)."""
-    sol = data.sol
-    inner = sol.pad if inner is None else inner
-    outer = sol.curve.analytic_pad if outer is None else outer
-    if outer <= inner:
-        raise ValueError("cutoff needs outer > inner")
-    gl = make_grid("gauss_legendre", n_x, (-outer, 1 + outer))
-    x = gl.nodes
-    p_raw, ang = pair_angles(data, x)
-    chi = smooth_cutoff(x, inner, outer)
-    a = chi[:, None] * chi[None, :] * ang
-    p = chi * p_raw
-    return x, gl.weights, a, p
-
-
-def fourier_kernels(data: InterpolationData, beta, law: GaussianLaw = None,
-                    n_freq=256, freq_max=None, n_x=192):
-    """Assemble the Fourier-side kernel pair: transforms of the phase
-    kernels and the law's mean/covariance on complex exponentials."""
-    law = law or gaussian_law(data, beta)
-    x, wx, a, p = phase_kernels(data, n_x=n_x)
+def phase_kernels(data: InterpolationData):
+    """Chebyshev series of degree _N_C of the two phase kernels over the
+    outer interval [-analytic_pad, 1 + analytic_pad], interpolated at its
+    Chebyshev points.  Returns the pair-kernel coefficient matrix Ca, with
+    a(x, y) = v(x) @ Ca @ v(y) for v = p.vander, and the slope-kernel
+    series p."""
     outer = data.sol.curve.analytic_pad
-    L = freq_max or 16.0 / (1 + outer)
-    freq = np.linspace(-L, L, n_freq)
-    wf = np.full(n_freq, freq[1] - freq[0])
-    wf[0] = wf[-1] = 0.5 * (freq[1] - freq[0])
+    lo, hi = -outer, 1 + outer
+    p_vals, ang = pair_angles(data, ChebSeries.nodes(lo, hi, _N_C))
+    to_coef = ChebSeries.fit(lo, hi, np.eye(_N_C + 1)).coef   # values -> coefficients
+    return to_coef @ ang @ to_coef.T, ChebSeries(lo, hi, to_coef @ p_vals)
 
-    # separable 2D transform: A(u,v) = sum_jk a_jk wx_j wx_k e^{-2pi i u x_j} e^{2pi i v x_k}
-    Em = np.exp(-2j * np.pi * np.outer(freq, x)) * wx[None, :]
-    Ep = np.exp(2j * np.pi * np.outer(freq, x)) * wx[None, :]
-    A = Em @ a @ Ep.T
-    P = Em @ p
 
-    # law functionals on restricted exponentials
+def fourier_kernels(data: InterpolationData, beta, law: GaussianLaw = None):
+    """The kernel pair of the phase functional in the Chebyshev basis of
+    `phase_kernels`: A and P are the kernels' coefficients, m_k the law's
+    mean of xi(T_k) and B_jk = cov(xi(T_j), xi(T_k)), symmetrized.  No
+    Fourier transform is taken: the name and signature are kept for the
+    callers, among them the benchmark's `perfbench/limits.py`."""
+    law = law or gaussian_law(data, beta)
+    Ca, p = phase_kernels(data)
     op = law.op
-    expm = np.exp(-2j * np.pi * np.outer(freq, op.grid))  # rows: e^{-2pi i u x}
-    E_nu, D, w_nu = op.E_nu, op.D, op.nu.weights
-    # B(u,v) = (1/beta) nu( d/dx[e^{-2pi i u x}] inverse[e^{2pi i v x}] )
-    fprime_nu = (E_nu @ (D @ expm.T))                     # columns: derivative of e^{-2pi i u x}
-    u_nu = E_nu @ (op.inverse @ expm.conj().T)           # columns: inverse[e^{+2pi i v *}]
-    B = (1 / beta) * ((fprime_nu.T * w_nu) @ u_nu)
-    # m(u) = (1/beta-1/2) nu( R inverse[e^{-2pi i u x}] )
-    Um = op.inverse @ expm.T
-    m = (1 / beta - 0.5) * (w_nu @ (law.rfac[:, None] * (E_nu @ Um) + E_nu @ (D @ Um)))
-    # decay sanity: the transform of the smooth kernels must be small at the
-    # grid border, otherwise the window is too narrow
-    peak = np.abs(A).max()
-    if peak > 1e-10:  # all-noise kernels (real-line curves) are exempt
-        border = max(np.abs(A[0]).max(), np.abs(A[-1]).max(),
-                     np.abs(A[:, 0]).max(), np.abs(A[:, -1]).max())
-        if border > 5e-2 * peak:
-            raise ValueError("kernel transform has not decayed: frequency grid too small")
-    return KernelPair(freq, wf, A, P, B, m, (data.sol.pad, outer))
+    T = p.vander(op.grid)
+    U = op.inverse_apply(T)
+    U_nu = op.E_nu @ U
+    m = (1 / beta - 0.5) * (op.nu.weights @ (law.rfac[:, None] * U_nu + op.E_nu @ (op.D @ U)))
+    B = (1 / beta) * ((op.E_nu @ (op.D @ T)).T * op.nu.weights) @ U_nu
+    return KernelPair(Ca, p.coef, (B + B.T) / 2, m)
 
 
 def fredholm_expectation(kp: KernelPair, beta):
-    """Gaussian expectation of the quadratic phase functional:
+    """Gaussian expectation of the quadratic phase functional,
 
-        det(1 - i beta B A)^{-1/2}
-        * exp( i beta/2 <m, A (1-i beta B A)^{-1} m>
-               + i beta <P, (1-i beta B A)^{-1} m>
-               - beta^2/2 <P, (1-i beta B A)^{-1} B P> )
+        E[exp(i beta/2 <xi, A xi> + i beta <P, xi>)],
 
-    with the determinant branch continued from 1 at beta = 0 through the
-    real spectrum of the symmetrized product."""
-    w = kp.weights
-    sq = np.sqrt(w)
-    At = sq[:, None] * kp.A * sq[None, :]
-    Bt = sq[:, None] * kp.B * sq[None, :]
-    At = 0.5 * (At + At.conj().T)
-    Bt = 0.5 * (Bt + Bt.conj().T)
-    mt = sq * kp.m
-    Pt = sq * kp.P
-
-    evB, QB = np.linalg.eigh(Bt)
-    if evB.min() < -1e-8 * max(1.0, evB.max()):
-        raise CovarianceError(f"covariance kernel not PSD: min eig {evB.min():.2e}")
-    sqB = QB @ np.diag(np.sqrt(np.clip(evB, 0, None))) @ QB.conj().T
-    lam = np.linalg.eigvalsh(sqB @ At @ sqB)
-    factors = 1 - 1j * beta * lam
-    det_abs = np.exp(0.5 * pairwise_sum(np.log(np.abs(factors))))
-    if det_abs < 1 - 1e-9:
-        raise CovarianceError("determinant modulus below 1")
-    det_msqrt = np.prod(factors ** -0.5)
-
-    M = np.eye(len(w)) - 1j * beta * (Bt @ At)
-    Minv_m = np.linalg.solve(M, mt)
-    e = 0.5j * beta * (mt.conj() @ (At @ Minv_m))
-    e += 1j * beta * (Pt.conj() @ Minv_m)
-    e += -0.5 * beta**2 * (Pt.conj() @ np.linalg.solve(M, Bt @ Pt))
-    return det_msqrt * np.exp(e)
+    for xi with the law's mean m and covariance B: the finite-rank
+    determinant formula of `finite_rank_oracle`."""
+    return finite_rank_oracle(kp.B, kp.m, kp.A, kp.P, beta)
 
 
 def finite_rank_oracle(B, mu, A, lam, beta=1.0):
@@ -264,7 +192,10 @@ def finite_rank_oracle(B, mu, A, lam, beta=1.0):
         raise CovarianceError("B is not positive semidefinite")
     sqB = QB @ np.diag(np.sqrt(np.clip(evB, 0, None))) @ QB.conj().T
     lams = np.linalg.eigvalsh(sqB @ (0.5 * (A + A.conj().T)) @ sqB)
-    det_msqrt = np.prod((1 - 1j * lams) ** -0.5)
+    factors = 1 - 1j * lams
+    if np.exp(0.5 * pairwise_sum(np.log(np.abs(factors)))) < 1 - 1e-9:
+        raise CovarianceError("determinant modulus below 1")
+    det_msqrt = np.prod(factors ** -0.5)
     M = np.eye(len(mu)) - 1j * B @ A
     Minv_mu = np.linalg.solve(M, mu)
     e = 0.5j * (mu.conj() @ (A @ Minv_mu))

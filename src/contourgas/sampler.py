@@ -10,7 +10,7 @@ import numpy as np
 
 from .contour import Curve, semicircle_cdf
 from .equilibrium import InterpolationData
-from .fluctuations import pair_angles
+from .fluctuations import phase_kernels
 from .numkit import ChebSeries, log_energy_direct, log_energy_form, semicircle_rule
 
 __all__ = [
@@ -364,25 +364,13 @@ def edge_density_estimate(data: InterpolationData, N_list, sweeps=300,
 # -- phase expectation --------------------------------------------------------
 
 
-def _angle_surface(data: InterpolationData, n_c=96):
-    """Chebyshev series of the two phase kernels over the outer interval
-    (no cutoff factors: the samples live where the cutoff is 1).  Returns
-    the pair-kernel coefficient matrix Ca, with a(x, y) = v(x) @ Ca @ v(y)
-    for v = p.vander, and the slope-kernel series p."""
-    outer = data.sol.curve.analytic_pad
-    lo, hi = -outer, 1 + outer
-    p_vals, ang = pair_angles(data, ChebSeries.nodes(lo, hi, n_c))
-    to_coef = ChebSeries.fit(lo, hi, np.eye(n_c + 1)).coef   # values -> coefficients
-    return to_coef @ ang @ to_coef.T, ChebSeries(lo, hi, to_coef @ p_vals)
-
-
 def phase_expectation_mc(data: InterpolationData, N, beta, sweeps=600,
                          n_chains=8, seed=424242):
     """Monte Carlo estimate of the oscillatory/real partition-function
     ratio: the sample average of the exponential of the quadratic phase
     statistic under the real model.  Returns (estimate, standard error,
     sampler info)."""
-    Ca, p = _angle_surface(data)
+    Ca, p = phase_kernels(data)
     cp = p.coef
 
     nu = semicircle_rule(192)
@@ -396,8 +384,8 @@ def phase_expectation_mc(data: InterpolationData, N, beta, sweeps=600,
     vals = []
     for snap in snaps:
         # one Vandermonde block for all chains of a snapshot; the whole
-        # run's at once would hold n_kept * n_chains * N * (n_c + 1) floats
-        V = p.vander(snap)                                  # (chains, N, n_c + 1)
+        # run's at once would hold n_kept * n_chains * N * len(p.coef) floats
+        V = p.vander(snap)                                  # (chains, N, len(p.coef))
         a_LL = (V @ Ca @ V.transpose(0, 2, 1)).mean(axis=(1, 2))
         a_Lnu = (V @ abar_coef).mean(axis=1)
         quad = a_LL - 2 * a_Lnu + a_nu_nu

@@ -46,6 +46,21 @@ def test_empty_sample_run_rejected(tmp_path, key):
     assert key in rep["error"]["message"]
 
 
+@pytest.mark.parametrize("mode, line, key", [
+    ("fredholm", "nodes = 0", "nodes"),
+    ("expand", "N_list = 0 8 16", "N_list"),
+    ("quadrature", "N = 5", "N"),
+])
+def test_out_of_range_input_rejected(tmp_path, mode, line, key):
+    # each of these ended in a traceback from the numerics, not exit 3
+    cfg = _write_cfg(tmp_path, f"mode = {mode}\n{line}\n")
+    out = str(tmp_path / "out")
+    assert cli.main([mode, "--config", cfg, "--out", out]) == 3
+    rep = json.load(open(os.path.join(out, "report.json")))
+    assert rep["error"]["kind"] == "invalid-config"
+    assert key in rep["error"]["message"]
+
+
 def test_unknown_key_rejected(tmp_path):
     cfg = _write_cfg(tmp_path, "mode = selberg\nbogus = 1\n")
     rc = cli.main(["selberg", "--config", cfg, "--out", str(tmp_path / "o")])

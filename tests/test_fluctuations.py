@@ -66,76 +66,64 @@ def test_wick_moments(rot_laws):
 
 
 def test_phase_kernels_vanish_on_real_line(quartic_sol):
-    data = eq.interpolation_data(quartic_sol, 1.0)
-    x, wx, a, p = fl.phase_kernels(data)
-    assert np.max(np.abs(a)) < 1e-10
-    assert np.max(np.abs(p)) < 1e-10
+    Ca, p = fl.phase_kernels(eq.interpolation_data(quartic_sol, 1.0))
+    assert np.max(np.abs(Ca)) <= 1e-12
+    assert np.max(np.abs(p.coef)) <= 1e-12
 
 
 def test_phase_kernels_structure(rot_data_t1):
-    x, wx, a, p = fl.phase_kernels(rot_data_t1)
-    assert np.max(np.abs(a - a.T)) < 1e-12
-    # diagonal ties the two kernels together inside the plateau
-    inner = rot_data_t1.sol.pad
-    sel = (x > -inner) & (x < 1 + inner)
-    assert np.max(np.abs(np.diag(a)[sel] - p[sel])) < 1e-10
-    # smooth cutoff kills everything outside the outer interval
-    outer = rot_data_t1.sol.curve.analytic_pad
-    edge = np.abs(x - 0.5) > 0.5 + outer - 1e-9
-    assert np.all(np.abs(p[edge]) < 1e-30)
+    Ca, p = fl.phase_kernels(rot_data_t1)
+    assert np.max(np.abs(Ca - Ca.T)) <= 1e-15 * np.max(np.abs(Ca))
+    # the diagonal ties the two kernels together: a(x, x) = p(x)
+    pad = rot_data_t1.sol.pad
+    x = np.linspace(-pad, 1 + pad, 301)
+    V = p.vander(x)
+    assert np.max(np.abs(np.einsum("ij,jk,ik->i", V, Ca, V) - p(x))) <= 1e-10
 
 
 def test_fourier_kernels_symmetries(rot_data_t1):
-    kp = fl.fourier_kernels(rot_data_t1, 2.0, n_freq=96)
-    A = kp.A
-    assert np.max(np.abs(A.conj() - A.T)) < 1e-12
-    assert np.max(np.abs(A.conj() - A[::-1, ::-1])) < 1e-12
-    assert np.max(np.abs(kp.B.conj() - kp.B.T)) < 1e-9
-    assert np.max(np.abs(kp.m.conj() - kp.m[::-1])) < 1e-9
-    # smooth compactly supported input: transform decays at the grid border
-    scale = np.abs(A).max()
-    border = np.zeros_like(A, dtype=bool)
-    border[0, :] = border[-1, :] = border[:, 0] = border[:, -1] = True
-    assert np.max(np.abs(A[border])) < 1e-2 * scale
+    # real symmetric kernels, real mean, symmetric positive semidefinite
+    # covariance of the Chebyshev statistics
+    for beta in (2.0, 4.0):
+        kp = fl.fourier_kernels(rot_data_t1, beta)
+        for v in (kp.A, kp.P, kp.B, kp.m):
+            assert v.dtype == np.float64
+        assert np.max(np.abs(kp.A - kp.A.T)) <= 1e-15 * np.max(np.abs(kp.A))
+        assert np.array_equal(kp.B, kp.B.T)
+        ev = np.linalg.eigvalsh(kp.B)
+        assert ev.min() >= -1e-14 * ev.max()
 
 
-def test_fourier_kernel_decay_wide_grid(rot_data_t1):
-    # widening the grid keeps shrinking the border (sub-exponential bump
-    # transform: slow but monotone)
-    def border_ratio(L, n):
-        kp = fl.fourier_kernels(rot_data_t1, 2.0, n_freq=n, freq_max=L)
-        A = np.abs(kp.A)
-        border = np.zeros_like(A, dtype=bool)
-        border[0, :] = border[-1, :] = border[:, 0] = border[:, -1] = True
-        return np.max(A[border]) / A.max()
-
-    r_default = border_ratio(16.0 / 1.2, 256)
-    r_wide = border_ratio(28.0, 512)
-    assert r_wide < r_default / 3
-    assert r_wide < 2e-3
-
-
-def test_fourier_zero_frequency(rot_data_t1):
-    kp = fl.fourier_kernels(rot_data_t1, 2.0, n_freq=97)  # odd: hits 0
-    x, wx, a, p = fl.phase_kernels(rot_data_t1)
-    i0 = np.argmin(np.abs(kp.freq))
-    assert kp.freq[i0] == pytest.approx(0.0, abs=1e-12)
-    assert kp.P[i0] == pytest.approx(np.sum(wx * p), abs=1e-10)
+def test_fourier_kernels_match_law(rot_data_t1):
+    # m and B are the law's mean and covariance of the Chebyshev statistics
+    _, p = fl.phase_kernels(rot_data_t1)
+    for beta in (2.0, 4.0):
+        law = fl.gaussian_law(rot_data_t1, beta)
+        kp = fl.fourier_kernels(rot_data_t1, beta, law)
+        T = p.vander(law.op.grid)
+        for j in (0, 1, 5, 40):
+            assert kp.m[j] == pytest.approx(law.mean(T[:, j]), abs=1e-12)
+            for k in (2, 7, 40):
+                cov = 0.5 * (law.cov(T[:, j], T[:, k]) + law.cov(T[:, k], T[:, j]))
+                assert kp.B[j, k] == pytest.approx(cov, abs=1e-12)
 
 
 def test_fourier_kernels_zero_input(quartic_sol):
-    data = eq.interpolation_data(quartic_sol, 1.0)
-    kp = fl.fourier_kernels(data, 2.0, n_freq=64)
-    assert np.max(np.abs(kp.A)) < 1e-10
-    assert np.max(np.abs(kp.P)) < 1e-10
+    kp = fl.fourier_kernels(eq.interpolation_data(quartic_sol, 1.0), 2.0)
+    assert np.max(np.abs(kp.A)) <= 1e-12
+    assert np.max(np.abs(kp.P)) <= 1e-12
 
 
-def test_parseval(rot_data_t1):
-    x, wx, a, p = fl.phase_kernels(rot_data_t1)
-    kp = fl.fourier_kernels(rot_data_t1, 2.0, n_freq=384, freq_max=28.0)
-    lhs = np.einsum("i,j,ij->", wx, wx, np.abs(a) ** 2)
-    rhs = np.einsum("i,j,ij->", kp.weights, kp.weights, np.abs(kp.A) ** 2)
-    assert lhs == pytest.approx(rhs, abs=1e-6)
+@pytest.mark.parametrize("sol", ["rot_sol", "cubic_sol"])
+def test_fredholm_straight_member(sol, request):
+    # at t = 0 the member is a segment: both phase kernels are one constant,
+    # whose centred statistic vanishes, so the expectation is exactly 1
+    sol = request.getfixturevalue(sol)
+    for t, tol in ((0.0, 1e-12), (1e-3, 1e-6)):
+        data = eq.interpolation_data(sol, t)
+        for beta in (2.0, 4.0):
+            val = fl.fredholm_expectation(fl.fourier_kernels(data, beta), beta)
+            assert abs(val - 1) <= tol
 
 
 def _structured_instance(n, rng, scale=0.3):
@@ -155,30 +143,14 @@ def _structured_instance(n, rng, scale=0.3):
 def test_fredholm_trivial_cases():
     rng = np.random.default_rng(12)
     n2 = 4
-    kp0 = fl.KernelPair(np.arange(n2, dtype=float), np.ones(n2),
-                        np.zeros((n2, n2)), np.zeros(n2), np.eye(n2),
-                        rng.normal(size=n2), (0, 0))
+    kp0 = fl.KernelPair(np.zeros((n2, n2)), np.zeros(n2), np.eye(n2), rng.normal(size=n2))
     assert fl.fredholm_expectation(kp0, 2.0) == pytest.approx(1.0)
     P = rng.normal(size=n2)
     m = rng.normal(size=n2)
-    kp1 = fl.KernelPair(np.arange(n2, dtype=float), np.ones(n2),
-                        np.zeros((n2, n2)), P, np.eye(n2), m, (0, 0))
+    kp1 = fl.KernelPair(np.zeros((n2, n2)), P, np.eye(n2), m)
     beta = 2.0
     expect = np.exp(1j * beta * P @ m - 0.5 * beta**2 * P @ P)
     assert fl.fredholm_expectation(kp1, beta) == pytest.approx(expect, abs=1e-12)
-
-
-def test_fredholm_matches_finite_rank():
-    rng = np.random.default_rng(21)
-    for n in (1, 2):
-        for _ in range(10):
-            B, mu, A, lam = _structured_instance(n, rng)
-            kp = fl.KernelPair(np.arange(2 * n, dtype=float), np.ones(2 * n),
-                               A, lam, B, mu, (0, 0))
-            for beta in (2.0, 4.0):
-                v1 = fl.fredholm_expectation(kp, beta)
-                v2 = fl.finite_rank_oracle(B, mu, A, lam, beta)
-                assert abs(v1 - v2) < 1e-10
 
 
 def test_finite_rank_vs_monte_carlo():
@@ -260,25 +232,23 @@ def test_finite_rank_second_moment_hessian():
 
 def test_determinant_modulus_bound(rot_data_t1):
     for beta in (2.0, 4.0):
-        kp = fl.fourier_kernels(rot_data_t1, beta, n_freq=128)
-        w = kp.weights
-        sq = np.sqrt(w)
-        At = sq[:, None] * kp.A * sq[None, :]
-        Bt = sq[:, None] * kp.B * sq[None, :]
-        At = 0.5 * (At + At.conj().T)
-        Bt = 0.5 * (Bt + Bt.conj().T)
-        evB, QB = np.linalg.eigh(Bt)
-        sqB = QB @ np.diag(np.sqrt(np.clip(evB, 0, None))) @ QB.conj().T
-        lam = np.linalg.eigvalsh(sqB @ At @ sqB)
+        kp = fl.fourier_kernels(rot_data_t1, beta)
+        evB, QB = np.linalg.eigh(kp.B)
+        sqB = QB @ np.diag(np.sqrt(np.clip(evB, 0, None))) @ QB.T
+        lam = np.linalg.eigvalsh(sqB @ kp.A @ sqB)
         det_abs = np.prod(np.abs(1 - 1j * beta * lam))
         assert det_abs >= 1 - 1e-9
 
 
-def test_fredholm_grid_stability(rot_data_t1):
-    law = fl.gaussian_law(rot_data_t1, 2.0)
-    v1 = fl.fredholm_expectation(fl.fourier_kernels(rot_data_t1, 2.0, law, n_freq=256), 2.0)
-    v2 = fl.fredholm_expectation(fl.fourier_kernels(rot_data_t1, 2.0, law, n_freq=512), 2.0)
-    assert abs(v1 - v2) < 1e-6
+def test_fredholm_grid_stability(rot_data_t1, cubic_sol):
+    # truncating the kernel pair to its first r Chebyshev coefficients
+    for data in (rot_data_t1, eq.interpolation_data(cubic_sol, 1.0)):
+        for beta in (2.0, 4.0):
+            kp = fl.fourier_kernels(data, beta)
+            full = fl.fredholm_expectation(kp, beta)
+            for r, tol in ((64, 1e-10), (48, 5e-9)):
+                cut = fl.KernelPair(kp.A[:r, :r], kp.P[:r], kp.B[:r, :r], kp.m[:r])
+                assert abs(fl.fredholm_expectation(cut, beta) - full) <= tol
 
 
 def test_loop_equation_small_N(quad_data_t0):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from contourgas import equilibrium as eq
+from contourgas import fluctuations as fl
 from contourgas import sampler as sp
 from contourgas.numkit import ChebSeries, make_grid, semicircle_rule
 
@@ -305,7 +306,7 @@ def test_phase_expectation_matches_per_configuration_loop(rot_data_t1):
     # the per-snapshot batched statistic against one configuration at a time
     data, N, beta, sweeps, seed = rot_data_t1, 16, 2.0, 80, 6
     est, se, _ = sp.phase_expectation_mc(data, N, beta, sweeps=sweeps, seed=seed)
-    Ca, p = sp._angle_surface(data)
+    Ca, p = fl.phase_kernels(data)
     nu = semicircle_rule(192)
     vbar = nu.weights @ p.vander(nu.nodes)
     snaps, _ = sp.sample_real_model(sp.make_chain(data, N, beta, seed=seed), sweeps)
