@@ -63,6 +63,8 @@ class RunConfig:
             raise ConfigError("nodes must be >= 1")
         if any(n < 1 for n in self.N_list):
             raise ConfigError("every N_list entry must be >= 1")
+        if self.mode == "expand" and len(self.N_list) < 3:
+            raise ConfigError("expand mode needs at least three N_list entries")
         if self.mode == "quadrature" and self.N > 4:
             raise ConfigError("quadrature mode needs particle count N <= 4")
         return self

@@ -20,6 +20,7 @@ __all__ = [
     "InterpolationData",
     "solve_one_cut",
     "interpolation_data",
+    "log_potential", "double_log_potential",
     "NoSolutionError",
     "NotOneCutError",
     "PathError",
@@ -134,16 +135,41 @@ def _newton_endpoints(vprime, z, tol, maxit):
     raise NoSolutionError("endpoint Newton did not converge from the seed")
 
 
+def log_potential(curve, x, nu):
+    """U_gamma(x) = int ln|gamma(x) - gamma(y)| dnu(y) at real x (a scalar
+    or an array) anywhere on the curve's domain: the nu-rule integral of
+    ln|Q(x, y)|, Q the curve's chord, smooth through y = x, plus the flat
+    kernel's closed form, with s = 2x - 1: s^2 - 1/2 - 2 ln 2, less
+    |s| sqrt(s^2 - 1) - arccosh|s| off the support."""
+    x = np.asarray(x, dtype=float)
+    q = curve.g.divided_difference(x.reshape(-1))
+    s = np.abs(2 * x - 1)
+    flat = (4 * x * (x - 1) + 0.5 - 2 * LN2
+            - s * np.sqrt(np.maximum(s * s - 1, 0.0)) + np.arccosh(np.maximum(s, 1.0)))
+    out = nu.integrate(np.log(np.abs(q.vander(nu.nodes) @ q.coef)).T).reshape(x.shape) + flat
+    return out if out.shape else float(out)
+
+
+def double_log_potential(curve, nu):
+    """I_gamma = iint ln|gamma(x) - gamma(y)| dnu dnu: the nu x nu rule of
+    ln|(gamma(x) - gamma(y)) / (x - y)|, ln|gamma'| on the diagonal, plus
+    the flat value -1/4 - 2 ln 2."""
+    y, g = nu.nodes, curve(nu.nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.log(np.abs((g[:, None] - g) / (y[:, None] - y)))
+    np.fill_diagonal(lam, np.log(np.abs(curve.deriv1(y))))
+    return nu.weights @ lam @ nu.weights + (-0.25 - 2 * LN2)
+
+
 def _log_distance(curve, x0, nu):
-    """int ln(gamma(x0) - gamma(y)) dnu(y), complex: the nu-rule integral of
-    the log chord ln Q(x0, y), its argument continuous along the nodes, plus
-    the closed-form logarithmic moment of the flat kernel ln(x0 - y).  Q is
-    continuous through y = x0, so the imaginary part averages the arguments
-    of gamma(x0) - gamma(y) for y < x0 and of gamma(y) - gamma(x0) for
-    y > x0, the two boundary values of the log potential."""
+    """int ln(gamma(x0) - gamma(y)) dnu(y), complex: `log_potential` plus
+    the nu-rule integral of the argument of the chord Q(x0, y), continuous
+    along the nodes.  Q is continuous through y = x0, so the imaginary part
+    averages the arguments of gamma(x0) - gamma(y) for y < x0 and of
+    gamma(y) - gamma(x0) for y > x0, the two boundary values of the log
+    potential."""
     q = curve.g.divided_difference([x0])(nu.nodes)[0]
-    smooth = nu.integrate(np.log(np.abs(q)) + 1j * track_arg(q).args)
-    return smooth + 4 * x0 * (x0 - 1) + 0.5 - 2 * LN2
+    return log_potential(curve, x0, nu) + 1j * nu.integrate(track_arg(q).args)
 
 
 def _log_deriv_tracked(curve, nu, chord):
@@ -340,8 +366,8 @@ class OneCutSolution:
         g = self.curve(self.nu.nodes)
         return -self.nu.integrate(np.log(np.abs(complex(z) - g)))
 
-    def u_on_curve(self, x0):
-        return -_log_distance(self.curve, float(x0), self.nu).real
+    def u_on_curve(self, x):
+        return -log_potential(self.curve, x, self.nu)
 
     def _v_on_curve(self, x):
         return self.potential(self.curve(x))
@@ -360,17 +386,9 @@ class OneCutSolution:
 
     def real_energy_direct(self):
         """Direct double-quadrature oracle for Re of the complex energy."""
-        y = self.nu.nodes
-        g = self.curve(y)
-        dz = g[:, None] - g[None, :]
-        dy = y[:, None] - y[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = np.log(np.abs(dz / dy))
-        d1 = np.abs(self.curve.deriv1(y))
-        np.fill_diagonal(lam, np.log(d1))
-        wnu = self.nu.weights
-        log_double = wnu @ lam @ wnu + (-0.25 - 2 * LN2)
-        return -log_double + 2 * self.nu.integrate(self.potential(g).real)
+        g = self.curve(self.nu.nodes)
+        return (-double_log_potential(self.curve, self.nu)
+                + 2 * self.nu.integrate(self.potential(g).real))
 
     def entropy(self):
         """Ent = -int ln(dmu/dz) dmu."""
@@ -383,8 +401,7 @@ class OneCutSolution:
         the complexified first-order condition at interior nodes."""
         C_re = self.equilibrium_constant().real
         xs = np.linspace(0.04, 0.96, n_on)
-        on = np.array([self.u_on_curve(x) + self.potential(self.curve(x)).real - C_re
-                       for x in xs])
+        on = self.u_on_curve(xs) + self.potential(self.curve(xs)).real - C_re
         rep = {
             "on_support_max_abs": float(np.max(np.abs(on))),
             "equilibrium_constant": C_re,

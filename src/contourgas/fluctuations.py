@@ -114,7 +114,14 @@ class KernelPair:
     """The phase functional and its Gaussian law in the Chebyshev basis
     T_0..T_{_N_C} of the outer interval: a(x, y) = sum A_jk T_j(x) T_k(y),
     p(x) = sum P_k T_k(x), and the limit law's mean m_k and covariance
-    B_jk of the centred linear statistics xi(T_k)."""
+    B_jk of the centred linear statistics xi(T_k) = N <L_N - nu, T_k>.
+
+    The complex and real weights differ by the phase beta sum_{i<j}
+    arg(gamma_i - gamma_j) + sum_i p(x_i) - N beta sum_i Im V_t(gamma_t(x_i)).
+    As arg(gamma_i - gamma_j) = a(x_i, x_j) + const and a(x, x) = p(x), the
+    pair sum is beta/2 (N^2 <L_N, a L_N> - N <L_N, p>).  Centred at nu (the
+    variational condition cancels the terms linear in L_N - nu against the
+    potential) the phase is beta/2 <xi, A xi> + (1 - beta/2) <P, xi>."""
 
     A: np.ndarray
     P: np.ndarray
@@ -170,19 +177,21 @@ def fourier_kernels(data: InterpolationData, beta, law: GaussianLaw = None):
 
 
 def fredholm_expectation(kp: KernelPair, beta):
-    """Gaussian expectation of the quadratic phase functional,
+    """Gaussian expectation of the phase functional of `KernelPair`,
 
-        E[exp(i beta/2 <xi, A xi> + i beta <P, xi>)],
+        E[exp(i beta/2 <xi, A xi> + i (1 - beta/2) <P, xi>)],
 
     for xi with the law's mean m and covariance B: the finite-rank
-    determinant formula of `finite_rank_oracle`."""
-    return finite_rank_oracle(kp.B, kp.m, kp.A, kp.P, beta)
+    determinant formula of `finite_rank_oracle`, which multiplies its linear
+    kernel by beta, so it gets (1/beta - 1/2) P; at beta = 2 that is zero."""
+    return finite_rank_oracle(kp.B, kp.m, kp.A, (1 / beta - 0.5) * kp.P, beta)
 
 
 def finite_rank_oracle(B, mu, A, lam, beta=1.0):
     """Closed Gaussian-integral value of E[exp(i beta/2 <xi, A xi>
     + i beta <lam, xi>)] for a structured complex Gaussian vector with mean
-    mu and covariance B (conjugation-symmetric index pairs)."""
+    mu and covariance B (conjugation-symmetric index pairs).  The phase of
+    the complex/real ratio (`KernelPair`) takes lam = (1/beta - 1/2) P."""
     B = np.asarray(B, dtype=complex)
     A = beta * np.asarray(A, dtype=complex)
     lam = beta * np.asarray(lam, dtype=complex)

@@ -339,30 +339,12 @@ def track_arg(values, base=None):
     return BranchTrack(v, args, float(base))
 
 
-def _projected_fourier_sq(points, masses, widths, tangents, rho, cth, sth):
-    """|sigma_hat(rho * omega)|^2 for one direction omega=(cth, sth).
-    Boxes of given parameter widths are smeared with a sinc factor."""
-    proj = cth * points.real + sth * points.imag
-    phase = np.exp(-1j * np.outer(rho, proj))
-    if widths is not None:
-        tproj = cth * tangents.real + sth * tangents.imag
-        arg = 0.5 * np.outer(rho, tproj * widths)
-        smear = np.sinc(arg / np.pi)
-        ft = (phase * smear) @ masses
-    else:
-        ft = phase @ masses
-    return np.abs(ft) ** 2
-
-
-def log_energy_form(masses, points, widths=None, tangents=None,
-                    n_theta=32, n_rho=64, rho_max=400.0, log_decades=0.0,
-                    mass_tol=1e-9):
+def log_energy_form(masses, points, n_theta=32, n_rho=64, mass_tol=1e-9):
     """Logarithmic energy of a zero-mass signed measure via its planar
     Fourier transform.
 
     The measure is a sum of point masses `masses[j]` at complex positions
-    `points[j]` (optionally smeared into boxes of parameter width
-    `widths[j]` along unit tangents `tangents[j]`).  Computes
+    `points[j]`.  Computes
 
         (1/2pi) * iint |sigma_hat(p,q)|^2 / (p^2+q^2) dp dq
 
@@ -373,38 +355,22 @@ def log_energy_form(masses, points, widths=None, tangents=None,
     points = np.asarray(points, dtype=complex)
     if abs(pairwise_sum(masses)) > mass_tol * max(1.0, pairwise_sum(np.abs(masses))):
         raise NetMassError("signed measure must have zero net mass")
-    if widths is not None:
-        widths = np.asarray(widths, dtype=float)
-        tangents = np.asarray(tangents, dtype=complex)
 
     tg = make_grid("gauss_legendre", n_theta, (0.0, np.pi))
-    # radial panels in the scaled variable u = rho * ell_theta
+    # radial panels in the scaled variable u = rho * ell_theta, cut at 400
     base = make_grid("gauss_legendre", n_rho, (0.0, 1.0))
-    panels = [(0.0, 1.0), (1.0, 10.0), (10.0, 100.0), (100.0, rho_max)]
-    u_nodes, u_weights = [], []
-    for a, b in panels:
-        u_nodes.append(base.nodes * (b - a) + a)
-        u_weights.append(base.weights * (b - a))
-    if log_decades > 0:
-        # extra log-spaced panels for nearly atomic measures
-        lo = np.log(rho_max)
-        for k in range(int(np.ceil(log_decades))):
-            a, b = lo + k * np.log(10.0), lo + (k + 1) * np.log(10.0)
-            un = np.exp(base.nodes * (b - a) + a)
-            u_nodes.append(un)
-            u_weights.append(base.weights * (b - a) * un)
-    u = np.concatenate(u_nodes)
-    wu = np.concatenate(u_weights)
+    panels = [(0.0, 1.0), (1.0, 10.0), (10.0, 100.0), (100.0, 400.0)]
+    u = np.concatenate([base.nodes * (b - a) + a for a, b in panels])
+    wu = np.concatenate([base.weights * (b - a) for a, b in panels])
 
     total = 0.0
     for th, wth in zip(tg.nodes, tg.weights):
-        cth, sth = np.cos(th), np.sin(th)
-        proj = cth * points.real + sth * points.imag
+        proj = np.cos(th) * points.real + np.sin(th) * points.imag
         ell = proj.max() - proj.min()
         if ell < 1e-300:
             continue
-        rho = u / ell
-        f = _projected_fourier_sq(points, masses, widths, tangents, rho, cth, sth)
+        # |sigma_hat(rho omega)|^2 at rho = u / ell
+        f = np.abs(np.exp(-1j * np.outer(u / ell, proj)) @ masses) ** 2
         # integrand |sigma_hat|^2 / rho, d rho = du / ell ; (1/rho) drho = du/u
         total += wth * pairwise_sum(wu * f / u)
     return total / np.pi

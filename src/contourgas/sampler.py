@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contour import Curve, semicircle_cdf
-from .equilibrium import InterpolationData
+from .equilibrium import InterpolationData, double_log_potential, log_potential
 from .fluctuations import phase_kernels
-from .numkit import ChebSeries, log_energy_direct, log_energy_form, semicircle_rule
+from .numkit import ChebSeries, NetMassError, log_energy_direct, semicircle_rule
 
 __all__ = [
     "ParticleChain",
@@ -28,6 +28,9 @@ __all__ = [
 
 class TuningError(RuntimeError):
     pass
+
+
+_N_NU = 128     # nu rule of the exact log-energy distance (64..1024 agree to 4e-16)
 
 
 def _semicircle_quantiles(N):
@@ -258,28 +261,30 @@ def _spacing_widths(params):
     return np.gradient(np.asarray(params, dtype=float))
 
 
-def log_energy_distance(measure1, measure2, curve, n_theta=24, n_rho=48,
-                        rho_max=400.0, log_decades=0.0, squared=False):
-    """Logarithmic-energy distance of two unit-mass measures pushed forward
-    to the curve, through the planar-Fourier quadratic form."""
-    p1, m1, w1 = _measure_atoms(measure1)
-    p2, m2, w2 = _measure_atoms(measure2)
-    params = np.concatenate([p1, p2])
-    masses = np.concatenate([m1, -m2])
-    points = curve(params)
-    tangents = curve.deriv1(params)
-    if w1 is None and w2 is None and log_decades == 0:
-        widths = None
-        tangents = None
-    else:
-        # smooth components get their cell widths so the extended radial
-        # range does not see spurious point-mass content
-        widths = np.concatenate([
-            w1 if w1 is not None else _spacing_widths(p1),
-            w2 if w2 is not None else _spacing_widths(p2)])
-    val = log_energy_form(masses, points, widths=widths, tangents=tangents,
-                          n_theta=n_theta, n_rho=n_rho, rho_max=rho_max,
-                          log_decades=log_decades)
+def log_energy_distance(measure1, measure2, curve, squared=False, log_decades=None):
+    """Exact logarithmic-energy distance D of two unit-mass measures on the
+    curve, D^2 = -iint ln|z - w| dsigma dsigma, sigma their difference.  A
+    measure is atoms (params, masses, widths), boxes as `regularize` returns
+    them, or 'semicircle', the equilibrium measure nu.  With sigma = atoms1
+    - atoms2 + c nu, D^2 is the atoms' pair sum with box self-energies
+    (`log_energy_direct`), minus 2c sum_i m_i U_gamma(x_i) (`log_potential`),
+    minus c^2 I_gamma (`double_log_potential`), both on the _N_NU-point rule
+    of nu.  `log_decades` is accepted and has no effect."""
+    nu = semicircle_rule(_N_NU)
+    c, atoms = 0, [np.zeros((3, 0))]
+    for measure, sign in ((measure1, 1), (measure2, -1)):
+        if measure == "semicircle":
+            c += sign
+        elif measure[2] is None:
+            raise ValueError("atoms of the log-energy distance need box widths")
+        else:
+            p, masses, widths = measure
+            atoms.append(np.array([p, sign * np.asarray(masses), widths], dtype=float))
+    x, m, w = np.concatenate(atoms, axis=1)
+    if abs(m.sum() + c) > 1e-9:
+        raise NetMassError("the two measures must have equal mass")
+    val = (log_energy_direct(m, curve(x), w, curve.deriv1(x))
+           - 2 * c * (m @ log_potential(curve, x, nu)) - c * c * double_log_potential(curve, nu))
     return val if squared else float(np.sqrt(max(val, 0.0)))
 
 
@@ -313,16 +318,11 @@ def concentration_scan(data: InterpolationData, N_list, f=lambda x: x,
         step = max(1, len(snaps) // snapshots_per_chain)
         picks = snaps[::step]
         stats, d2s = [], []
-        log_dec = 6 * np.log10(N) + 1
-        for snap in picks:
-            for c in range(snap.shape[0]):
-                xs = snap[c]
-                stats.append(abs(np.mean(f(xs)) - nu_f))
-                reg, widths, masses = regularize(xs, N)
-                d2 = log_energy_distance(
-                    (reg, masses, widths), "semicircle",
-                    data.curve, log_decades=log_dec, squared=True)
-                d2s.append(d2)
+        for xs in picks.reshape(-1, N):           # snapshot-major, then chain
+            stats.append(abs(np.mean(f(xs)) - nu_f))
+            reg, widths, masses = regularize(xs, N)
+            d2s.append(log_energy_distance((reg, masses, widths), "semicircle",
+                                           data.curve, squared=True))
         rows.append({"N": int(N), "mean_abs_stat": float(np.mean(stats)),
                      "mean_D2": float(np.mean(d2s)),
                      "acceptance": info["acceptance"]})
@@ -367,9 +367,13 @@ def edge_density_estimate(data: InterpolationData, N_list, sweeps=300,
 def phase_expectation_mc(data: InterpolationData, N, beta, sweeps=600,
                          n_chains=8, seed=424242):
     """Monte Carlo estimate of the oscillatory/real partition-function
-    ratio: the sample average of the exponential of the quadratic phase
-    statistic under the real model.  Returns (estimate, standard error,
-    sampler info)."""
+    ratio: the real-model average of exp(i beta/2 <xi, A xi>
+    + i (1 - beta/2) <P, xi>), xi = N (L_N - nu), the phase derived in
+    `fluctuations.KernelPair`.  Returns (estimate, standard error, sampler
+    info); the error is the larger over the real and imaginary parts of
+    std(chain means, ddof=1) / sqrt(n_chains), so it needs two chains."""
+    if n_chains < 2:
+        raise ValueError(f"the chain-level error needs n_chains >= 2, got {n_chains}")
     Ca, p = phase_kernels(data)
     cp = p.coef
 
@@ -392,10 +396,9 @@ def phase_expectation_mc(data: InterpolationData, N, beta, sweeps=600,
         lin = (V @ cp).mean(axis=1) - p_nu
         g_in = 0.5j * beta * N * N * quad + 1j * N * (1 - beta / 2) * lin
         vals.append(np.exp(g_in))
-    vals = np.concatenate(vals)
-    est = vals.mean()
-    se = max(vals.real.std(), vals.imag.std()) / np.sqrt(len(vals))
+    means = np.mean(vals, axis=0)   # vals is (n_kept, n_chains)
+    se = max(means.real.std(ddof=1), means.imag.std(ddof=1)) / np.sqrt(n_chains)
     if se > 0.05:
         raise TuningError(f"phase-expectation standard error {se:.3f} > 0.05: "
                           "more sweeps needed")
-    return est, se, info
+    return means.mean(), se, info

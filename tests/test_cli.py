@@ -49,6 +49,7 @@ def test_empty_sample_run_rejected(tmp_path, key):
 @pytest.mark.parametrize("mode, line, key", [
     ("fredholm", "nodes = 0", "nodes"),
     ("expand", "N_list = 0 8 16", "N_list"),
+    ("expand", "N_list = 8 16", "N_list"),      # decay check needs two pairs
     ("quadrature", "N = 5", "N"),
 ])
 def test_out_of_range_input_rejected(tmp_path, mode, line, key):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
@@ -261,6 +262,35 @@ def test_energy_vs_direct_double_quadrature(request, fix):
     sol = request.getfixturevalue(fix)
     assert sol.complex_energy().real == pytest.approx(
         sol.real_energy_direct(), abs=1e-6)
+
+
+def _mp_flat_log_potential(x):
+    """int ln|x - y| (8/pi) sqrt(y(1 - y)) dy over [0, 1] by tanh-sinh
+    quadrature, split at the singular point when it lies inside."""
+    with mpmath.workdps(30):
+        x = mpmath.mpf(x)
+        pts = [0, x, 1] if 0 < x < 1 else [0, 1]
+        val = mpmath.quad(lambda y: mpmath.log(abs(x - y)) * mpmath.sqrt(y * (1 - y)), pts)
+        return float(8 / mpmath.pi * val)
+
+
+def test_flat_log_potential_vs_mpmath(quad_sol):
+    # the affine arc: ln|gamma(x) - gamma(y)| = ln|x - y| + ln|zeta2 - zeta1|
+    xs = np.array([-0.07, 0.0, 0.13, 0.5, 0.77, 1.0, 1.08])
+    got = eq.log_potential(quad_sol.curve, xs, quad_sol.nu)
+    want = [_mp_flat_log_potential(x) + math.log(abs(quad_sol.zeta2 - quad_sol.zeta1))
+            for x in xs]
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert eq.log_potential(quad_sol.curve, 1.08, quad_sol.nu) == pytest.approx(got[-1], abs=1e-14)
+
+
+@pytest.mark.parametrize("fix", ["rot_sol", "cubic_sol"])
+def test_double_log_potential_vs_nu_potential(request, fix):
+    # the double sum of ln|gamma(x) - gamma(y)| against the nu average of
+    # the chord route's potential
+    sol = request.getfixturevalue(fix)
+    via_u = sol.nu.integrate(eq.log_potential(sol.curve, sol.nu.nodes, sol.nu))
+    assert abs(eq.double_log_potential(sol.curve, sol.nu) - via_u) <= 1e-13
 
 
 def test_moment_identity(rot_sol):

@@ -148,9 +148,12 @@ def test_fredholm_trivial_cases():
     P = rng.normal(size=n2)
     m = rng.normal(size=n2)
     kp1 = fl.KernelPair(np.zeros((n2, n2)), P, np.eye(n2), m)
-    beta = 2.0
-    expect = np.exp(1j * beta * P @ m - 0.5 * beta**2 * P @ P)
-    assert fl.fredholm_expectation(kp1, beta) == pytest.approx(expect, abs=1e-12)
+    # the linear term i (1 - beta/2) <P, xi> of xi ~ N(m, I): exactly 1 at
+    # beta = 2, a Gaussian characteristic function at beta = 4
+    assert fl.fredholm_expectation(kp1, 2.0) == pytest.approx(1.0, abs=1e-15)
+    c = 1 - 4.0 / 2
+    expect = np.exp(1j * c * P @ m - 0.5 * c**2 * P @ P)
+    assert fl.fredholm_expectation(kp1, 4.0) == pytest.approx(expect, abs=1e-12)
 
 
 def test_finite_rank_vs_monte_carlo():

@@ -6,7 +6,7 @@ import pytest
 from contourgas import equilibrium as eq
 from contourgas import fluctuations as fl
 from contourgas import sampler as sp
-from contourgas.numkit import ChebSeries, make_grid, semicircle_rule
+from contourgas.numkit import ChebSeries, NetMassError, semicircle_rule
 
 
 @pytest.fixture(scope="module")
@@ -95,51 +95,61 @@ def test_regularize_matches_sequential_loop():
 
 def test_log_energy_distance_identical(quad_data_t0):
     curve = quad_data_t0.curve
-    assert sp.log_energy_distance("semicircle", "semicircle", curve) \
-        == pytest.approx(0.0, abs=1e-7)
+    assert sp.log_energy_distance("semicircle", "semicircle", curve) == 0.0
 
 
-def test_log_energy_distance_boxed_positive(small_run, quad_data_t0):
-    _, snaps, _ = small_run
-    reg, widths, masses = sp.regularize(snaps[-1][0], 48)
+def _jittered_atoms(N, seed):
+    """Regularized semicircle quantiles, each moved by up to 1/(4N)."""
+    rng = np.random.default_rng(seed)
+    xs = sp._semicircle_quantiles(N) + (0.5 / N) * (rng.random(N) - 0.5)
+    reg, widths, masses = sp.regularize(xs, N)
+    return reg, masses, widths
+
+
+def _distance_cases(small_run, quad_data_t0, rot_data_t1):
+    """A regularized 48-particle snapshot on the flat member, and jittered
+    quantiles at N = 64 on the rotated quartic at t = 1."""
+    reg, widths, masses = sp.regularize(small_run[1][-1][0], 48)
+    return [((reg, masses, widths), quad_data_t0.curve),
+            (_jittered_atoms(64, 3), rot_data_t1.curve)]
+
+
+def test_log_energy_distance_boxed_positive(small_run, quad_data_t0, rot_data_t1):
+    for m, curve in _distance_cases(small_run, quad_data_t0, rot_data_t1):
+        d2 = sp.log_energy_distance(m, "semicircle", curve, squared=True)
+        assert np.isfinite(d2) and d2 > 0
+        # the order of the two measures does not matter
+        assert sp.log_energy_distance("semicircle", m, curve, squared=True) \
+            == pytest.approx(d2, rel=1e-12)
+
+
+def test_log_energy_distance_exact_vs_direct(small_run, quad_data_t0, rot_data_t1):
+    # the box-atom double sum turns nu into 256 boxes, good to about 2 %
+    for m, curve in _distance_cases(small_run, quad_data_t0, rot_data_t1):
+        d2 = sp.log_energy_distance(m, "semicircle", curve, squared=True)
+        d2d = sp.log_energy_distance_direct(m, "semicircle", curve)
+        assert d2 == pytest.approx(d2d, rel=0.03)
+
+
+def test_log_energy_distance_nu_rule_converged(rot_data_t1, monkeypatch):
+    # curved member: the module's nu rule against one twice its size
+    m, curve = _jittered_atoms(64, 9), rot_data_t1.curve
+    d2 = sp.log_energy_distance(m, "semicircle", curve, squared=True)
+    monkeypatch.setattr(sp, "_N_NU", 2 * sp._N_NU)
+    assert abs(sp.log_energy_distance(m, "semicircle", curve, squared=True) - d2) <= 1e-12
+
+
+def test_log_energy_distance_input_checks(quad_data_t0):
+    reg, masses, widths = _jittered_atoms(16, 1)
     curve = quad_data_t0.curve
-    d = sp.log_energy_distance((reg, masses, widths), "semicircle", curve,
-                               log_decades=6 * math.log10(48) + 1)
-    assert np.isfinite(d)
-    assert d > 0
-
-
-def test_log_energy_distance_fourier_vs_direct_smooth(quad_data_t0):
-    # two smooth unit measures on the arc: push the flat density against
-    # the semicircle; both routes agree
-    curve = quad_data_t0.curve
-    g = make_grid("gauss_legendre", 384, (0.0, 1.0))
-    flat = (g.nodes, g.weights, None)
-    d2_fourier = sp.log_energy_distance(flat, "semicircle", curve, squared=True,
-                                        n_theta=32, n_rho=64)
-    # oracle: quadratic form with the flat log-moment closed forms
-    # D^2 = -iint ln|2(x-y)| dsig dsig over the parameter interval
-    x = g.nodes
-    U_nu = 4 * x * (x - 1) + 0.5 - 2 * math.log(2)      # int ln|x-y| dnu(y)
-    # int ln|x-y| dy over [0,1] (flat): closed antiderivative
-    U_flat = (1 - x) * np.log(1 - x + 1e-300) + x * np.log(x + 1e-300) - 1
-    gc = semicircle_rule(384)
-    wn = gc.weights
-    Un_nu = 4 * gc.nodes * (gc.nodes - 1) + 0.5 - 2 * math.log(2)
-    d2_direct = -(g.weights @ U_flat - 2 * (g.weights @ U_nu) + wn @ Un_nu)
-    assert d2_fourier == pytest.approx(d2_direct, abs=1e-4)
-
-
-def test_log_energy_distance_boxed_fourier_vs_direct(small_run, quad_data_t0):
-    _, snaps, _ = small_run
-    reg, widths, masses = sp.regularize(snaps[-1][0], 48)
-    curve = quad_data_t0.curve
-    m = (reg, masses, widths)
-    d2f = sp.log_energy_distance(m, "semicircle", curve, squared=True,
-                                 log_decades=6 * math.log10(48) + 1,
-                                 n_theta=48, n_rho=96)
-    d2d = sp.log_energy_distance_direct(m, "semicircle", curve)
-    assert d2f == pytest.approx(d2d, rel=0.05)
+    with pytest.raises(ValueError, match="widths"):
+        sp.log_energy_distance((reg, masses, None), "semicircle", curve)
+    with pytest.raises(NetMassError):
+        sp.log_energy_distance((reg, 2 * masses, widths), "semicircle", curve)
+    # log_decades is accepted and inert
+    assert sp.log_energy_distance((reg, masses, widths), "semicircle", curve,
+                                  log_decades=9.0) \
+        == sp.log_energy_distance((reg, masses, widths), "semicircle", curve)
 
 
 def test_edge_density_estimate(quad_data_t0):
@@ -300,6 +310,8 @@ def test_empty_runs_raise(quad_data_t0):
     chain = sp.make_chain(quad_data_t0, 4, 2.0, n_chains=2, seed=1)
     with pytest.raises(ValueError, match="sweep count"):
         sp.sample_real_model(chain, 0)
+    with pytest.raises(ValueError, match="n_chains"):
+        sp.phase_expectation_mc(quad_data_t0, 4, 2.0, n_chains=1)
 
 
 def test_phase_expectation_matches_per_configuration_loop(rot_data_t1):
@@ -317,6 +329,7 @@ def test_phase_expectation_matches_per_configuration_loop(rot_data_t1):
         lin = (Vx @ p.coef).mean() - vbar @ p.coef
         vals.append(np.exp(0.5j * beta * N * N * quad + 1j * N * (1 - beta / 2) * lin))
     vals = np.asarray(vals)
-    ref_se = max(vals.real.std(), vals.imag.std()) / np.sqrt(len(vals))
+    means = vals.reshape(len(snaps), -1).mean(axis=0)        # one per chain
+    ref_se = max(means.real.std(ddof=1), means.imag.std(ddof=1)) / np.sqrt(len(means))
     assert abs(est - vals.mean()) <= 1e-12 * abs(vals.mean())
     assert abs(se - ref_se) <= 1e-12 * ref_se
