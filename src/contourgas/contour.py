@@ -193,8 +193,9 @@ def semicircle_parametrization(R: ComplexPolynomial, zeta1, zeta2, pad=0.05,
     Rp = R.deriv()
 
     def rhs(x, y):
-        g = y[0] + 1j * y[1]
-        gp = y[2] + 1j * y[3]
+        # Python complex scalars: the polynomials run Horner unboxed
+        g = complex(y[0], y[1])
+        gp = complex(y[2], y[3])
         gpp = (64 * (2 * x - 1) - gp**3 * Rp(g)) / (2 * gp * R(g))
         return [gp.real, gp.imag, gpp.real, gpp.imag]
 

@@ -478,32 +478,45 @@ class InterpolationData:
 
     # -- prefactor of the cut square root ---------------------------------
 
-    def _q_ratio(self, x, t=None):
+    def _q_ratio(self, x):
         """64 x(x-1) / (g'^2 (g-z1)(g-z2)) = 64 / (g'^2 Q(x, 0) Q(x, 1)) on the
-        member at t (default this one), with Q the curve's chord to each end
-        (g(0) = z1, g(1) = z2): the square of the prefactor, finite up to
-        both ends.  Complex x continues it off the interval."""
-        z1, z2 = self.sol.zeta1, self.sol.zeta2
-        curve = self.curve if t is None else family_member(self.sol.curve, z1, z2, t)
-        V = curve.g.vander(x)
-        Q = curve.end_chord.coef
-        gp = V[..., :len(curve.d1.coef)] @ curve.d1.coef
+        member, with Q the curve's chord to each end (g(0) = z1, g(1) = z2):
+        the square of the prefactor, finite up to both ends.  Complex x
+        continues it off the interval."""
+        V = self.curve.g.vander(x)
+        Q = self.curve.end_chord.coef
+        gp = V[..., :len(self.curve.d1.coef)] @ self.curve.d1.coef
         q = V[..., :len(Q)] @ Q
         return 64 / (q[..., 0] * q[..., 1] * gp**2)
 
     def st_grid(self, x, n_steps=9):
         """Prefactor values on an x-array, sign-fixed by continuation in the
-        family parameter from the straight-segment limit."""
+        family parameter from the straight-segment limit.
+
+        All n_steps members t_k are read off the base arc b in one pass:
+        member t at x is base(t x), so its end chords are k_t t Q_b(t x; 0)
+        and k_t t Q_b(t x; t), and its slope k_t t b'(t x), with k_t = (z2 -
+        z1) / (b(t) - b(0)).  That is one divided difference of b at 0 and
+        every t_k, and one Vandermonde matrix on the points t_k x; only the
+        sign choice runs step by step."""
         x = np.asarray(x, dtype=float)
         dz = self.sol.zeta2 - self.sol.zeta1
         s_prev = np.full(x.shape, 8.0 / dz**2, dtype=complex)
         if self.t == 0.0:
             return s_prev
-        for tk in np.linspace(0.0, self.t, n_steps + 1)[1:]:
-            cand = np.sqrt(self._q_ratio(x, t=tk))
-            flip = np.abs(cand - s_prev) > np.abs(cand + s_prev)
-            cand = np.where(flip, -cand, cand)
-            s_prev = cand
+        ts = np.linspace(0.0, self.t, n_steps + 1)[1:]
+        base = self.sol.curve
+        chord = base.g.divided_difference(np.concatenate([[0.0], ts]))
+        # k_t t = (z2 - z1) / Q_b(t; 0): b(t) - b(0) without cancellation
+        kt = (dz / chord(ts)[0]).reshape(ts.shape + (1,) * x.ndim)
+        V = base.g.vander(np.multiply.outer(ts, x))     # (n_steps,) + x.shape + (deg + 1,)
+        gp = V[..., :len(base.d1.coef)] @ base.d1.coef
+        q = V[..., :len(chord.coef)] @ chord.coef       # columns Q_b(t_k x; 0), Q_b(t_k x; t_j)
+        step = np.arange(n_steps)
+        q_t = np.moveaxis(q, -1, 1)[step, step + 1]     # member k reads column k + 1
+        cand = np.sqrt(64 / (kt**4 * q[..., 0] * q_t * gp**2))
+        for c in cand:
+            s_prev = np.where(np.abs(c - s_prev) > np.abs(c + s_prev), -c, c)
         return s_prev
 
     @cached_property

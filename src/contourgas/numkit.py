@@ -80,12 +80,17 @@ class ComplexPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        """Horner evaluation; broadcasts over arrays."""
-        z = np.asarray(z, dtype=complex)
-        out = np.full(z.shape, self.coeffs[-1], dtype=complex)
+        """Horner evaluation.  A scalar (Python or numpy, or a 0-d array)
+        runs on Python complex numbers and gives a complex; any other input
+        becomes a complex array and gives an array of its shape."""
+        if isinstance(z, (int, float, complex, np.number)) or np.ndim(z) == 0:
+            z, out = complex(z), self.coeffs[-1]
+        else:
+            z = np.asarray(z, dtype=complex)
+            out = np.full(z.shape, self.coeffs[-1], dtype=complex)
         for c in self.coeffs[-2::-1]:
             out = out * z + c
-        return out if out.shape else complex(out)
+        return out
 
     def deriv(self, order=1):
         c = self.coeffs
@@ -133,17 +138,21 @@ class ChebSeries:
     @staticmethod
     def nodes(lo, hi, n):
         """The n + 1 Chebyshev extreme points cos(pi k / n), k = 0..n,
-        mapped to [lo, hi] (descending)."""
+        mapped to [lo, hi] (descending); n >= 1."""
+        if n < 1:
+            raise ValueError("Chebyshev extreme points need degree n >= 1")
         u = np.cos(np.pi * np.arange(n + 1) / n)
         return (u + 1) / 2 * (hi - lo) + lo
 
     @classmethod
     def fit(cls, lo, hi, values):
-        """Interpolant of values sampled at nodes(lo, hi, len(values) - 1);
+        """Exact interpolant by the type-I cosine transform of values
+        sampled at nodes(lo, hi, len(values) - 1), at least two of them;
         the columns of a 2-D array are fitted separately."""
-        n = len(values) - 1
-        u = np.cos(np.pi * np.arange(n + 1) / n)
-        return cls(lo, hi, _cheb.chebfit(u, values, n))
+        values = np.asarray(values)
+        if len(values) < 2:
+            raise ValueError("a Chebyshev fit needs at least two values")
+        return cls(lo, hi, _cosine_transform(len(values) - 1) @ values)
 
     @classmethod
     def interpolate(cls, fn, lo, hi, n):
@@ -195,6 +204,22 @@ class ChebSeries:
             t_coef[p::2] = np.cumsum(u_coef[p::2][::-1], axis=0)[::-1]
         t_coef[1:] *= 2
         return ChebSeries(self.lo, self.hi, t_coef)
+
+
+@functools.cache
+def _cosine_transform(n):
+    """Type-I cosine transform taking values at the n + 1 points
+    cos(pi k / n) to the coefficients of their degree-n interpolant,
+    c_j = (2/n) sum''_k f_k cos(pi j k / n) with the end terms halved in
+    both j and k.  The angle index j k is reduced mod 2n, so every cosine
+    is taken of an argument in [0, 2 pi).  Built once per n; the matrix is
+    read-only, so no caller can change the cached one."""
+    jk = np.outer(np.arange(n + 1), np.arange(n + 1)) % (2 * n)
+    half = np.ones(n + 1)
+    half[[0, n]] = 0.5
+    m = (2.0 / n) * np.cos(np.pi * jk / n) * half[:, None] * half[None, :]
+    m.flags.writeable = False
+    return m
 
 
 def poly_normalize(p: ComplexPolynomial):

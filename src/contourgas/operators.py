@@ -85,18 +85,22 @@ class DiscretizedOperator:
         return self.inverse @ np.asarray(values)
 
 
-def _difference_quotient_rows(H, close, E_targets, E_nodes, D_targets):
-    """Matrix rows sending nodal values f to (f(x_r) - f(s_p)) / H[r, p]
-    for each (target r, node p), with H the point differences; pairs
-    flagged in `close` fall back to the derivative row D_targets[r]."""
+def _difference_quotient_rows(w, H, close, E_nodes, D_targets):
+    """The (n, n) matrix sum_p w_p row_{r,p}, where row_{r,p} sends nodal
+    values f to (f(x_r) - f(s_p)) / H[r, p] for target r and node p, with
+    H the point differences, and pairs flagged in `close` take the
+    derivative row D_targets[r].  The targets are the collocation nodes, so
+    f(x_r) reads the identity and the sum is one matrix product:
+    diag(A.sum(1)) - A @ E_nodes + (close @ w) D_targets, A = w / H with the
+    close pairs zeroed."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / H
-    inv[close] = 0.0
-    rows = inv[:, :, None] * (E_targets[:, None, :] - E_nodes[None, :, :])
+        A = w[None, :] / H
+    A[close] = 0.0
+    out = -(A @ E_nodes)
+    out[np.diag_indices_from(out)] += A.sum(axis=1)
     if np.any(close):
-        ii, pp = np.nonzero(close)
-        rows[ii, pp, :] = D_targets[ii, :]
-    return rows
+        out += (close @ w)[:, None] * D_targets
+    return out
 
 
 def _near_pairs(targets, nodes):
@@ -126,8 +130,6 @@ def real_master_operator(data: InterpolationData, n=64):
     xs = colloc.x
     y, w2 = nu.nodes, nu.weights
     s, w1 = gc1.nodes, gc1.weights
-    E_x = np.eye(n)
-
     curve = data.curve
 
     # forward: diag(Re V_t' g_t') - integral of the deformed difference
@@ -135,20 +137,18 @@ def real_master_operator(data: InterpolationData, n=64):
     W = np.real(data.vt_prime_pullback(xs))
     Kxy = subtracted_chord_kernel(curve, xs, y)
     Kyx = np.real(subtracted_chord_kernel(curve, y, xs))
-    dq = _difference_quotient_rows(xs[:, None] - y[None, :], _near_pairs(xs, y),
-                                   E_x, E_y, D_x)
     forward = np.diag(W)
     forward += np.diag(pairwise_sum(np.real(Kxy) * w2[None, :], axis=-1))
     forward += (Kyx.T * w2) @ E_y
-    forward -= w2 @ dq
+    forward -= _difference_quotient_rows(w2, xs[:, None] - y[None, :], _near_pairs(xs, y),
+                                         E_y, D_x)
 
     # flat-interval master inverse rows at collocation points
     X = xs[:, None] - s[None, :]
     close_s = _near_pairs(xs, s)
     if np.any(close_s):
         raise NearSingularError("collocation and quadrature grids collide")
-    dq_s = _difference_quotient_rows(X, close_s, E_x, E_s, D_x)
-    Dinv_x = (w1 @ dq_s) / (8 * np.pi)
+    Dinv_x = _difference_quotient_rows(w1, X, close_s, E_s, D_x) / (8 * np.pi)
 
     # K_J functional (flat interval)
     kJ = (w1 @ E_s) / np.pi
@@ -191,8 +191,6 @@ def complex_master_operator(data: InterpolationData, n=64):
     xs = colloc.x
     y, w2 = nu.nodes, nu.weights
     s, w1 = gc1.nodes, gc1.weights
-    E_x = np.eye(n)
-
     curve = data.curve
     zx, zy, zs = curve(xs), curve(y), curve(s)
     gpx, gps = curve.deriv1(xs), curve.deriv1(s)
@@ -201,10 +199,9 @@ def complex_master_operator(data: InterpolationData, n=64):
     # forward: V_t'(z) f(z) - int (f(z)-f(w))/(z-w) dmu(w); near pairs of
     # parameters take the z-derivative row
     Dz_x = D_x / gpx[:, None]
-    rows = _difference_quotient_rows(zx[:, None] - zy[None, :], _near_pairs(xs, y),
-                                     E_x, E_y, Dz_x)
     forward = np.diag(vpx).astype(complex)
-    forward -= w2 @ rows
+    forward -= _difference_quotient_rows(w2, zx[:, None] - zy[None, :],
+                                         _near_pairs(xs, y), E_y, Dz_x)
 
     st_s = data.st(s)
     st_x = data.st(xs)
@@ -213,10 +210,10 @@ def complex_master_operator(data: InterpolationData, n=64):
         raise NearSingularError("cut-square-root prefactor vanishes on the grid")
 
     # inverse rows: subtracted Cauchy kernel against the inverse-sqrt grid
-    rows_s = _difference_quotient_rows(zx[:, None] - zs[None, :], _near_pairs(xs, s),
-                                       E_x, E_s, Dz_x)
     pref = w1 * gps**2 * st_s
-    Dinv = (pref @ rows_s) / (8 * np.pi * st_x[:, None])
+    Dinv = (_difference_quotient_rows(pref, zx[:, None] - zs[None, :], _near_pairs(xs, s),
+                                      E_s, Dz_x)
+            / (8 * np.pi * st_x[:, None]))
 
     k_row = pref @ E_s / (8 * np.pi)
     return DiscretizedOperator(colloc, forward, k_row, Dinv, nu, E_y, D_x)

@@ -270,7 +270,19 @@ def log_energy_distance(measure1, measure2, curve, squared=False, log_decades=No
     (`log_energy_direct`), minus 2c sum_i m_i U_gamma(x_i) (`log_potential`),
     minus c^2 I_gamma (`double_log_potential`), both on the _N_NU-point rule
     of nu.  `log_decades` is accepted and has no effect."""
+    val = _log_energy_sq(measure1, measure2, curve, *_nu_energy(curve))
+    return val if squared else float(np.sqrt(max(val, 0.0)))
+
+
+def _nu_energy(curve):
+    """The _N_NU-point rule of nu and its double log potential I_gamma on
+    the curve: what every distance to nu on that curve shares."""
     nu = semicircle_rule(_N_NU)
+    return nu, double_log_potential(curve, nu)
+
+
+def _log_energy_sq(measure1, measure2, curve, nu, I_nu):
+    """D^2 of `log_energy_distance`, given `_nu_energy(curve)`."""
     c, atoms = 0, [np.zeros((3, 0))]
     for measure, sign in ((measure1, 1), (measure2, -1)):
         if measure == "semicircle":
@@ -283,9 +295,8 @@ def log_energy_distance(measure1, measure2, curve, squared=False, log_decades=No
     x, m, w = np.concatenate(atoms, axis=1)
     if abs(m.sum() + c) > 1e-9:
         raise NetMassError("the two measures must have equal mass")
-    val = (log_energy_direct(m, curve(x), w, curve.deriv1(x))
-           - 2 * c * (m @ log_potential(curve, x, nu)) - c * c * double_log_potential(curve, nu))
-    return val if squared else float(np.sqrt(max(val, 0.0)))
+    return (log_energy_direct(m, curve(x), w, curve.deriv1(x))
+            - 2 * c * (m @ log_potential(curve, x, nu)) - c * c * I_nu)
 
 
 def log_energy_distance_direct(measure1, measure2, curve):
@@ -311,6 +322,7 @@ def concentration_scan(data: InterpolationData, N_list, f=lambda x: x,
     decay exponent of the latter."""
     nu = semicircle_rule(256)
     nu_f = nu.integrate(f(nu.nodes))
+    nu_energy = _nu_energy(data.curve)
     rows = []
     for N in N_list:
         chain = make_chain(data, int(N), 2.0, n_chains=n_chains, seed=seed + N)
@@ -321,8 +333,8 @@ def concentration_scan(data: InterpolationData, N_list, f=lambda x: x,
         for xs in picks.reshape(-1, N):           # snapshot-major, then chain
             stats.append(abs(np.mean(f(xs)) - nu_f))
             reg, widths, masses = regularize(xs, N)
-            d2s.append(log_energy_distance((reg, masses, widths), "semicircle",
-                                           data.curve, squared=True))
+            d2s.append(_log_energy_sq((reg, masses, widths), "semicircle",
+                                      data.curve, *nu_energy))
         rows.append({"N": int(N), "mean_abs_stat": float(np.mean(stats)),
                      "mean_D2": float(np.mean(d2s)),
                      "acceptance": info["acceptance"]})

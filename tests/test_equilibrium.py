@@ -7,9 +7,9 @@ import pytest
 from scipy.special import roots_legendre
 
 from contourgas import equilibrium as eq
-from contourgas.contour import Curve
+from contourgas.contour import Curve, family_member
 from contourgas.equilibrium import NoSolutionError, PathError
-from contourgas.numkit import ComplexPolynomial, make_grid, track_arg
+from contourgas.numkit import ChebSeries, ComplexPolynomial, make_grid, track_arg
 
 LN2 = math.log(2)
 
@@ -179,6 +179,47 @@ def test_prefactor_closed_formula(rot_sol, t):
     resid = np.abs(a**2 * (gt - rot_sol.zeta1) * (gt - rot_sol.zeta2)
                    - data._q_ratio(x) * (gt - rot_sol.zeta1) * (gt - rot_sol.zeta2))
     assert np.max(resid) < 1e-9
+
+
+def _member_loop_st(data, x, n_steps=9):
+    # the continuation st_grid replaced: one family member, with its own end
+    # chords, per step
+    sol = data.sol
+    s_prev = np.full(x.shape, 8.0 / (sol.zeta2 - sol.zeta1) ** 2, dtype=complex)
+    for tk in np.linspace(0.0, data.t, n_steps + 1)[1:]:
+        curve = family_member(sol.curve, sol.zeta1, sol.zeta2, tk)
+        V = curve.g.vander(x)
+        Q = curve.end_chord.coef
+        gp = V[..., :len(curve.d1.coef)] @ curve.d1.coef
+        q = V[..., :len(Q)] @ Q
+        cand = np.sqrt(64 / (q[..., 0] * q[..., 1] * gp**2))
+        flip = np.abs(cand - s_prev) > np.abs(cand + s_prev)
+        s_prev = np.where(flip, -cand, cand)
+    return s_prev
+
+
+@pytest.mark.parametrize("fix", ["rot_sol", "cubic_sol"])
+@pytest.mark.parametrize("t", [1e-3, 0.5, 1.0])
+def test_st_grid_matches_member_loop(request, fix, t):
+    # the member loop reads b(t) - b(0) as a difference of two series values,
+    # which loses digits like eps / t; the batched grid reads the chord
+    data = eq.interpolation_data(request.getfixturevalue(fix), t)
+    for x in (np.linspace(-0.05, 1.05, 97), np.linspace(0.0, 1.0, 12).reshape(3, 4)):
+        got = data.st_grid(x)
+        want = _member_loop_st(data, x)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14 / t
+
+
+def test_st_grid_takes_one_divided_difference(rot_sol, monkeypatch):
+    # all nine continuation steps read one chord series of the base arc
+    data = eq.interpolation_data(rot_sol, 0.5)
+    calls = []
+    method = ChebSeries.divided_difference
+    monkeypatch.setattr(ChebSeries, "divided_difference",
+                        lambda self, *a, **k: calls.append(1) or method(self, *a, **k))
+    data.st_grid(np.linspace(-0.05, 1.05, 33))
+    assert len(calls) == 1
 
 
 def test_vt_prime_limits(rot_sol, rot_data_t0, rot_data_t1):

@@ -26,6 +26,31 @@ def test_poly_eval_horner_degree0():
     assert ComplexPolynomial([3.5])(123.0) == 3.5
 
 
+def _boxed_horner(p, z):
+    # the array-only evaluation the scalar path replaced
+    z = np.asarray(z, dtype=complex)
+    out = np.full(z.shape, p.coeffs[-1], dtype=complex)
+    for c in p.coeffs[-2::-1]:
+        out = out * z + c
+    return out
+
+
+def test_poly_eval_scalars_unboxed_arrays_broadcast():
+    p = ComplexPolynomial([0.5 - 1j, 2.0, 0, -0.25 + 0.5j, 1.5])
+    for z in (0.3 + 0.2j, 2, -1.5, np.float64(0.7), np.complex128(0.1 - 0.4j),
+              np.int64(3), np.array(0.25 + 1j)):
+        got = p(z)
+        assert type(got) is complex
+        want = complex(_boxed_horner(p, z))
+        assert abs(got - want) <= 4 * np.finfo(float).eps * abs(want)
+    for z in (np.linspace(-1, 1, 7), np.arange(6).reshape(2, 3) * (0.2 + 0.1j), [0.1, 0.2],
+              np.zeros((0, 3))):
+        got = p(z)
+        assert isinstance(got, np.ndarray) and got.dtype == complex
+        assert got.shape == np.shape(z)
+        assert np.array_equal(got, _boxed_horner(p, z))
+
+
 def test_poly_deriv_degree():
     p = ComplexPolynomial([1, 2, 3, 4.0])
     assert p.deriv().degree == p.degree - 1
@@ -298,6 +323,42 @@ def test_cheb_series_fits_columns_separately():
     assert s.coef.shape == (13, 2)
     one = ChebSeries.fit(0.0, 2.0, nodes**3)
     assert np.allclose(s.coef[:, 1], one.coef, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 44, 96, 120])
+def test_cheb_fit_is_chebfit_by_cosine_transform(n):
+    # the cached transform gives the least-squares interpolant it replaced,
+    # for one series and for five columns, and the values at the nodes
+    rng = np.random.default_rng(n)
+    u = np.cos(np.pi * np.arange(n + 1) / n)
+    nodes = ChebSeries.nodes(-0.2, 1.3, n)
+    for values in (rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1),
+                   rng.normal(size=(n + 1, 5))):
+        got = ChebSeries.fit(-0.2, 1.3, values)
+        want = np.polynomial.chebyshev.chebfit(u, values, n)
+        assert got.coef.shape == want.shape
+        assert np.max(np.abs(got.coef - want)) <= 1e-14 * np.max(np.abs(values))
+        # evaluation at the nodes rounds like n terms of the series
+        assert (np.max(np.abs(got.vander(nodes) @ got.coef - values))
+                <= 1e-14 * n * np.max(np.abs(values)))
+        got.coef[0] += 1.0                       # a fresh array, not the cached matrix
+    m = numkit._cosine_transform(n)
+    assert m.shape == (n + 1, n + 1) and not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+    assert np.array_equal(ChebSeries.fit(0.0, 1.0, np.eye(n + 1)).coef, m)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cheb_degree_zero_rejected():
+    with pytest.raises(ValueError):
+        ChebSeries.nodes(0.0, 1.0, 0)
+    with pytest.raises(ValueError):
+        ChebSeries.fit(0.0, 1.0, [2.0])
+    with pytest.raises(ValueError):
+        ChebSeries.fit(0.0, 1.0, np.ones((1, 3)))
+    with pytest.raises(ValueError):
+        ChebSeries.interpolate(np.exp, 0.0, 1.0, 0)
 
 
 def test_cheb_divided_difference_against_mpmath(mp_series):

@@ -8,6 +8,42 @@ from contourgas import operators as ops
 from contourgas.numkit import semicircle_rule
 
 
+def _tensor_rows(H, close, E_targets, E_nodes, D_targets):
+    # the explicit (n, m, n) tensor of difference-quotient rows that the
+    # contracted form replaced
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / H
+    inv[close] = 0.0
+    rows = inv[:, :, None] * (E_targets[:, None, :] - E_nodes[None, :, :])
+    ii, pp = np.nonzero(close)
+    rows[ii, pp, :] = D_targets[ii, :]
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_difference_quotient_rows_contract_the_tensor(kind):
+    rng = np.random.default_rng(7)
+    n, m = 24, 31
+    x = np.sort(rng.uniform(-0.05, 1.05, n))
+    s = np.sort(rng.uniform(-0.05, 1.05, m))
+    s[11] = x[9] + 3e-8                       # one forced close pair
+    close = ops._near_pairs(x, s)
+    assert close.sum() == 1
+    E_nodes, D = rng.normal(size=(m, n)), rng.normal(size=(n, n))
+    w = rng.uniform(0.1, 1.0, m)
+    if kind == "complex":
+        g = lambda u: u + 0.3j * u * u
+        H = g(x)[:, None] - g(s)[None, :]
+        w = w * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+        D = D + 1j * rng.normal(size=(n, n))
+    else:
+        H = x[:, None] - s[None, :]
+    want = w @ _tensor_rows(H, close, np.eye(n), E_nodes, D)
+    got = ops._difference_quotient_rows(w, H, close, E_nodes, D)
+    assert got.shape == (n, n)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.fixture(scope="module")
 def rot_ops(rot_sol):
     out = {}

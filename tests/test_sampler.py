@@ -152,6 +152,24 @@ def test_log_energy_distance_input_checks(quad_data_t0):
         == sp.log_energy_distance((reg, masses, widths), "semicircle", curve)
 
 
+def test_concentration_scan_shares_nu_energy(quad_data_t0, monkeypatch):
+    # one I_gamma per scan, and every D^2 it averages is the public distance
+    calls, seen = [], []
+    dlp, sq = sp.double_log_potential, sp._log_energy_sq
+    monkeypatch.setattr(sp, "double_log_potential", lambda *a: calls.append(1) or dlp(*a))
+    monkeypatch.setattr(sp, "_log_energy_sq", lambda m1, m2, curve, *rest:
+                        seen.append((m1, m2, curve)) or sq(m1, m2, curve, *rest))
+    rows, _ = sp.concentration_scan(quad_data_t0, [6, 12], sweeps=30, n_chains=2,
+                                    snapshots_per_chain=2)
+    assert len(calls) == 1
+    scanned = list(seen)
+    d2 = [sp.log_energy_distance(m1, m2, curve, squared=True) for m1, m2, curve in scanned]
+    for row in rows:
+        mine = [v for (m1, _, _), v in zip(scanned, d2) if len(m1[0]) == row["N"]]
+        assert len(mine) >= 2
+        assert row["mean_D2"] == pytest.approx(np.mean(mine), rel=1e-13)
+
+
 def test_edge_density_estimate(quad_data_t0):
     rows = sp.edge_density_estimate(quad_data_t0, [16, 48], sweeps=220, seed=11)
     assert rows[1]["log_density_left_edge"] < rows[0]["log_density_left_edge"]
