@@ -254,17 +254,23 @@ def run_sample(cfg):
 
 
 def run_fredholm(cfg):
+    """The phase limit at `nodes` operator nodes, certified by its change
+    at twice as many: a resolution above `tol` fails the run."""
     from .equilibrium import interpolation_data
     from .fluctuations import fourier_kernels, fredholm_expectation, gaussian_law
     sol = _solve(cfg)
     data = interpolation_data(sol, cfg.t)
-    law = gaussian_law(data, cfg.beta, n=cfg.nodes)
-    kp = fourier_kernels(data, cfg.beta, law)
-    val = fredholm_expectation(kp, cfg.beta)
-    rep = {"mode": "fredholm", "beta": cfg.beta, "t": cfg.t,
-           "expectation": val, "abs": abs(val),
+
+    def limit(n):
+        law = gaussian_law(data, cfg.beta, n=n)
+        return fredholm_expectation(fourier_kernels(data, cfg.beta, law), cfg.beta)
+
+    val = limit(cfg.nodes)
+    resolution = abs(limit(2 * cfg.nodes) - val)
+    rep = {"mode": "fredholm", "beta": cfg.beta, "t": cfg.t, "nodes": cfg.nodes,
+           "expectation": val, "abs": abs(val), "resolution": resolution,
            "oracle": "finite-rank-lemma", "tolerance": cfg.tol}
-    ok = abs(val) <= 1 + 1e-9
+    ok = abs(val) <= 1 + 1e-9 and resolution <= cfg.tol
     return rep, {}, {}, ok
 
 

@@ -71,7 +71,12 @@ class Curve:
         return self.d1(x)
 
     def deriv2(self, x):
-        return self.d1.deriv()(x)
+        return self.d2(x)
+
+    @cached_property
+    def d2(self):
+        """Series of the second derivative, d1's derivative, built once."""
+        return self.d1.deriv()
 
     @cached_property
     def end_chord(self):

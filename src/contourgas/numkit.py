@@ -5,10 +5,10 @@ branch-tracked arguments and the planar-Fourier log-energy form."""
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 __all__ = [
     "ComplexPolynomial",
@@ -166,22 +166,41 @@ class ChebSeries:
         return (2 * x - (self.lo + self.hi)) / (self.hi - self.lo)
 
     def __call__(self, x):
-        return _cheb.chebval(self.map(x), self.coef)
+        """Series values, shape coef.shape[1:] + x.shape; a scalar x gives a
+        scalar."""
+        T = _tvander(self.map(x), len(self.coef) - 1)
+        return np.tensordot(self.coef, T, axes=(0, 0))[()]
 
     def vander(self, x):
         """T_0..T_deg at the points x, shape x.shape + (deg + 1,): vander(x) @ coef."""
-        v = _cheb.chebvander(self.map(x), len(self.coef) - 1)
-        return v.reshape(np.shape(x) + v.shape[-1:])
+        return np.moveaxis(_tvander(self.map(x), len(self.coef) - 1), 0, -1)
 
     def deriv(self, m=1):
-        """m-th derivative in x (chain-rule scale included)."""
-        scale = 2.0 / (self.hi - self.lo)
-        return ChebSeries(self.lo, self.hi, _cheb.chebder(self.coef, m) * scale**m)
+        """m-th derivative in x (chain-rule scale included).
+
+        d_k = sum_{j > k, j - k odd} 2 j c_j, with d_0 halved: reversed
+        cumulative sums over each parity of the weighted coefficients."""
+        c = self.coef
+        for _ in range(m):
+            if len(c) == 1:
+                c = c * 0.0
+                break
+            c = _parity_tail_sums(2.0 * _degrees(1, len(c), c.ndim) * c[1:])
+            c[0] /= 2
+        return ChebSeries(self.lo, self.hi, c * (2.0 / (self.hi - self.lo)) ** m)
 
     def antideriv(self):
-        """Antiderivative in x, vanishing at the interval midpoint."""
+        """Antiderivative in x, vanishing at the interval midpoint.
+
+        C_k = (c_{k-1} - c_{k+1}) / (2k) for k >= 1, with c_0 doubled, and
+        C_0 = -sum_{k even >= 2} (-1)^(k/2) C_k cancels the value at u = 0."""
+        c, n = self.coef, len(self.coef)
+        c = np.concatenate([2 * c[:1], c[1:], np.zeros((2,) + c.shape[1:])])
+        upper = (c[:n] - c[2:]) / (2 * _degrees(1, n + 1, c.ndim))   # C_1..C_n
+        even = upper[1::2]                                            # C_2, C_4, ..
+        c0 = np.tensordot((-1.0) ** np.arange(len(even)), even, axes=(0, 0))
         return ChebSeries(self.lo, self.hi,
-                          _cheb.chebint(self.coef) * (self.hi - self.lo) / 2)
+                          np.concatenate([c0[None], upper]) * (self.hi - self.lo) / 2)
 
     def divided_difference(self, y):
         """Divided differences Q_j(x) = (f(x) - f(y_j)) / (x - y_j) of a
@@ -196,14 +215,52 @@ class ChebSeries:
         n = len(self.coef) - 1
         padded = np.concatenate([self.coef, np.zeros(n, dtype=self.coef.dtype)])
         hankel = padded[np.add.outer(np.arange(n), np.arange(n)) + 1]
-        tu = _cheb.chebvander(self.map(np.atleast_1d(y)), n - 1).T
+        tu = _tvander(self.map(np.atleast_1d(y)), n - 1)
         tu[1:] *= 2
         u_coef = hankel @ tu * (2.0 / (self.hi - self.lo))
-        t_coef = np.empty_like(u_coef)
-        for p in (0, 1):   # T_k collects U_m, m >= k of its parity
-            t_coef[p::2] = np.cumsum(u_coef[p::2][::-1], axis=0)[::-1]
+        t_coef = _parity_tail_sums(u_coef)   # T_k collects U_m, m >= k of its parity
         t_coef[1:] *= 2
         return ChebSeries(self.lo, self.hi, t_coef)
+
+
+def _tvander(u, n):
+    """T_0..T_n at the points u (real or complex), degree leading: shape
+    (n + 1,) + u.shape.
+
+    The three-term recurrence runs up to degree b = isqrt(n); past that
+    T_{m+b} = 2 T_b T_m - T_{|m-b|} fills b degrees per step, so about
+    2 sqrt(n) array operations build the table instead of n."""
+    shape = np.shape(u)
+    u = np.ravel(u)
+    T = np.empty((n + 1, u.size), dtype=np.result_type(u, float))
+    T[:1] = 1
+    T[1:2] = u
+    b = max(math.isqrt(n), 1)
+    for k in range(2, min(b, n) + 1):
+        np.multiply(2 * u, T[k - 1], out=T[k])
+        T[k] -= T[k - 2]
+    two_tb = 2 * T[b:b + 1]
+    np.multiply(two_tb, T[1:b], out=T[b + 1:2 * b])      # T_{b+m}, 0 < m < b
+    T[b + 1:2 * b] -= T[b - 1:0:-1]
+    for k in range(2 * b, n + 1, b):
+        j = min(k + b, n + 1)
+        np.multiply(two_tb, T[k - b:j - b], out=T[k:j])
+        T[k:j] -= T[k - 2 * b:j - 2 * b]
+    return T.reshape((n + 1,) + shape)
+
+
+def _degrees(start, stop, ndim):
+    """The degrees start..stop - 1 as a column against coefficient arrays
+    of ndim axes."""
+    return np.arange(start, stop).reshape((-1,) + (1,) * (ndim - 1))
+
+
+def _parity_tail_sums(a):
+    """out[k] = sum of a[i] over i >= k with i - k even, along axis 0."""
+    out = np.empty_like(a)
+    for p in (0, 1):
+        out[p::2] = np.cumsum(a[p::2][::-1], axis=0)[::-1]
+    return out
 
 
 @functools.cache

@@ -96,6 +96,7 @@ def test_A4_semicircle_pullback(quad_sol, quartic_sol, pullback_residual):
             time.time() - t0, 10)
 
 
+@pytest.mark.slow
 def test_A5_clt_agreement(rot_sol):
     t0 = time.time()
     nu_grid = semicircle_rule(256)
@@ -174,6 +175,7 @@ def test_A6_fredholm_identity():
             f"det modulus bound {det_ok}", time.time() - t0, 60)
 
 
+@pytest.mark.slow
 def test_A7_phase_expectation(rot_sol, quartic_sol):
     t0 = time.time()
     data = eq.interpolation_data(rot_sol, 1.0)
@@ -205,6 +207,7 @@ def test_A8_loop_equation(quad_sol):
             time.time() - t0, 300)
 
 
+@pytest.mark.slow
 def test_A9_concentration_scaling(quad_sol):
     t0 = time.time()
     data = eq.interpolation_data(quad_sol, 0.0)

@@ -171,3 +171,25 @@ def test_verify_reports_true_minimum_and_every_attempt(tmp_path):
     mc = rows["sampler.mean_position"]
     assert mc["value"] == mc["attempt_values"][-1]
     assert 1 <= len(mc["attempt_values"]) <= 2
+
+
+ROTATED_QUARTIC = """\
+potential.coeffs = 0,0 0,0 0.17,0.17 0,0 0.25,0
+seeds.zeta1 = -1.2,0.1
+seeds.zeta2 = 1.2,-0.1
+beta = 2
+"""
+
+
+@pytest.mark.parametrize("nodes_line, status", [("", 0), ("nodes = 8\n", 2)])
+def test_fredholm_reports_its_resolution(tmp_path, nodes_line, status):
+    # the limit moves by 9.1e-13 from 64 to 128 nodes and by 3.7e-4 from 8
+    # to 16: at the default nodes and tol the run passes, at 8 nodes it is
+    # a tolerance failure, not an unconverged value with exit 0
+    cfg = _write_cfg(tmp_path, f"mode = fredholm\n{ROTATED_QUARTIC}{nodes_line}")
+    out = str(tmp_path / "out")
+    assert cli.main(["fredholm", "--config", cfg, "--out", out]) == status
+    rep = json.load(open(os.path.join(out, "report.json")))
+    assert rep["exit_status"] == status
+    assert (rep["resolution"] <= rep["tolerance"]) == (status == 0)
+    assert rep["tolerance"] == 1e-7

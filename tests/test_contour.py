@@ -161,3 +161,17 @@ def test_curve_invert_roundtrip(rot_sol):
     member = _member(rot_sol, 0.5)
     xs = np.array([-0.05, 0.12, 0.5, 0.93, 1.05])
     assert np.max(np.abs(member.invert(member(xs)) - xs)) < 1e-11
+
+
+def test_curve_second_derivative_series_built_once(rot_sol, monkeypatch):
+    # deriv2 reads d1's derivative series, built on the first call only
+    from contourgas.numkit import ChebSeries
+    builds = []
+    deriv = ChebSeries.deriv
+    monkeypatch.setattr(ChebSeries, "deriv", lambda self, *a: builds.append(1) or deriv(self, *a))
+    curve = family_member(rot_sol.curve, rot_sol.zeta1, rot_sol.zeta2, 0.5)
+    x = np.linspace(0.0, 1.0, 7)
+    first, second = curve.deriv2(x), curve.deriv2(x)
+    assert len(builds) == 1
+    assert np.array_equal(first, second)
+    assert np.array_equal(first, deriv(curve.d1)(x))

@@ -361,6 +361,98 @@ def test_cheb_degree_zero_rejected():
         ChebSeries.interpolate(np.exp, 0.0, 1.0, 0)
 
 
+@pytest.fixture(scope="module")
+def chebyt_table():
+    """T_0..T_200 by mpmath.chebyt at 40 digits: at 12 real points of
+    [-1.1, 1.1] (both ends included), 6 complex points near it and 6 real
+    points within 1e-4 of +-1."""
+    rng = np.random.default_rng(13)
+    u = np.concatenate([[-1.1, 1.1, -1.0, 1.0, 0.0], rng.uniform(-1.1, 1.1, 7),
+                        rng.uniform(-1.1, 1.1, 6) + 1j * rng.uniform(-0.3, 0.3, 6),
+                        [1 - 1e-4, 1 - 1e-7, 1 + 1e-7, 1 + 1e-4, -1 + 2e-5, -1 - 2e-5]])
+    with mpmath.workdps(40):
+        ref = np.array([[complex(mpmath.chebyt(k, mpmath.mpmathify(complex(v))))
+                         for v in u] for k in range(201)])
+    return u, ref
+
+
+# b = isqrt(120) = 10 at the series' working degree: the three-term
+# recurrence stops at b and the block steps take over, so tables of degree
+# 2b - 1, 2b and b^2 sit on its seams; 8, 9, 15, 16 do the same for b = 2, 3, 4
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 9, 15, 16, 19, 20, 100, 120, 200])
+def test_tvander_against_mpmath_chebyt(chebyt_table, n):
+    u, ref = chebyt_table
+    err = {}
+    for name, part in (("real", slice(0, 12)), ("complex", slice(12, 18)),
+                       ("edge", slice(18, None))):
+        x = u[part] if name == "complex" else u[part].real
+        T = numkit._tvander(x, n)
+        assert T.shape == (n + 1, len(x)) and T.dtype == x.dtype
+        want = ref[:n + 1, part]
+        err[name] = np.abs(T - want) / np.maximum(1.0, np.abs(want))
+    assert max(np.max(err["real"]), np.max(err["complex"])) <= 1e-13
+    # at +-1, T_k has slope k^2: rounding u alone moves T_k by eps k^2, and
+    # the block steps stay within that (measured 0.34 eps k^2 on a dense grid)
+    k = np.maximum(np.arange(n + 1), 1)[:, None]
+    assert np.all(err["edge"] <= np.finfo(float).eps * k**2)
+
+
+_X_CASES = {
+    "scalar": 0.37,
+    "0-d": np.array(1.05),
+    "1-D": np.linspace(-0.3, 1.4, 9),
+    "2-D": np.linspace(-0.3, 1.4, 12).reshape(3, 4),
+    "complex 1-D": np.linspace(-0.3, 1.4, 9) + 0.05j,
+    "complex 2-D": (np.linspace(-0.3, 1.4, 12) - 0.1j).reshape(4, 3),
+}
+
+
+@pytest.mark.parametrize("xkind", list(_X_CASES))
+@pytest.mark.parametrize("cshape", [(1,), (2,), (31,), (1, 3), (31, 5)])
+@pytest.mark.parametrize("ccomplex", [False, True])
+def test_cheb_series_matches_numpy_layouts(xkind, cshape, ccomplex):
+    # values, Vandermonde rows, derivatives and antiderivatives have numpy's
+    # shapes and dtypes for every input layout, degree 0 included, and its
+    # values to rounding; a scalar x still gives a scalar
+    cheb = np.polynomial.chebyshev
+    rng = np.random.default_rng(len(cshape) * 100 + cshape[0])
+    coef = rng.normal(size=cshape) * 0.9 ** np.arange(cshape[0]).reshape(
+        (-1,) + (1,) * (len(cshape) - 1))
+    if ccomplex:
+        coef = coef + 1j * rng.normal(size=cshape)
+    x = _X_CASES[xkind]
+    s = ChebSeries(-0.3, 1.4, coef)
+    u = s.map(x)
+    scale = 2.0 / 1.7
+
+    V, W = s.vander(x), cheb.chebvander(u, cshape[0] - 1).reshape(np.shape(x) + (cshape[0],))
+    assert V.shape == W.shape and V.dtype == W.dtype
+    size = np.maximum(1.0, np.abs(W))             # |T_k| grows off the interval
+    assert np.max(np.abs(V - W) / size) <= 1e-14 * cshape[0]
+
+    got, want = s(x), cheb.chebval(u, coef)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want) and np.result_type(got) == np.result_type(want)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(coef)) * np.max(size)
+
+    for m in (1, 2):
+        d, want = s.deriv(m).coef, cheb.chebder(coef, m) * scale**m
+        assert d.shape == want.shape and d.dtype == want.dtype
+        assert np.max(np.abs(d - want)) <= 1e-14 * max(np.max(np.abs(want)), 1.0)
+    a, want = s.antideriv().coef, cheb.chebint(coef) / scale
+    assert a.shape == want.shape and a.dtype == want.dtype
+    assert np.max(np.abs(a - want)) <= 1e-15 * np.sum(np.abs(coef))
+
+
+def test_package_has_one_chebyshev_kernel():
+    # every series evaluation goes through ChebSeries: no module of the
+    # package reads numpy's Chebyshev routines
+    from pathlib import Path
+    for path in Path(numkit.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "polynomial.chebyshev" not in text and "import chebyshev" not in text, path.name
+
+
 def test_cheb_divided_difference_against_mpmath(mp_series):
     # a complex degree-40 series on a stretched interval; several points y
     # at once, separations 1e-1 down to 1e-12, x = y (Q = f') and complex x

@@ -39,6 +39,7 @@ def test_gelman_rubin_reported(small_run):
     assert info["gelman_rubin"] < 1.3
 
 
+@pytest.mark.slow
 def test_single_particle_histogram_ks(quad_data_t0):
     # N = 1 detailed-balance check: empirical law against the direct
     # quadrature of the one-particle weight
