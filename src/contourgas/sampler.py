@@ -4,6 +4,7 @@ identity."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,8 @@ def make_chain(data: InterpolationData, N, beta, n_chains=8, seed=12345):
     curve and the real part of its potential series."""
     if N < 1:
         raise ValueError(f"particle count must be >= 1, got {N}")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
     dom = (-data.sol.pad, 1 + data.sol.pad)
     vt = data.vt_gamma
     # for real x the real part of a complex-coefficient series is the
@@ -139,11 +142,25 @@ def sample_real_model(chain: ParticleChain, sweeps, burn_fraction=0.2):
     the current curve points G, with a zero diagonal; an accepted move
     rewrites row and column i, so L matches G before every step and a site
     step computes only the proposal's row (|a - b| and |b - a| agree to the
-    bit, so the current row's sum is the one a fresh row would give).
+    bit, so the current row is the one a fresh row would give).
     Site i is untouched until its own turn in a sweep, so its proposal, the
     slope and potential terms of its ratio, and the positions, slopes and
-    potentials of its accepted moves are batched per sweep; only G changes
-    per site, because later sites read it."""
+    potentials of its accepted moves are batched per sweep; only G and L
+    change per site, because later sites read them.
+
+    The Metropolis test log u < beta sum_j (row_j - L_ij) + log|gamma'|
+    change - N beta phi change is divided through by beta > 0: once per
+    sweep the uniform, slope and potential terms fold into one threshold
+    per site and chain, thr = (log u - slope + N beta dphi) / beta, stored
+    site-major like the proposals' curve points.  A site step then writes
+    row = log|gP_i - G| (its diagonal masked to 0) into a preallocated
+    buffer, takes the move where thr_i < sum_j (row - L_i), and copies G_i
+    and row and column i of L under that mask: a few in-place calls on
+    fixed buffers, no per-chain branch.  The reordered sum rounds
+    differently from beta (sum row - sum L_i) + slope + pot, so a decision
+    can differ from the unfolded test only where logr lies within rounding
+    of log u; a proposal on another particle gives row = -inf and is
+    rejected as before."""
     if sweeps < 1:
         raise ValueError(f"sweep count must be >= 1, got {sweeps}")
     C, N = chain.positions.shape
@@ -159,32 +176,42 @@ def sample_real_model(chain: ParticleChain, sweeps, burn_fraction=0.2):
     tot_block = 0
     acc_total = 0
     tot_total = 0
-    moved = np.empty((C, N), dtype=bool)
+    noise, unif = np.empty((C, N)), np.empty((C, N))
+    diff = np.empty((C, N), dtype=complex)
+    row, excess, gain = np.empty((C, N)), np.empty((C, N)), np.empty((C, 1))
+    # site-major per-sweep buffers (site i reads one (C, 1) slice of each),
+    # and each site's fixed views of them and of G and L
+    thr, gPs = np.empty((N, C, 1)), np.empty((N, C, 1), dtype=complex)
+    moved = np.empty((N, C, 1), dtype=bool)
+    sites = [(gPs[i], thr[i], moved[i], G[:, i:i + 1], L[:, i], L[:, :, i])
+             for i in range(N)]
+    moved_cn = moved[:, :, 0].T
     with np.errstate(divide="ignore"):
         for sweep in range(sweeps + burn):
-            noise = np.stack([r.standard_normal(N) for r in chain.rngs])
-            unif = np.stack([r.random(N) for r in chain.rngs])
+            for r, z, u in zip(chain.rngs, noise, unif):
+                r.standard_normal(out=z)
+                r.random(out=u)
             props = _reflect(pos + sigma * noise, lo, hi)
             gP, ldP, phP = _local_terms(series, props)
-            slope_term = ldP - logdg
-            pot_term = -N * beta * (phP - phi)
-            log_thresh = np.log(unif + 1e-300)
-            for i in range(N):
-                row = np.abs(gP[:, i][:, None] - G)
+            fold = np.log(unif + 1e-300)
+            fold -= ldP - logdg
+            fold += N * beta * (phP - phi)
+            fold /= beta
+            thr[:, :, 0] = fold.T
+            gPs[:, :, 0] = gP.T
+            for i, (g_i, thr_i, take, G_i, L_row, L_col) in enumerate(sites):
+                np.subtract(g_i, G, out=diff)
+                np.abs(diff, out=row)
                 row[:, i] = 1.0
-                row = np.log(row)
-                logr = beta * (row.sum(axis=1) - L[:, i].sum(axis=1))
-                logr += slope_term[:, i]
-                logr += pot_term[:, i]
-                take = log_thresh[:, i] < logr
-                moved[:, i] = take
-                if take.any():
-                    G[take, i] = gP[take, i]
-                    np.copyto(L[:, i], row, where=take[:, None])
-                    np.copyto(L[:, :, i], row, where=take[:, None])
-            np.copyto(pos, props, where=moved)
-            np.copyto(logdg, ldP, where=moved)
-            np.copyto(phi, phP, where=moved)
+                np.log(row, out=row)
+                np.subtract(row, L_row, out=excess)
+                np.less(thr_i, np.add.reduce(excess, 1, out=gain, keepdims=True), out=take)
+                np.copyto(G_i, g_i, where=take)
+                np.copyto(L_row, row, where=take)
+                np.copyto(L_col, row, where=take)
+            np.copyto(pos, props, where=moved_cn)
+            np.copyto(logdg, ldP, where=moved_cn)
+            np.copyto(phi, phP, where=moved_cn)
             acc_block += int(moved.sum())
             tot_block += C * N
             if sweep < burn:

@@ -273,7 +273,8 @@ def _outcome(sample, chain, sweeps):
 @pytest.mark.parametrize("t", [0.0, 1.0])
 @pytest.mark.parametrize("beta", [2.0, 4.0])
 @pytest.mark.parametrize("N, n_chains, sweeps", [(1, 4, 200), (2, 4, 100),
-                                                 (7, 3, 40), (33, 3, 25)])
+                                                 (7, 3, 40), (33, 3, 25),
+                                                 (64, 16, 20), (8, 64, 20)])
 def test_sampler_matches_reference_kernel(rot_sol, t, beta, N, n_chains, sweeps):
     # the cached pair logs and per-sweep local terms reproduce the full
     # recompute's chain to the bit; a second call on the same chain (which
@@ -287,6 +288,52 @@ def test_sampler_matches_reference_kernel(rot_sol, t, beta, N, n_chains, sweeps)
         want = _outcome(_reference_sample, ref, sweeps)
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _coincident_reflect(chain, monkeypatch, sweep, c, i, j):
+    """Patch `_reflect` so that, at the given sweep, chain c's proposal for
+    site i is the current position of its site j > i (untouched until its
+    own turn); returns the list of positions so forced."""
+    reflect, calls, forced = sp._reflect, [], []
+
+    def patched(x, lo, hi):
+        out = reflect(x, lo, hi)
+        if len(calls) == sweep:
+            out[c, i] = chain.positions[c, j]
+            forced.append(out[c, i])
+        calls.append(1)
+        return out
+    monkeypatch.setattr(sp, "_reflect", patched)
+    return forced
+
+
+@pytest.mark.filterwarnings("error")
+def test_coincident_proposal_rejected(rot_data_t1, monkeypatch):
+    # a proposal on another particle's point has pair log -inf: the move is
+    # rejected without a warning, L stays finite, and every other decision
+    # is the reference kernel's
+    N, C, sweeps, sweep, c, i, j = 8, 4, 50, 20, 1, 2, 5
+    burn = int(0.2 * sweeps)
+    pair_logs, caches = sp._pair_logs, []
+
+    def cached(G):                  # keep the cache the sampler updates in place
+        caches.append(pair_logs(G))
+        return caches[-1]
+    monkeypatch.setattr(sp, "_pair_logs", cached)
+    fast = sp.make_chain(rot_data_t1, N, 2.0, n_chains=C, seed=5)
+    forced = _coincident_reflect(fast, monkeypatch, sweep, c, i, j)
+    got = _outcome(sp.sample_real_model, fast, sweeps)
+    ref = sp.make_chain(rot_data_t1, N, 2.0, n_chains=C, seed=5)
+    forced_ref = _coincident_reflect(ref, monkeypatch, sweep, c, i, j)
+    want = _outcome(_reference_sample, ref, sweeps)
+    assert forced == forced_ref and len(forced) == 1
+    snaps = got[0]
+    k = sweep - burn                             # the snapshot after that sweep
+    assert snaps[k, c, i] == snaps[k - 1, c, i] != forced[0]
+    assert len(caches) == 1 and np.isfinite(caches[0]).all()
+    assert np.isfinite(snaps).all()
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_sampler_evaluates_two_series_per_sweep(rot_data_t1, monkeypatch):
@@ -331,6 +378,13 @@ def test_empty_runs_raise(quad_data_t0):
         sp.sample_real_model(chain, 0)
     with pytest.raises(ValueError, match="n_chains"):
         sp.phase_expectation_mc(quad_data_t0, 4, 2.0, n_chains=1)
+
+
+@pytest.mark.parametrize("beta", [0.0, -2.0, math.inf, math.nan])
+def test_bad_beta_rejected(quad_data_t0, beta):
+    # the Metropolis thresholds divide by beta
+    with pytest.raises(ValueError, match="beta"):
+        sp.make_chain(quad_data_t0, 4, beta)
 
 
 def test_phase_expectation_matches_per_configuration_loop(rot_data_t1):
