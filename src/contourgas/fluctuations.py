@@ -331,19 +331,18 @@ def loop_equation_check(N, beta, data: InterpolationData, domain, M=64):
     Dgrid = Dkernel(x, x)
     nu_D_nu = nu.integrate(Dbar_y)
 
-    # expectations under the N-particle curve ensemble by full tensor
-    # quadrature on the same grid
+    # expectations under the N-particle curve ensemble by tensor quadrature
+    # on the same grid
     _, w, log_single, log_pair = _log_weights(N, beta, _phi_from_data(data, x),
                                               gamma, domain, M, real_model=True)
     W, _ = tensor_quadrature(N, log_single, log_pair, w)
     Z = W.sum()
-    m1 = W.sum(axis=tuple(range(1, N))) / Z         # one-point marginal
+    m1 = W.sum(axis=tuple(range(1, W.ndim))) / Z    # one-point marginal
     E_Xi, E_R, E_Dbar = (pairwise_sum(m1 * s) for s in (Xi_h, R_h, Dbar))
     E_Ddiag = pairwise_sum(m1 * np.diag(Dgrid))
     E_Dpair = 0.0
     if N >= 2:
-        m2 = W.sum(axis=tuple(range(2, N))) / Z     # pair marginal
-        E_Dpair = float(np.sum(m2 * Dgrid))
+        E_Dpair = float(np.sum(W * Dgrid) / Z)      # W is the pair marginal
 
     lhs = E_Xi - nu_Xi_h
     dLdL = ((N - 1) / N) * E_Dpair + E_Ddiag / N - 2 * E_Dbar + nu_D_nu

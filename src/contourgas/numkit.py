@@ -25,6 +25,7 @@ __all__ = [
     "InvalidPotentialError",
     "BranchError",
     "NetMassError",
+    "QuadratureUnderflowError",
 ]
 
 
@@ -37,6 +38,10 @@ class BranchError(ValueError):
 
 
 class NetMassError(ValueError):
+    pass
+
+
+class QuadratureUnderflowError(ArithmeticError):
     pass
 
 
@@ -367,30 +372,49 @@ def semicircle_rule(n):
 
 
 def tensor_quadrature(N, log_single, log_pair, weights):
-    """N-fold product rule on one grid of M nodes for the integrand
-    exp(sum_i s(x_i) + sum_{i<j} P(x_i, x_j)), s = log_single (M,) and
-    P = log_pair (M, M); real or complex logs.
+    """N-fold product rule, N <= 4, on one grid of M nodes with weights w
+    for the integrand exp(sum_i s(x_i) + sum_{i<j} P(x_i, x_j)),
+    s = log_single (M,) and P = log_pair (M, M); real or complex logs.
 
-    Returns (W, shift): the (M,)*N array of integrand times node weights,
-    divided by exp(shift), with shift the largest real part of the
-    exponent (no overflow).  The integral is exp(shift) * W.sum(); summing
-    W over all but its leading axes gives the marginal weights."""
+    Returns (W, shift): the marginal of the first two particles, an (M, M)
+    array of integrated weights (the (M,) one-particle weights at N = 1),
+    divided by exp(shift).  The integral is exp(shift) * W.sum(); for N >= 2,
+    W.sum(axis=1) is the one-point marginal.  For N >= 2 each s is folded
+    into the pairs, Q_ab = P_ab + (s_a + s_b) / (N - 1), and shift is
+    C(N, 2) max Re Q, so |W| <= M^(N-2) max|w|^N; with E = exp(Q - max Re Q)
+    and U_abc = E_ac E_bc w_c, W_ab is w_a w_b E_ab times 1 (N = 2),
+    sum_c U_abc (N = 3) or sum_cd U_abc E_cd U_abd (N = 4): O(M^N) flops,
+    O(M^2) memory up to N = 3 and O(M^3) at N = 4.  Raises
+    QuadratureUnderflowError when the integral lies too far below exp(shift)
+    for the rule's own underflow to stay below rounding."""
+    if not 1 <= N <= 4:
+        raise ValueError("tensor quadrature is restricted to 1 <= N <= 4")
     M = len(weights)
-
-    def spread(v, *axes):
-        # v laid along the given axes of the N-fold grid
-        return v.reshape([M if k in axes else 1 for k in range(N)])
-
-    logW = np.zeros((M,) * N, dtype=log_single.dtype)
-    for i in range(N):
-        logW = logW + spread(log_single, i)
-    for i in range(N):
-        for j in range(i + 1, N):
-            logW = logW + spread(log_pair, i, j)
-    shift = np.max(logW.real)
-    W = np.exp(logW - shift)
-    for i in range(N):
-        W = W * spread(weights, i)
+    w = np.asarray(weights)
+    if N == 1:
+        shift = np.max(log_single.real)
+        W = w * np.exp(log_single - shift)
+    else:
+        Q = log_pair + (log_single[:, None] + log_single[None, :]) / (N - 1)
+        q = np.max(Q.real)
+        shift = q * N * (N - 1) / 2
+        E = np.exp(Q - q)
+        W = w[:, None] * w[None, :] * E
+        if N == 3:
+            W = W * ((E * w) @ E.T)
+        elif N == 4:
+            U = E[:, None, :] * E[None, :, :] * w              # U_abc
+            V = (U.reshape(M * M, M) @ E.T).reshape(U.shape)   # sum_d E_cd U_abd
+            V *= U
+            W = W * V.sum(axis=2)
+    # a term below tiny * max(1, |w|)^N loses digits; M^N of them must stay
+    # below rounding of the total
+    total = W.sum()
+    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+    floor = M**N * max(1.0, np.max(np.abs(w))) ** N * tiny / eps
+    if not (np.isfinite(total) and abs(total) >= floor):
+        raise QuadratureUnderflowError(
+            f"integral exp({shift:.1f}) * {total:.3g} is not resolved in double precision")
     return W, shift
 
 

@@ -163,8 +163,6 @@ def _z_quadrature(N, beta, V, curve, domain, M, richardson, tol, real_model):
     """Partition function by tensor quadrature at M nodes, with the
     difference to the run at 2M/3 nodes as error estimate; returns (value,
     log_value, error_estimate)."""
-    if N > 4:
-        raise ValueError("tensor quadrature is restricted to N <= 4")
 
     def compute(m):
         _, w, log_single, log_pair = _log_weights(N, beta, V, curve, domain, m, real_model)
@@ -188,14 +186,15 @@ def z_complex_quadrature(N, beta, V, curve=None, domain=(-1.0, 1.0), M=96,
     curve parameter; returns (value, log_value, error_estimate).
 
     With even integer beta the principal-branch pair powers reproduce the
-    single-valued integrand exactly.  Restricted to N <= 4 (tensor cost)."""
+    single-valued integrand exactly.  N <= 4: O(M^N) flops, O(M^2) memory
+    up to N = 3 and O(M^3) at N = 4 (`numkit.tensor_quadrature`)."""
     return _z_quadrature(N, beta, V, curve, domain, M, richardson, tol, real_model=False)
 
 
 def z_real_quadrature(N, beta, V, curve=None, domain=(-1.0, 1.0), M=96,
                       richardson=True, tol=None):
     """Real-model partition function (moduli in place of complex factors).
-    Restricted to N <= 4 (tensor cost)."""
+    N <= 4, at the same cost as `z_complex_quadrature`."""
     return _z_quadrature(N, beta, V, curve, domain, M, richardson, tol, real_model=True)
 
 
@@ -208,7 +207,7 @@ def tensor_model_moment(N, beta, V, curve, domain, f_values_fn, M=96,
     f_values_fn maps parameter nodes to statistic values."""
     x, w, log_single, log_pair = _log_weights(N, beta, V, curve, domain, M, real_model)
     W, _ = tensor_quadrature(N, log_single, log_pair, w)
-    m1 = W.sum(axis=tuple(range(1, N))) / W.sum()
+    m1 = W.sum(axis=tuple(range(1, W.ndim))) / W.sum()
     mean_stat = m1 @ f_values_fn(x)
     if centered_against is not None:
         mean_stat = mean_stat - centered_against

@@ -138,6 +138,25 @@ def test_quadrature_mode(tmp_path):
     assert 0 < rep["ratio_abs"] <= 1 + 1e-9
 
 
+def test_quadrature_mode_four_particles(tmp_path):
+    # N = 4 at the mode's M = 90: the rule keeps O(M^3) memory, not M^4 arrays
+    cfg = _write_cfg(tmp_path, "\n".join([
+        "mode = quadrature",
+        "potential.coeffs = 0,0 0,0 0.17,0.17 0,0 0.25,0",
+        "seeds.zeta1 = -1.2,0.1",
+        "seeds.zeta2 = 1.2,-0.1",
+        "N = 4",
+        "beta = 2",
+    ]) + "\n")
+    out = str(tmp_path / "out")
+    rc = cli.main(["quadrature", "--config", cfg, "--out", out])
+    assert rc == 0
+    rep = json.load(open(os.path.join(out, "report.json")))
+    assert rep["N"] == 4
+    assert 0 < rep["ratio_abs"] <= 1 + 1e-12
+    assert all(math.isfinite(e) for e in rep["error_estimates"])
+
+
 def test_config_complex_parsing():
     assert cli._parse_complex("1.5,-2") == 1.5 - 2j
     assert cli._parse_complex("3") == 3.0

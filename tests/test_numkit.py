@@ -9,7 +9,7 @@ from scipy.special import beta as beta_fn
 from contourgas import numkit
 from contourgas.numkit import (BranchError, ChebSeries, ComplexPolynomial,
                                InvalidPotentialError, NetMassError,
-                               log_energy_form, make_grid, pairwise_sum,
+                               QuadratureUnderflowError, log_energy_form, make_grid, pairwise_sum,
                                poly_normalize, semicircle_rule, tensor_quadrature,
                                track_arg)
 
@@ -475,21 +475,73 @@ def test_cheb_divided_difference_against_mpmath(mp_series):
                 assert abs(q - complex(ref)) < 1e-14 * abs(ref), (x, y)
 
 
-def test_tensor_quadrature_against_direct_sum():
+def _direct_logs(N, log_single, log_pair, w):
+    # the exponent with log-weights of every node tuple, first particle
+    # slowest, pairs in particle order i < j
+    M = len(w)
+    idx = np.indices((M,) * N).reshape(N, -1)
+    logs = sum(log_single[i] + np.log(w[i]) for i in idx)
+    for a in range(N):
+        for b in range(a + 1, N):
+            logs = logs + log_pair[idx[a], idx[b]]
+    return logs.reshape((M,) * N)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_tensor_quadrature_against_direct_sum(N):
     rng = np.random.default_rng(4)
-    M, N = 5, 3
+    M = 5
     single = rng.normal(size=M) + 1j * rng.normal(size=M)
-    pair = rng.normal(size=(M, M))
-    pair = pair + pair.T
+    pair = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))  # not symmetric
     w = rng.random(M)
     W, shift = tensor_quadrature(N, single, pair, w)
-    direct = 0j
-    for i in range(M):
-        for j in range(M):
-            for k in range(M):
-                direct += w[i] * w[j] * w[k] * np.exp(
-                    single[i] + single[j] + single[k]
-                    + pair[i, j] + pair[i, k] + pair[j, k])
-    assert W.shape == (M,) * N
-    assert np.exp(shift) * W.sum() == pytest.approx(direct, rel=1e-12)
-    assert np.max(np.abs(W)) <= np.max(w) ** N * (1 + 1e-12)   # no overflow
+    direct = np.exp(_direct_logs(N, single, pair, w))
+    assert W.shape == (M,) * min(N, 2)
+    assert np.exp(shift) * W.sum() == pytest.approx(direct.sum(), rel=1e-12)
+    one = direct.sum(axis=tuple(range(1, N)))
+    got = np.exp(shift) * W.sum(axis=tuple(range(1, W.ndim)))
+    assert np.max(np.abs(got - one)) <= 1e-12 * np.max(np.abs(one))
+    if N >= 2:
+        two = direct.sum(axis=tuple(range(2, N)))
+        assert np.max(np.abs(np.exp(shift) * W - two)) <= 1e-12 * np.max(np.abs(two))
+    # no overflow: each of the M^(N-2) terms summed into an entry is at most max(w)^N
+    assert np.max(np.abs(W)) <= M ** max(N - 2, 0) * np.max(w) ** N * (1 + 1e-12)
+
+
+def _large_logs(case, M=7):
+    x = np.linspace(-1.0, 1.0, M)
+    if case == "confining":         # one-particle logs down to -400, weak repulsion
+        s = -400 * x**2 + 300j * x
+        P = 50 * (x[:, None] - x[None, :]) ** 2 + 200j * np.outer(x, x)
+    elif case == "repulsive":       # pair maxima at the ends, one-particle maximum at 0
+        s = -400 * x**2 + 300j * x
+        P = 100 * (x[:, None] - x[None, :]) ** 2 + 200j * np.outer(x, x)
+    else:                           # "spike": the two maxima at disjoint nodes
+        s = np.full(M, -400.0 + 0j)
+        s[0] = 400.0
+        P = np.full((M, M), -400.0 + 0j)
+        P[1, 2] = P[2, 1] = 400.0
+    np.fill_diagonal(P, -1e30)
+    return s, P, np.full(M, 2.0 / M)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["confining", "repulsive", "spike"])
+def test_tensor_quadrature_large_logs_exact_or_typed_error(case, N):
+    # logs of size 400 whose one-particle and pair maxima sit at different
+    # nodes: the shifted rule either gives log Z of the log-domain direct sum
+    # or raises its typed error, never 0, inf or NaN
+    s, P, w = _large_logs(case)
+    logs = _direct_logs(N, s, P, w)
+    top = np.max(logs.real)
+    ref = top + np.log(np.exp(logs - top).sum())
+    try:
+        W, shift = tensor_quadrature(N, s, P, w)
+    except QuadratureUnderflowError:
+        assert case != "confining" and not (case == "spike" and N <= 2)
+        return
+    logz = np.log(W.sum()) + shift
+    assert np.isfinite(logz)
+    d = logz - ref
+    d_arg = (d.imag + np.pi) % (2 * np.pi) - np.pi
+    assert abs(complex(d.real, d_arg)) <= 1e-12 * max(1.0, abs(ref))
