@@ -1,9 +1,9 @@
 """Numerical laboratory for one-cut log-gas ensembles on complex contours.
 
-The public names below are imported from their modules on first access
-(PEP 562), so `import contourgas` and `import contourgas.cli` load neither
-numpy nor scipy: the command line can cap the numeric backends' threads
-before they start."""
+The package needs numpy only.  The public names below are imported from
+their modules on first access (PEP 562), so `import contourgas` and
+`import contourgas.cli` do not load numpy: the command line can cap the
+numeric backend's threads before it starts."""
 
 import importlib
 

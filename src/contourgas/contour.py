@@ -1,6 +1,7 @@
 """Parametrized arcs: the equal-mass (semicircle) parametrization of a
-one-cut support, its interpolation toward a straight segment, and curve
-regularity certificates."""
+one-cut support as the inverse of its closed-form mass map, its
+interpolation toward a straight segment, and curve regularity
+certificates."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .numkit import ChebSeries, ComplexPolynomial
 
@@ -53,8 +53,10 @@ def semicircle_cdf(x):
 class Curve:
     """Analytic arc given by Chebyshev series on a common interval.
 
-    g and d1 interpolate the parametrization and its first derivative; the
-    second derivative is the series derivative of d1, and every chord
+    g interpolates the parametrization and d1 its first derivative, fitted
+    separately (the semicircle arc fits exact slopes at g's nodes, so d1 and
+    g.deriv() agree to the series' resolution); the second derivative is
+    the series derivative of d1, and every chord
     (g(x) - g(y))/(x - y) is an exact divided difference of g.  The parameter
     domain is [-analytic_pad, 1 + analytic_pad]; the series' interval may be
     wider (a family member reads its base's series on a stretched one).
@@ -155,127 +157,246 @@ def family_member(base: Curve, zeta1, zeta2, t) -> Curve:
                  base.analytic_pad)
 
 
-def _endpoint_series(R: ComplexPolynomial, ze, p1, p2, a1):
-    """Taylor coefficients a2..a4 of the parametrization at an endpoint,
-    given the leading slope a1 with a1^3 R'(ze) = p1.
+# -- the arc as the inverse of the closed-form mass map ---------------------
 
-    Successive orders of the squared slope relation gamma'^2 R(gamma) =
-    p1 u + p2 u^2 in the local coordinate u."""
-    R1 = R.deriv()(ze)
-    R2 = R.deriv(2)(ze)
-    R3 = R.deriv(3)(ze)
-    R4 = R.deriv(4)(ze)
-    a2 = (p2 - R2 * a1**4 / 2) / (5 * a1**2 * R1)
-    a3 = -(3 * a1**3 * R2 * a2 + R3 * a1**5 / 6 + 8 * a1 * a2**2 * R1) / (7 * a1**2 * R1)
-    T = (a1**2 * (R2 * (a2**2 / 2 + a1 * a3) + R3 * a1**2 * a2 / 2 + R4 * a1**4 / 24)
-         + 4 * a1 * a2 * (R1 * a3 + R2 * a1 * a2 + R3 * a1**3 / 6)
-         + (4 * a2**2 + 6 * a1 * a3) * (R1 * a2 + R2 * a1**2 / 2)
-         + 12 * a2 * a3 * R1 * a1)
-    a4 = -T / (9 * a1**2 * R1)
-    return a2, a3, a4
+_COARSE_DEGREE = 32      # the sequential pass walks these Chebyshev points
+_MAX_DEGREE = 1024       # no plateau by this degree raises
+_FLAT_Q = ComplexPolynomial([0.0, 1.0])
 
 
-def _series_eval(ze, a1, a2, a3, a4, u):
-    g = ze + a1 * u + a2 * u * u + a3 * u**3 + a4 * u**4
-    d = a1 + 2 * a2 * u + 3 * a3 * u * u + 4 * a4 * u**3
-    return g, d
+def _antiderivative_part(s, d):
+    """Coefficients of Q, ascending, and the constant lam with
+
+        Q'(y) (y^2 - d^2) + Q(y) y + lam = S(y) (y^2 - d^2)
+
+    for S's coefficients s in the centred variable y = z - midpoint: then
+    Phi = Q r + lam log(y + r), with r^2 = y^2 - d^2, is an antiderivative
+    of S r.  The coefficient of y^n reads n q_{n-1} = s_{n-2} - d^2 s_n +
+    d^2 (n + 1) q_{n+1}, solved from the top degree down."""
+    kappa = len(s)
+    s = list(s) + [0j, 0j]
+    q = [0j] * (kappa + 3)
+    d2 = d * d
+    for n in range(kappa + 1, 0, -1):
+        q[n - 1] = ((s[n - 2] if n >= 2 else 0) - d2 * s[n] + d2 * (n + 1) * q[n + 1]) / n
+    return q[:kappa + 1], d2 * (q[1] - s[0])
 
 
-def semicircle_parametrization(R: ComplexPolynomial, zeta1, zeta2, pad=0.05,
-                               n_cheb=120, delta=1e-3, rtol=1e-12,
-                               direction_hint=None):
-    """Arc through zeta1, zeta2 on which the equilibrium measure pulls back
-    to the [0,1] semicircle law, extended analytically to [-pad, 1+pad].
+def _from_end(Q, lam, ye, w):
+    """(Phi(y) - Phi(ye), r) at y = ye + w, for Phi = Q r + lam log(y + r) and
+    the end ye of the cut [-ye, ye], r = sqrt(w (w + 2 ye)) principal.
 
-    The parametrization solves gamma'(x)^2 R(gamma(x)) = 64 x (x-1) with
-    R = S^2 (z-zeta1)(z-zeta2) (`OneCutSolution.R`); this squared form is
-    branch-free.  Endpoints are crossed with cubic local series (the
-    3/2-power singularities of the mass map cancel there).  Raises
-    ParametrizationError when no slope choice at zeta1 leads to zeta2, which
-    signals a potential that is not one-cut regular for the supplied data.
-    """
-    zeta1, zeta2 = complex(zeta1), complex(zeta2)
-    Rp = R.deriv()
+    The log is log1p((w + r) / ye), its real part from the real log1p of
+    |1 + t|^2 - 1: near the end both terms are O(sqrt w) and cancel to
+    O(w^(3/2)), so the difference keeps the terms' absolute accuracy.  The
+    other sign of r negates the difference, so its square is branch-free."""
+    r = np.sqrt(w * (w + 2 * ye))
+    t = (w + r) / ye
+    log = 0.5 * np.log1p(t.real * (t.real + 2) + t.imag**2) + 1j * np.arctan2(t.imag, t.real + 1)
+    return Q(ye + w) * r + lam * log, r
 
-    def rhs(x, y):
-        # Python complex scalars: the polynomials run Horner unboxed
-        g = complex(y[0], y[1])
-        gp = complex(y[2], y[3])
-        gpp = (64 * (2 * x - 1) - gp**3 * Rp(g)) / (2 * gp * R(g))
-        return [gp.real, gp.imag, gpp.real, gpp.imag]
 
-    def integrate(x0, x1, g0, gp0):
-        # max_step keeps the dense-output interpolant at the rtol level
-        sol = solve_ivp(rhs, [x0, x1], [g0.real, g0.imag, gp0.real, gp0.imag],
-                        method="DOP853", rtol=rtol, atol=1e-14,
-                        max_step=0.02, dense_output=True)
-        if sol.status != 0:
-            raise ParametrizationError("arc integration failed")
-        return sol
+class _MassMap:
+    """The arc's equation at parameter x, counted from the end e in {0, 1}
+    of [0, 1] and its image zeta_e, with w = gamma(x) - zeta_e:
 
-    # slope candidates at zeta1: a1^3 R'(zeta1) = -64
-    base = (-64.0 / Rp(zeta1)) ** (1.0 / 3.0)
-    cands = [base * np.exp(2j * np.pi * k / 3) for k in range(3)]
-    if direction_hint is not None:
-        cands.sort(key=lambda a: -np.real(a * np.conj(direction_hint)))
-    else:
-        cands.sort(key=lambda a: -np.real(a * np.conj(zeta2 - zeta1)))
+        (Phi(gamma) - Phi(zeta_e))^2 = (mass (H(u) - H(u_e)))^2,   u = 2x - 1,
 
-    last_err = None
-    for a1 in cands:
-        a2, a3, a4 = _endpoint_series(R, zeta1, -64.0, 64.0, a1)
-        g0, gp0 = _series_eval(zeta1, a1, a2, a3, a4, delta)
-        try:
-            mid = integrate(delta, 1 - delta, g0, gp0)
-        except ParametrizationError as exc:
-            last_err = exc
-            continue
-        g_end = mid.y[0, -1] + 1j * mid.y[1, -1]
-        gp_end = mid.y[2, -1] + 1j * mid.y[3, -1]
-        # endpoint series at zeta2 (local coordinate u = x-1): b1^3 R'(zeta2) = 64
-        b_base = (64.0 / Rp(zeta2)) ** (1.0 / 3.0)
-        b1 = min((b_base * np.exp(2j * np.pi * k / 3) for k in range(3)),
-                 key=lambda b: abs(b - gp_end))
-        b2, b3, b4 = _endpoint_series(R, zeta2, 64.0, 64.0, b1)
-        g_ref, _ = _series_eval(zeta2, b1, b2, b3, b4, -delta)
-        if abs(g_ref - g_end) < 1e-6 * max(1.0, abs(zeta2 - zeta1)):
-            break
-        last_err = ParametrizationError(
-            f"arc from {zeta1} missed {zeta2}: gap {abs(g_ref - g_end):.3e}")
-    else:
-        raise last_err or ParametrizationError("no admissible slope at zeta1")
+    H = u rho - log(u + rho), rho = sqrt(u^2 - 1), the same closed form for
+    the flat density 2 rho on [-1, 1].  H(u) - H(-1) is i pi F(x) on [0, 1]
+    and its analytic continuation beyond, so this is the mass map
+    Phi(gamma) - Phi(zeta1) = +-i pi F(x) squared: no branch of r, and both
+    sides analytic with a simple root near the end, where they vanish to
+    third order.  Each point is counted from the end on its side of 1/2,
+    where the principal log in Phi stays off its cut."""
 
-    # extensions beyond both endpoints (same ODE, same series through x=0,1)
-    gm, gpm = _series_eval(zeta1, a1, a2, a3, a4, -delta)
-    left = integrate(-delta, -pad, gm, gpm)
-    gp, gpp_ = _series_eval(zeta2, b1, b2, b3, b4, delta)
-    right = integrate(1 + delta, 1 + pad, gp, gpp_)
+    def __init__(self, S, zeta1, zeta2):
+        self.zeta = np.array([zeta1, zeta2])
+        mid = 0.5 * (zeta1 + zeta2)
+        self.ye = self.zeta - mid
+        self.S = S.shift(mid)
+        q, self.lam = _antiderivative_part(self.S.coeffs, self.ye[1])
+        self.Q = ComplexPolynomial(q)
+        # Phi(zeta2) - Phi(zeta1) = lam log(-1): the measure's mass is -lam
+        # up to the endpoint solve's residual, and the target carries it, so
+        # that the equations counted from either end agree exactly
+        self.mass = -self.lam
+        self.scale = abs(zeta2 - zeta1)
 
-    # sample on Chebyshev points of [-pad, 1+pad]
-    xs = ChebSeries.nodes(-pad, 1 + pad, n_cheb)
-    gv = np.empty(xs.shape, dtype=complex)
-    dv = np.empty(xs.shape, dtype=complex)
-    for i, x in enumerate(xs):
-        if x < -delta:
-            y = left.sol(x)
-        elif x <= delta:
-            g_, d_ = _series_eval(zeta1, a1, a2, a3, a4, x)
-            gv[i], dv[i] = g_, d_
-            continue
-        elif x < 1 - delta:
-            y = mid.sol(x)
-        elif x <= 1 + delta:
-            g_, d_ = _series_eval(zeta2, b1, b2, b3, b4, x - 1)
-            gv[i], dv[i] = g_, d_
-            continue
+    def target(self, x, e):
+        """(H(u) - H(u_e), rho) at x, both times the mass."""
+        T, rho = _from_end(_FLAT_Q, -1.0, 2.0 * e - 1, 2.0 * (x - e) + 0j)
+        return self.mass * T, self.mass * rho
+
+    def newton(self, w, e, T):
+        """Newton step of the squared equation at offsets w, with Phi - Phi_e
+        and r there."""
+        ye = self.ye[e]
+        X, r = _from_end(self.Q, self.lam, ye, w)
+        return (X * X - T * T) / (2 * X * self.S(ye + w) * r), X, r
+
+    def slope(self, w, e, X, T, rho, r):
+        """gamma' = +-4 rho / (S r) at w, where the last Newton step landed:
+        r there continues the r of the step's start, and the sign is the
+        one for which Phi - Phi_e = +-(H - H_e) held there."""
+        ye = self.ye[e]
+        r_new = np.sqrt(w * (w + 2 * ye))
+        r_new = r_new * (1 - 2 * (abs(r_new - r) > abs(r_new + r)))
+        sign = 4 - 8 * (abs(X - T) > abs(X + T))
+        return sign * rho / (self.S(ye + w) * r_new)
+
+    def solve(self, x, z0):
+        """Points and slopes at the nodes x (none at an end), by vectorized
+        Newton from the seeds z0, run until every step is below 1e-8 of its
+        offset: the error left is then below 1e-16 of it, since near an end
+        f''/f' ~ 1/w."""
+        e = (x > 0.5).astype(int)
+        T, rho = self.target(x, e)
+        w = z0 - self.zeta[e]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(12):
+                dw, X, r = self.newton(w, e, T)
+                w = w - dw
+                if not np.all(np.abs(dw) <= 1e-8 * np.abs(w)):    # false on NaN
+                    continue
+                return self.zeta[e] + w, self.slope(w, e, X, T, rho, r)
+        raise ParametrizationError("arc Newton did not converge from its seeds")
+
+    def track(self, e, xs, x0, w0, slope0):
+        """Offsets and slopes at xs, walked in order away from x0 where the
+        arc is w0 with slope slope0: each point is seeded on the cubic
+        through the two before (the tangent after the first), and a step is
+        halved while Newton, stopped as in `solve`, fails or lands farther
+        than half the tangent step from its seed."""
+        out, back = [], None
+        todo = [(float(x), True) for x in reversed(xs)]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            while todo:
+                x, keep = todo[-1]
+                h = x - x0
+                if back is None or abs(h) > 2 * abs(x0 - back[0]):
+                    seed = w0 + h * slope0
+                else:
+                    seed = _hermite(*back, x0, w0, slope0, x)
+                T, rho = self.target(x, e)
+                w, ok = seed, False
+                for _ in range(12):
+                    dw, X, r = self.newton(w, e, T)
+                    w = w - dw
+                    if not np.isfinite(w) or abs(dw) <= 1e-8 * abs(w):
+                        ok = np.isfinite(w)
+                        break
+                if ok and abs(w - seed) <= 0.5 * abs(h * slope0) + 1e-12 * self.scale:
+                    todo.pop()
+                    back = (x0, w0, slope0)
+                    x0, w0, slope0 = x, w, self.slope(w, e, X, T, rho, r)
+                    if keep:
+                        out.append((w0, slope0))
+                elif abs(h) < 1e-9:
+                    raise ParametrizationError(f"arc tracking stalled at x = {x:.9f}")
+                else:
+                    todo.append((x0 + h / 2, False))
+        return out
+
+    def march(self, x):
+        """Offsets and slopes at the coarse nodes x, sequentially from zeta1
+        through x = 1/2 to zeta2, then out past both ends.
+
+        The three slopes a with a^3 R'(zeta1) = -64 start three arcs, tried
+        in order of alignment with zeta2 - zeta1; an arc is accepted when,
+        at x = 1/2, its point also solves the equation counted from zeta2,
+        and the walk on toward zeta2 arrives along one of the slopes b with
+        b^3 R'(zeta2) = 64."""
+        z1, z2 = map(complex, self.zeta)
+        ends = self.S(self.ye) ** 2 * (self.ye - self.ye[::-1])     # R'(zeta1), R'(zeta2)
+        roots = np.exp(2j * np.pi * np.arange(3) / 3)
+        a_all = (-64 / ends[0]) ** (1 / 3) * roots
+        b_all = (64 / ends[1]) ** (1 / 3) * roots
+        mid = np.abs(x - 0.5) <= 1e-12          # a node at 1/2 up to rounding
+        inner = np.sort(x[(x > 0) & (x < 0.5) & ~mid])
+        outer = np.sort(x[(x > 0.5) & (x < 1) & ~mid])
+        half = list(inner) + [0.5]
+        last = ParametrizationError(f"no arc from {z1} reaches {z2}")
+        for a in sorted(map(complex, a_all), key=lambda a: -(a * (z2 - z1).conjugate()).real):
+            try:
+                first = self.track(0, half, 0.0, 0j, a)
+                w2 = first[-1][0] + z1 - z2
+                T, _ = self.target(0.5, 1)
+                _, X, _ = self.newton(w2, 1, T)
+                if abs(X * X - T * T) > 1e-8 * abs(T * T):
+                    continue
+                second = self.track(1, outer, 0.5, w2, first[-1][1])
+            except ParametrizationError as exc:
+                last = exc
+                continue
+            (w_last, _), x_last = second[-1], outer[-1]
+            b = complex(b_all[np.argmin(np.abs(w_last - b_all * (x_last - 1)))])
+            if abs(w_last - b * (x_last - 1)) <= 0.5 * abs(b * (x_last - 1)):
+                break
         else:
-            y = right.sol(x)
-        gv[i] = y[0] + 1j * y[1]
-        dv[i] = y[2] + 1j * y[3]
+            raise last
+        left, right = np.sort(x[x < 0])[::-1], np.sort(x[x > 1])
+        walked = {0.0: (0j, a), 1.0: (0j, b)}          # nodes at an end, if any
+        # the hand-over point, as an offset from the end on the node's side
+        walked.update((xi, first[-1] if xi <= 0.5 else (w2, first[-1][1])) for xi in x[mid])
+        for xs, vals in ((inner, first), (outer, second), (left, self.track(0, left, 0.0, 0j, a)),
+                         (right, self.track(1, right, 1.0, 0j, b))):
+            walked.update(zip(xs, vals))
+        w, dz = np.array([walked[xi] for xi in x]).T
+        return self.zeta[(x > 0.5).astype(int)] + w, dz
 
-    curve = Curve(ChebSeries.fit(-pad, 1 + pad, gv), ChebSeries.fit(-pad, 1 + pad, dv), pad)
 
-    # consistency: endpoints interpolate exactly enough
+def _hermite(xa, za, sa, xb, zb, sb, x):
+    """The cubic with values za, zb and slopes sa, sb at xa, xb, at x."""
+    h = xb - xa
+    t = (x - xa) / h
+    return ((1 + 2 * t) * (1 - t) ** 2 * za + t * (1 - t) ** 2 * h * sa
+            + t * t * (3 - 2 * t) * zb + t * t * (t - 1) * h * sb)
+
+
+def semicircle_parametrization(S: ComplexPolynomial, zeta1, zeta2, pad=0.05):
+    """Arc through zeta1, zeta2 on which the equilibrium measure pulls back
+    to the [0, 1] semicircle law, on [-pad, 1 + pad], for the polynomial
+    part S of the cut square root sqrt(R) = S r (`OneCutSolution.S`).
+
+    gamma'(x)^2 R(gamma(x)) = 64 x (x - 1) integrates in closed form:
+    Phi = Q r + lam log(z - m + r) is an antiderivative of S r (Q and lam
+    from a triangular solve), and Phi(gamma(x)) - Phi(zeta1) = +-i pi F(x),
+    F the semicircle distribution function, continued analytically past
+    [0, 1].  A sequential pass over 33 Chebyshev points chooses the arc's
+    branch at zeta1 (see `_MassMap.march`); then the degree doubles, each
+    new point solved by vectorized Newton from a cubic Hermite seed between
+    its neighbours, until the Chebyshev coefficients of both the arc and
+    its exact slopes gamma' = +-8 sqrt(x (x - 1)) / (S r)(gamma) plateau.
+    `Curve.g` and `Curve.d1` are those two fits, chopped to one length.
+    Raises ParametrizationError when no branch at zeta1 leads to zeta2, or
+    when the series have not plateaued by degree 1024 (a potential at the
+    edge of the one-cut regular regime)."""
+    zeta1, zeta2 = complex(zeta1), complex(zeta2)
+    lo, hi = -pad, 1 + pad
+    mass_map = _MassMap(S, zeta1, zeta2)
+    n = _COARSE_DEGREE
+    x = ChebSeries.nodes(lo, hi, n)
+    z, dz = mass_map.march(x)
+    while True:
+        g, d1 = ChebSeries.fit(lo, hi, z), ChebSeries.fit(lo, hi, dz)
+        (keep_g, level_g), (keep_d, level_d) = g.chop(), d1.chop()
+        if keep_g and keep_d:
+            break
+        why = f"arc series have not plateaued by degree {n}: coefficient tail at " \
+              f"{max(level_g, level_d):.1e} of the largest"
+        if n >= _MAX_DEGREE:
+            raise ParametrizationError(why)
+        xn = ChebSeries.nodes(lo, hi, 2 * n)[1::2]
+        try:
+            zn, dzn = mass_map.solve(xn, _hermite(x[:-1], z[:-1], dz[:-1], x[1:], z[1:], dz[1:], xn))
+        except ParametrizationError as exc:
+            raise ParametrizationError(f"{why}, and at degree {2 * n}: {exc}") from exc
+        n *= 2
+        x = ChebSeries.nodes(lo, hi, n)
+        z, dz = np.insert(z, np.arange(1, len(z)), zn), np.insert(dz, np.arange(1, len(dz)), dzn)
+    keep = max(keep_g, keep_d)
+    curve = Curve(ChebSeries(lo, hi, g.coef[:keep]), ChebSeries(lo, hi, d1.coef[:keep]), pad)
     if abs(curve(0.0) - zeta1) > 1e-9 or abs(curve(1.0) - zeta2) > 1e-9:
         raise ParametrizationError("parametrization does not hit the endpoints")
     return curve

@@ -42,25 +42,39 @@ class PathError(ValueError):
     pass
 
 
-def _loop_coefficients(vprime, z1, z2, kmax, n_loop=512, rad_fac=3.0):
-    """Laurent coefficients (in w = s - midpoint) of V'(s)/r(s) at infinity,
-    r the square root of (s-z1)(s-z2) cut between the endpoints and ~ s.
-    Returned for powers kmax .. -2."""
+def _loop(z1, z2, n_loop=512, rad_fac=3.0):
+    """Trapezoid nodes s = midpoint + w on a circle around the cut, with
+    r(s), the square root of (s-z1)(s-z2) cut between the endpoints and ~ s;
+    a mean over the nodes of f w^(-k) is the w^k Laurent coefficient of f."""
     mid = 0.5 * (z1 + z2)
     d = 0.5 * (z2 - z1)
-    R = rad_fac * max(1.0, abs(d))
     th = 2 * np.pi * np.arange(n_loop) / n_loop
-    w = R * np.exp(1j * th)
-    s = mid + w
+    w = rad_fac * max(1.0, abs(d)) * np.exp(1j * th)
     u = w / d
-    r = d * u * np.sqrt(1 - u**-2)
+    return mid + w, w, d * u * np.sqrt(1 - u**-2)
+
+
+def _loop_coefficients(vprime, z1, z2, kmax):
+    """Laurent coefficients (in w = s - midpoint) of V'(s)/r(s) at infinity,
+    for powers kmax .. -2."""
+    s, w, r = _loop(z1, z2)
     q = vprime(s) / r
     return {k: np.mean(q * w ** (-float(k))) for k in range(kmax, -3, -1)}
 
 
 def _endpoint_residual(vprime, z1, z2):
-    c = _loop_coefficients(vprime, z1, z2, 0)
-    return np.array([c[-1], c[-2] - 1.0])
+    """F = (c_-1, c_-2 - 1), the 1/w and 1/w^2 coefficients of V'/r less
+    their unit-mass values, and its exact Jacobian in (z1, z2), all from one
+    set of loop samples.  d(1/r)/dz1 = (s - z2) / (2 r^3), likewise for z2;
+    moving the centre w = s - (z1 + z2)/2 adds -c_-1/2 to each 1/w^2 row."""
+    s, w, r = _loop(z1, z2)
+    vp = vprime(s)
+    q = vp / r
+    dq = (vp / (2 * r**3)) * np.array([s - z2, s - z1])
+    c1 = np.mean(q * w)
+    F = np.array([c1, np.mean(q * w * w) - 1.0])
+    J = np.array([np.mean(dq * w, axis=1), np.mean(dq * (w * w), axis=1) - c1 / 2])
+    return F, J
 
 
 def solve_one_cut(V: ComplexPolynomial, seeds=None, tol=1e-12, maxit=50,
@@ -110,28 +124,32 @@ def solve_one_cut(V: ComplexPolynomial, seeds=None, tol=1e-12, maxit=50,
 
 
 def _newton_endpoints(vprime, z, tol, maxit):
+    """Damped Newton on the endpoint residual.  The residual and Jacobian of
+    an accepted line-search point carry into the next iteration, so each
+    iteration samples the loop once more per rejected trial only.  The
+    converged iterate takes its last Newton step, which samples nothing,
+    when that step solves and is below 1e-6 of max(1, |z|); else it stays."""
+    F, J = _endpoint_residual(vprime, z[0], z[1])
     for _ in range(maxit):
-        F = _endpoint_residual(vprime, z[0], z[1])
-        if np.max(np.abs(F)) < tol:
-            return z
-        h = 1e-7
-        J = np.zeros((2, 2), dtype=complex)
-        for j in range(2):
-            zp = z.copy()
-            zp[j] += h
-            J[:, j] = (_endpoint_residual(vprime, zp[0], zp[1]) - F) / h
+        base = np.max(np.abs(F))
         try:
             dz = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as exc:
+            if base < tol:
+                return z
             raise NoSolutionError("singular endpoint Jacobian") from exc
+        if base < tol:
+            small = np.all(np.abs(dz) <= 1e-6 * np.maximum(1.0, np.abs(z)))
+            return z + dz if small else z
         lam = 1.0
-        base = np.max(np.abs(F))
         while lam > 2**-20:
-            zn = z + lam * dz
-            if np.max(np.abs(_endpoint_residual(vprime, zn[0], zn[1]))) < base:
+            F, J = _endpoint_residual(vprime, *(z + lam * dz))
+            if np.max(np.abs(F)) < base:
                 break
             lam *= 0.5
         z = z + lam * dz
+        if lam <= 2**-20:
+            F, J = _endpoint_residual(vprime, z[0], z[1])
     raise NoSolutionError("endpoint Newton did not converge from the seed")
 
 
@@ -245,7 +263,7 @@ class OneCutSolution:
                 self._curve = affine_curve(self.zeta1, self.zeta2, self.pad_outer)
             else:
                 self._curve = semicircle_parametrization(
-                    self.R, self.zeta1, self.zeta2, pad=self.pad_outer)
+                    self.S, self.zeta1, self.zeta2, pad=self.pad_outer)
         return self._curve
 
     # -- measure ---------------------------------------------------------

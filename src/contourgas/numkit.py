@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 
+_CHOP_TOL = np.finfo(float).eps     # relative accuracy `ChebSeries.chop` resolves to
+
+
 class InvalidPotentialError(ValueError):
     pass
 
@@ -206,6 +209,47 @@ class ChebSeries:
         c0 = np.tensordot((-1.0) ** np.arange(len(even)), even, axes=(0, 0))
         return ChebSeries(self.lo, self.hi,
                           np.concatenate([c0[None], upper]) * (self.hi - self.lo) / 2)
+
+    def chop(self):
+        """(length, level): how many leading coefficients resolve the series
+        to relative accuracy tol = _CHOP_TOL (machine epsilon), by the
+        standard chop rule of Aurentz and Trefethen (ACM TOMS 43, 2017), and
+        the level of the coefficient envelope, relative to its maximum, where
+        it flattens.
+
+        The envelope is the running maximum of |coef| from the tail (over
+        all columns).  A plateau starts at the first j whose envelope at
+        1.25 j + 5 has fallen by less than 3 (1 - ln e_j / ln tol); the cut
+        is then where the envelope plus a linear bias toward short series
+        is least.  length is None when no plateau has formed yet; level is
+        then the envelope at the last coefficient."""
+        tol = _CHOP_TOL
+        b = np.abs(self.coef).reshape(len(self.coef), -1).max(axis=1)
+        n = len(b)
+        env = np.maximum.accumulate(b[::-1])[::-1]
+        if env[0] == 0:
+            return 1, 0.0
+        env = env / env[0]
+        j = np.arange(2, n + 1)
+        j2 = np.floor(1.25 * j + 5.5).astype(int)
+        j, j2 = j[j2 <= n], j2[j2 <= n]
+        e1, e2 = env[j - 1], env[j2 - 1]
+        with np.errstate(divide="ignore"):
+            found = np.flatnonzero((e1 == 0) | (e2 > 3 * (1 - np.log(e1) / np.log(tol)) * e1))
+        if found.size == 0:
+            return None, float(env[-1])
+        point, stop = j[found[0]] - 1, j2[found[0]]
+        level = float(env[point - 1])
+        if level == 0:
+            return int(point), level
+        floor = tol ** (7 / 6)
+        above = int(np.sum(env >= floor))
+        head = env[:stop].copy()
+        if above < stop:
+            head = head[:above + 1]
+            head[-1] = floor
+        biased = np.log10(head) + np.linspace(0, -np.log10(tol) / 3, len(head))
+        return max(int(np.argmin(biased)), 1), level
 
     def divided_difference(self, y):
         """Divided differences Q_j(x) = (f(x) - f(y_j)) / (x - y_j) of a

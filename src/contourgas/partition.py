@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .equilibrium import OneCutSolution, interpolation_data
 from .numkit import make_grid, tensor_quadrature
@@ -40,8 +39,8 @@ def selberg_exact(N, beta, zeta1, zeta2, v_mid):
     log_z = (N / 2) * math.log(2 * math.pi)
     log_z += expo * (np.log(dz) - 0.5 * math.log(8 * beta * N))
     log_z += -beta * N * N * complex(v_mid)
-    log_z += -N * gammaln(beta / 2 + 1)
-    log_z += sum(gammaln(beta * j / 2 + 1) for j in range(1, N + 1))
+    log_z += -N * math.lgamma(beta / 2 + 1)
+    log_z += sum(math.lgamma(beta * j / 2 + 1) for j in range(1, N + 1))
     return complex(log_z)
 
 
@@ -54,10 +53,10 @@ def factorial_product_reduce(t, n):
     if t < 1 or n < 1:
         raise ValueError("arguments must be integers >= 1")
     reduced = -0.5 * n * (t - 1) * math.log(t)
-    reduced += sum(gammaln(j + 1) for j in range(1, t * n)) / t
+    reduced += sum(math.lgamma(j + 1) for j in range(1, t * n)) / t
     for p in range(1, t):
-        reduced += (1 - p / t) * (gammaln(p / t) - gammaln(p / t + n))
-    direct = sum(gammaln(t * j + 1) for j in range(1, n))
+        reduced += (1 - p / t) * (math.lgamma(p / t) - math.lgamma(p / t + n))
+    direct = sum(math.lgamma(t * j + 1) for j in range(1, n))
     return reduced, direct
 
 
@@ -90,7 +89,7 @@ def quadratic_f_coefficients(beta, zeta1, zeta2, v_mid):
     log_density_avg = 0.5 - math.log(math.pi / 2) - np.log(dz)
     F_m2 = -(beta / 2) * energy
     F_m1 = ((beta / 2 - 1) * (log_density_avg + math.log(beta / 2))
-            + (beta / 2) * math.log(2 * math.pi / math.e) - gammaln(beta / 2))
+            + (beta / 2) * math.log(2 * math.pi / math.e) - math.lgamma(beta / 2))
     return complex(F_m2), complex(F_m1)
 
 
@@ -117,7 +116,7 @@ def f_coefficients(sol_or_data, beta):
     log_density_avg = -src.entropy()
     F_m2 = -(beta / 2) * energy
     F_m1 = ((beta / 2 - 1) * (log_density_avg + math.log(beta / 2))
-            + (beta / 2) * math.log(2 * math.pi / math.e) - gammaln(beta / 2))
+            + (beta / 2) * math.log(2 * math.pi / math.e) - math.lgamma(beta / 2))
     return complex(F_m2), complex(F_m1)
 
 

@@ -4,8 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from contourgas.numkit import ComplexPolynomial, semicircle_rule
 from contourgas import equilibrium as eq
+from contourgas.contour import Curve, ParametrizationError
+from contourgas.numkit import ChebSeries, ComplexPolynomial, semicircle_rule
 
 
 @pytest.fixture(scope="session")
@@ -104,3 +105,103 @@ def _mp_series(series):
 @pytest.fixture(scope="session")
 def mp_series():
     return _mp_series
+
+
+def _ode_endpoint_series(R, ze, p1, p2, a1):
+    """Taylor coefficients a2..a4 of the parametrization at an endpoint,
+    given the leading slope a1 with a1^3 R'(ze) = p1."""
+    R1 = R.deriv()(ze)
+    R2 = R.deriv(2)(ze)
+    R3 = R.deriv(3)(ze)
+    R4 = R.deriv(4)(ze)
+    a2 = (p2 - R2 * a1**4 / 2) / (5 * a1**2 * R1)
+    a3 = -(3 * a1**3 * R2 * a2 + R3 * a1**5 / 6 + 8 * a1 * a2**2 * R1) / (7 * a1**2 * R1)
+    T = (a1**2 * (R2 * (a2**2 / 2 + a1 * a3) + R3 * a1**2 * a2 / 2 + R4 * a1**4 / 24)
+         + 4 * a1 * a2 * (R1 * a3 + R2 * a1 * a2 + R3 * a1**3 / 6)
+         + (4 * a2**2 + 6 * a1 * a3) * (R1 * a2 + R2 * a1**2 / 2)
+         + 12 * a2 * a3 * R1 * a1)
+    a4 = -T / (9 * a1**2 * R1)
+    return a2, a3, a4
+
+
+def _ode_series_eval(ze, a1, a2, a3, a4, u):
+    g = ze + a1 * u + a2 * u * u + a3 * u**3 + a4 * u**4
+    d = a1 + 2 * a2 * u + 3 * a3 * u * u + 4 * a4 * u**3
+    return g, d
+
+
+def _ode_arc(R, zeta1, zeta2, pad=0.05, n_cheb=120, delta=1e-3, rtol=1e-12):
+    """Frozen reference for the arc tests: the ODE construction of the
+    semicircle parametrization that the closed-form mass map replaced.
+
+    It integrates gamma'(x)^2 R(gamma(x)) = 64 x (x - 1), R = S^2 (z -
+    zeta1)(z - zeta2), with scipy's DOP853 from cubic endpoint series, at
+    the fixed Chebyshev degree 120; an independent oracle only."""
+    from scipy.integrate import solve_ivp
+
+    zeta1, zeta2 = complex(zeta1), complex(zeta2)
+    Rp = R.deriv()
+
+    def rhs(x, y):
+        g = complex(y[0], y[1])
+        gp = complex(y[2], y[3])
+        gpp = (64 * (2 * x - 1) - gp**3 * Rp(g)) / (2 * gp * R(g))
+        return [gp.real, gp.imag, gpp.real, gpp.imag]
+
+    def integrate(x0, x1, g0, gp0):
+        sol = solve_ivp(rhs, [x0, x1], [g0.real, g0.imag, gp0.real, gp0.imag],
+                        method="DOP853", rtol=rtol, atol=1e-14,
+                        max_step=0.02, dense_output=True)
+        if sol.status != 0:
+            raise ParametrizationError("arc integration failed")
+        return sol
+
+    base = (-64.0 / Rp(zeta1)) ** (1.0 / 3.0)
+    cands = [base * np.exp(2j * np.pi * k / 3) for k in range(3)]
+    cands.sort(key=lambda a: -np.real(a * np.conj(zeta2 - zeta1)))
+    last_err = None
+    for a1 in cands:
+        a2, a3, a4 = _ode_endpoint_series(R, zeta1, -64.0, 64.0, a1)
+        g0, gp0 = _ode_series_eval(zeta1, a1, a2, a3, a4, delta)
+        try:
+            mid = integrate(delta, 1 - delta, g0, gp0)
+        except ParametrizationError as exc:
+            last_err = exc
+            continue
+        g_end = mid.y[0, -1] + 1j * mid.y[1, -1]
+        gp_end = mid.y[2, -1] + 1j * mid.y[3, -1]
+        b_base = (64.0 / Rp(zeta2)) ** (1.0 / 3.0)
+        b1 = min((b_base * np.exp(2j * np.pi * k / 3) for k in range(3)),
+                 key=lambda b: abs(b - gp_end))
+        b2, b3, b4 = _ode_endpoint_series(R, zeta2, 64.0, 64.0, b1)
+        g_ref, _ = _ode_series_eval(zeta2, b1, b2, b3, b4, -delta)
+        if abs(g_ref - g_end) < 1e-6 * max(1.0, abs(zeta2 - zeta1)):
+            break
+        last_err = ParametrizationError(f"arc from {zeta1} missed {zeta2}")
+    else:
+        raise last_err or ParametrizationError("no admissible slope at zeta1")
+
+    gm, gpm = _ode_series_eval(zeta1, a1, a2, a3, a4, -delta)
+    left = integrate(-delta, -pad, gm, gpm)
+    gp, gpp_ = _ode_series_eval(zeta2, b1, b2, b3, b4, delta)
+    right = integrate(1 + delta, 1 + pad, gp, gpp_)
+
+    xs = ChebSeries.nodes(-pad, 1 + pad, n_cheb)
+    gv = np.empty(xs.shape, dtype=complex)
+    dv = np.empty(xs.shape, dtype=complex)
+    for i, x in enumerate(xs):
+        if -delta <= x <= delta:
+            gv[i], dv[i] = _ode_series_eval(zeta1, a1, a2, a3, a4, x)
+            continue
+        if 1 - delta <= x <= 1 + delta:
+            gv[i], dv[i] = _ode_series_eval(zeta2, b1, b2, b3, b4, x - 1)
+            continue
+        y = (left if x < -delta else mid if x < 1 - delta else right).sol(x)
+        gv[i] = y[0] + 1j * y[1]
+        dv[i] = y[2] + 1j * y[3]
+    return Curve(ChebSeries.fit(-pad, 1 + pad, gv), ChebSeries.fit(-pad, 1 + pad, dv), pad)
+
+
+@pytest.fixture(scope="session")
+def ode_arc():
+    return _ode_arc

@@ -200,6 +200,23 @@ beta = 2
 """
 
 
+def test_no_scipy_at_run_time(tmp_path):
+    # scipy is a test oracle only: the package modules and a CLI equilibrium
+    # run on the rotated quartic load none of it
+    cfg = _write_cfg(tmp_path, f"mode = equilibrium\n{ROTATED_QUARTIC}")
+    out = str(tmp_path / "out")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\n"
+            "import contourgas.equilibrium, contourgas.partition, contourgas.sampler\n"
+            "import contourgas.fluctuations, contourgas.cli as cli\n"
+            f"assert cli.main(['equilibrium', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n")
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
 @pytest.mark.parametrize("nodes_line, status", [("", 0), ("nodes = 8\n", 2)])
 def test_fredholm_reports_its_resolution(tmp_path, nodes_line, status):
     # the limit moves by 9.1e-13 from 64 to 128 nodes and by 3.7e-4 from 8

@@ -43,6 +43,65 @@ def test_endpoints_quartic(quartic_sol):
     assert fr["off_support_min"] > 0
 
 
+@pytest.mark.parametrize("fix", ["rot_sol", "cubic_sol"])
+def test_endpoint_jacobian_vs_central_difference(request, fix):
+    # the exact Jacobian against a central difference of the residual,
+    # off the solution, where both columns are far from zero
+    sol = request.getfixturevalue(fix)
+    vp = sol.potential.deriv()
+    z = np.array([sol.zeta1 + 0.03 - 0.02j, sol.zeta2 - 0.01 + 0.04j])
+    _, J = eq._endpoint_residual(vp, *z)
+    h = 1e-5
+    for j in range(2):
+        step = np.zeros(2)
+        step[j] = h
+        fd = (eq._endpoint_residual(vp, *(z + step))[0]
+              - eq._endpoint_residual(vp, *(z - step))[0]) / (2 * h)
+        assert np.max(np.abs(fd - J[:, j])) <= 1e-8
+
+
+@pytest.mark.parametrize("seeds, damped", [((-1.2, 1.2), False), ((-0.2, 0.3), True)])
+def test_endpoint_newton_samples_the_loop_once_per_iteration(monkeypatch, seeds, damped):
+    # an accepted line-search point hands its residual and Jacobian to the
+    # next iteration: loop samples = Newton solves + rejected trials (none
+    # from the near seeds, some from the far ones)
+    residuals, solves = [], []
+    residual, solve = eq._endpoint_residual, np.linalg.solve
+
+    def counted_residual(vp, z1, z2):
+        F, J = residual(vp, z1, z2)
+        residuals.append(np.max(np.abs(F)))
+        return F, J
+
+    def counted_solve(a, b):
+        solves.append(1)
+        return solve(a, b)
+
+    monkeypatch.setattr(eq, "_endpoint_residual", counted_residual)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    vp = ComplexPolynomial([0, 0, 0, 0, 0.25]).deriv()
+    z = eq._newton_endpoints(vp, np.array(seeds, dtype=complex), 1e-12, 50)
+    base, rejected = residuals[0], 0
+    for f in residuals[1:]:
+        if f < base:
+            base = f
+        else:
+            rejected += 1
+    assert len(residuals) == len(solves) + rejected
+    assert (rejected > 0) == damped
+    assert np.max(np.abs(residual(vp, *z)[0])) < 1e-12
+
+
+@pytest.mark.parametrize("J", [np.zeros((2, 2)), np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])])
+def test_endpoint_newton_keeps_a_converged_point(monkeypatch, J):
+    # a residual already below tol returns z itself when the last free step
+    # cannot be solved (singular J) or is not small (ill-conditioned J)
+    monkeypatch.setattr(eq, "_endpoint_residual",
+                        lambda vp, z1, z2: (np.array([1e-13, -1e-13]), J))
+    z = np.array([-1.5 + 0.1j, 1.5 - 0.1j])
+    assert np.array_equal(eq._newton_endpoints(None, z, 1e-12, 50), z)
+
+
 def test_solver_rejects_degree_one():
     with pytest.raises(NoSolutionError):
         eq.solve_one_cut(ComplexPolynomial([0, 1.0]))

@@ -545,3 +545,16 @@ def test_tensor_quadrature_large_logs_exact_or_typed_error(case, N):
     d = logz - ref
     d_arg = (d.imag + np.pi) % (2 * np.pi) - np.pi
     assert abs(complex(d.real, d_arg)) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_chop_finds_the_plateau():
+    # exp is resolved by 15 coefficients; a column scaled by 1e-3 does not
+    # change the length; |x| has no plateau at degree 64
+    s = ChebSeries.interpolate(np.exp, -1, 1, 64)
+    length, level = s.chop()
+    assert length == 15 and level < 1e-13
+    both = ChebSeries.interpolate(lambda x: np.exp(x)[:, None] * [1.0, 1e-3], -1, 1, 64)
+    assert both.chop()[0] == length
+    length, level = ChebSeries.interpolate(np.abs, -1, 1, 64).chop()
+    assert length is None and level > 1e-4
+    assert ChebSeries(-1, 1, np.zeros(40)).chop() == (1, 0.0)
