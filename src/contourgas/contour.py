@@ -196,6 +196,12 @@ def _from_end(Q, lam, ye, w):
     return Q(ye + w) * r + lam * log, r
 
 
+def _flat_mass(x, e):
+    """(H(u) - H(u_e), rho) at x for the end e of [0, 1] (see `_MassMap`):
+    real past the end, with the sign of x - e, to full relative accuracy."""
+    return _from_end(_FLAT_Q, -1.0, 2.0 * e - 1, 2.0 * (x - e) + 0j)
+
+
 class _MassMap:
     """The arc's equation at parameter x, counted from the end e in {0, 1}
     of [0, 1] and its image zeta_e, with w = gamma(x) - zeta_e:
@@ -225,7 +231,7 @@ class _MassMap:
 
     def target(self, x, e):
         """(H(u) - H(u_e), rho) at x, both times the mass."""
-        T, rho = _from_end(_FLAT_Q, -1.0, 2.0 * e - 1, 2.0 * (x - e) + 0j)
+        T, rho = _flat_mass(x, e)
         return self.mass * T, self.mass * rho
 
     def newton(self, w, e, T):

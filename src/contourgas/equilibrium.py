@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .contour import (Curve, affine_curve, family_member, semicircle_cdf,
+from .contour import (Curve, _flat_mass, affine_curve, family_member, semicircle_cdf,
                       semicircle_parametrization, subtracted_chord_kernel)
 from .numkit import (ChebSeries, ComplexPolynomial, WeightedGrid, make_grid,
                      pairwise_sum, semicircle_rule, track_arg)
@@ -42,14 +42,15 @@ class PathError(ValueError):
     pass
 
 
-def _loop(z1, z2, n_loop=512, rad_fac=3.0):
-    """Trapezoid nodes s = midpoint + w on a circle around the cut, with
-    r(s), the square root of (s-z1)(s-z2) cut between the endpoints and ~ s;
-    a mean over the nodes of f w^(-k) is the w^k Laurent coefficient of f."""
+def _loop(z1, z2):
+    """512 trapezoid nodes s = midpoint + w on the circle of radius
+    3 max(1, |z2 - z1|/2) around the cut, with r(s), the square root of
+    (s-z1)(s-z2) cut between the endpoints and ~ s; a mean over the nodes
+    of f w^(-k) is the w^k Laurent coefficient of f."""
     mid = 0.5 * (z1 + z2)
     d = 0.5 * (z2 - z1)
-    th = 2 * np.pi * np.arange(n_loop) / n_loop
-    w = rad_fac * max(1.0, abs(d)) * np.exp(1j * th)
+    th = 2 * np.pi * np.arange(512) / 512
+    w = 3.0 * max(1.0, abs(d)) * np.exp(1j * th)
     u = w / d
     return mid + w, w, d * u * np.sqrt(1 - u**-2)
 
@@ -78,7 +79,7 @@ def _endpoint_residual(vprime, z1, z2):
 
 
 def solve_one_cut(V: ComplexPolynomial, seeds=None, tol=1e-12, maxit=50,
-                  pad=0.05, n_grid=64, homotopy_steps=8, validate=True):
+                  pad=0.05, n_grid=64, validate=True):
     """Endpoints and polynomial part of the one-cut equilibrium data for a
     polynomial potential.
 
@@ -93,9 +94,9 @@ def solve_one_cut(V: ComplexPolynomial, seeds=None, tol=1e-12, maxit=50,
     vprime = V.deriv()
 
     if seeds is None:
-        # homotopy from the quadratic z^2/2 toward V
+        # homotopy from the quadratic z^2/2 toward V, in eight steps
         z = np.array([-math.sqrt(2), math.sqrt(2)], dtype=complex)
-        for s in np.linspace(1.0 / homotopy_steps, 1.0, homotopy_steps):
+        for s in np.linspace(1.0 / 8, 1.0, 8):
             mix = ComplexPolynomial(
                 np.polynomial.polynomial.polyadd(
                     np.asarray(V.coeffs, dtype=complex) * s,
@@ -151,6 +152,15 @@ def _newton_endpoints(vprime, z, tol, maxit):
         if lam <= 2**-20:
             F, J = _endpoint_residual(vprime, z[0], z[1])
     raise NoSolutionError("endpoint Newton did not converge from the seed")
+
+
+def _chord_root(q0, q1):
+    """q0 sqrt(q1/q0), principal root, for an arc's chords q0 = Q(x, 0) and
+    q1 = Q(x, 1) to its ends.  As gamma(x) - zeta1 = x q0 and gamma(x) -
+    zeta2 = (x - 1) q1, x sqrt((x - 1)/x) times it is the root of (z -
+    zeta1)(z - zeta2) at z = gamma(x) cut along the arc, with no
+    cancellation near the ends, and 8 / (gamma' times it) is S(gamma(x))."""
+    return q0 * np.sqrt(q1 / q0)
 
 
 def log_potential(curve, x, nu):
@@ -284,30 +294,48 @@ class OneCutSolution:
     # -- cut square root -------------------------------------------------
 
     @cached_property
-    def _flat_grid(self):
-        return make_grid("gauss_legendre", 160, (0.0, 1.0))
+    def _arc_polygon(self):
+        """Parameters and points of the arc on [0, 1] at the curve series'
+        own Chebyshev points, ends included, and twice each point's longer
+        step to a neighbour."""
+        g = self.curve.g
+        x = np.sort(ChebSeries.nodes(g.lo, g.hi, len(g.coef) - 1))
+        x = np.concatenate([[0.0], x[(x > 0) & (x < 1)], [1.0]])
+        pts = np.concatenate([[self.zeta1], self.curve(x[1:-1]), [self.zeta2]])
+        step = np.abs(np.diff(pts, prepend=pts[1], append=pts[-2]))
+        return x, pts, 2 * np.maximum(step[:-1], step[1:])
 
     def r_cut(self, z):
         """Square root of (z-zeta1)(z-zeta2) cut along the support arc,
-        behaving like z at infinity (exponential-of-integral form)."""
+        behaving like z at infinity, for z off the arc: the root (z - zeta1)
+        sqrt((z - zeta2)/(z - zeta1)) cut along the chord, negated inside the
+        closed curve of arc and chord (the winding of the polygon through
+        the arc's Chebyshev points).  Within twice the local step of the
+        polygon, where an edge may pass z on the other side than the arc,
+        the sign comes from the inverted form x sqrt((x - 1)/x) `_chord_root`
+        at z = gamma(x), cut exactly on the arc (that close, x lies well
+        inside the region where the curve series converges)."""
         z = np.asarray(z, dtype=complex)
-        fg = self._flat_grid
-        y, w = fg.nodes, fg.weights
-        g = self.curve(y)
-        gp = self.curve.deriv1(y)
-        integ = (gp[None, :] / (2 * (g[None, :] - z.reshape(-1, 1)))) * w[None, :]
-        val = (z.reshape(-1) - self.zeta1) * np.exp(pairwise_sum(integ, axis=-1))
+        zf = z.reshape(-1)
+        xs, pts, reach = self._arc_polygon
+        d = pts - zf[:, None]
+        flip = np.abs(np.angle(np.roll(d, -1, axis=1) / d).sum(axis=1)) > np.pi
+        val = (zf - self.zeta1) * np.sqrt((zf - self.zeta2) / (zf - self.zeta1))
+        close = np.abs(d) / reach
+        near = np.min(close, axis=1) < 1
+        if near.any():
+            x = self.curve.invert(zf[near], x0=xs[np.argmin(close[near], axis=1)])
+            inv = x * np.sqrt((x - 1) / x) * _chord_root(*self.curve.end_chord(x))
+            flip[near] = np.abs(val[near] - inv) > np.abs(val[near] + inv)
+        val = np.where(flip, -val, val)
         return val.reshape(z.shape) if z.shape else complex(val[0])
 
     def r_plus(self, x):
         """Boundary value of r_cut on the support, from the + side, at
-        parameter x in (0,1): the principal value of the Cauchy integral is
-        the subtracted chord kernel plus the flat closed form."""
-        fg = self._flat_grid
+        parameter x in (0,1): the limit of r_cut's inverted form from
+        Im x > 0, i sqrt(x (1 - x)) times `_chord_root` of the end chords."""
         x = np.asarray(x, dtype=float)
-        ker = subtracted_chord_kernel(self.curve, fg.nodes, x.reshape(-1))
-        pv = np.log((1 - x) / x) - fg.integrate(ker.T).reshape(x.shape)
-        out = 1j * (self.curve(x) - self.zeta1) * np.exp(0.5 * pv)
+        out = 1j * np.sqrt(x * (1 - x)) * _chord_root(*self.curve.end_chord(x))
         return out if x.shape else complex(out)
 
     def sqrtR(self, z):
@@ -326,18 +354,16 @@ class OneCutSolution:
     # -- effective potentials ---------------------------------------------
 
     def effective_on_curve(self, x):
-        """(Phi_+, Phi_-) of the complex effective potential at gamma(x)."""
+        """(Phi_+, Phi_-) of the complex effective potential at gamma(x): on
+        the support +-i pi times the mass up to x; off it 8 |int sqrt(y (y -
+        1)) dy| from the nearer end in closed form, plus +-i pi past zeta2."""
         x = float(x)
         if 0.0 <= x <= 1.0:
             v = 1j * np.pi * semicircle_cdf(x)
             return v, -v
-        if x < 0:
-            gl = make_grid("gauss_legendre", 64, (x, 0.0))
-            real = 8 * gl.integrate(np.sqrt(gl.nodes * (gl.nodes - 1)))
-            return complex(real), complex(real)
-        gl = make_grid("gauss_legendre", 64, (1.0, x))
-        real = 8 * gl.integrate(np.sqrt(gl.nodes * (gl.nodes - 1)))
-        return real + 1j * np.pi, real - 1j * np.pi
+        e = int(x > 1)
+        real = abs(_flat_mass(x, e)[0].real)
+        return complex(real) + 1j * np.pi * e, complex(real) - 1j * np.pi * e
 
     def _g_function(self, z):
         """Branch-tracked logarithmic potential -int ln(z - w) dmu(w) for z
@@ -496,46 +522,23 @@ class InterpolationData:
 
     # -- prefactor of the cut square root ---------------------------------
 
-    def _q_ratio(self, x):
-        """64 x(x-1) / (g'^2 (g-z1)(g-z2)) = 64 / (g'^2 Q(x, 0) Q(x, 1)) on the
-        member, with Q the curve's chord to each end (g(0) = z1, g(1) = z2):
-        the square of the prefactor, finite up to both ends.  Complex x
-        continues it off the interval."""
-        V = self.curve.g.vander(x)
-        Q = self.curve.end_chord.coef
-        gp = V[..., :len(self.curve.d1.coef)] @ self.curve.d1.coef
-        q = V[..., :len(Q)] @ Q
-        return 64 / (q[..., 0] * q[..., 1] * gp**2)
+    def st_grid(self, x):
+        """Prefactor values on an x-array, real or complex: 8 / (g'
+        `_chord_root`) on the member, so st^2 (g - z1)(g - z2) g'^2 = 64 x
+        (x - 1), and at t = 1 it is S(gamma(x)).
 
-    def st_grid(self, x, n_steps=9):
-        """Prefactor values on an x-array, sign-fixed by continuation in the
-        family parameter from the straight-segment limit.
-
-        All n_steps members t_k are read off the base arc b in one pass:
-        member t at x is base(t x), so its end chords are k_t t Q_b(t x; 0)
+        Member t at x is base(t x), so its end chords are k_t t Q_b(t x; 0)
         and k_t t Q_b(t x; t), and its slope k_t t b'(t x), with k_t = (z2 -
-        z1) / (b(t) - b(0)).  That is one divided difference of b at 0 and
-        every t_k, and one Vandermonde matrix on the points t_k x; only the
-        sign choice runs step by step."""
-        x = np.asarray(x, dtype=float)
-        dz = self.sol.zeta2 - self.sol.zeta1
-        s_prev = np.full(x.shape, 8.0 / dz**2, dtype=complex)
-        if self.t == 0.0:
-            return s_prev
-        ts = np.linspace(0.0, self.t, n_steps + 1)[1:]
+        z1) / (b(t) - b(0)): all are read off the base arc b, whose series
+        keep the digits that the member's stretched ones lose at small t."""
         base = self.sol.curve
-        chord = base.g.divided_difference(np.concatenate([[0.0], ts]))
+        chord = base.g.divided_difference([0.0, self.t])
         # k_t t = (z2 - z1) / Q_b(t; 0): b(t) - b(0) without cancellation
-        kt = (dz / chord(ts)[0]).reshape(ts.shape + (1,) * x.ndim)
-        V = base.g.vander(np.multiply.outer(ts, x))     # (n_steps,) + x.shape + (deg + 1,)
+        kt = (self.sol.zeta2 - self.sol.zeta1) / chord(self.t)[0]
+        V = base.g.vander(self.t * np.asarray(x))
         gp = V[..., :len(base.d1.coef)] @ base.d1.coef
-        q = V[..., :len(chord.coef)] @ chord.coef       # columns Q_b(t_k x; 0), Q_b(t_k x; t_j)
-        step = np.arange(n_steps)
-        q_t = np.moveaxis(q, -1, 1)[step, step + 1]     # member k reads column k + 1
-        cand = np.sqrt(64 / (kt**4 * q[..., 0] * q_t * gp**2))
-        for c in cand:
-            s_prev = np.where(np.abs(c - s_prev) > np.abs(c + s_prev), -c, c)
-        return s_prev
+        q = V[..., :len(chord.coef)] @ chord.coef
+        return 8 / (kt**2 * gp * _chord_root(q[..., 0], q[..., 1]))
 
     @cached_property
     def st(self):
@@ -544,13 +547,9 @@ class InterpolationData:
         return ChebSeries.interpolate(self.st_grid, -pad, 1 + pad, 96)
 
     def st_at(self, z):
-        """Prefactor at points z near the curve (a scalar or an array), sign
-        by continuity from the nearest on-curve value; one curve inversion
-        for all of them."""
-        x = self.curve.invert(z)
-        cand = np.sqrt(self._q_ratio(x))
-        ref = self.st(np.clip(x.real, -self.sol.pad, 1 + self.sol.pad))
-        s = np.where(np.abs(cand - ref) <= np.abs(cand + ref), cand, -cand)
+        """Prefactor at points z near the curve (a scalar or an array):
+        `st_grid` at the parameters of one curve inversion for all of them."""
+        s = self.st_grid(self.curve.invert(z))
         return s if s.shape else complex(s)
 
     def rt(self, z):

@@ -154,13 +154,22 @@ class ChebSeries:
 
     @classmethod
     def fit(cls, lo, hi, values):
-        """Exact interpolant by the type-I cosine transform of values
-        sampled at nodes(lo, hi, len(values) - 1), at least two of them;
-        the columns of a 2-D array are fitted separately."""
+        """Exact interpolant of values sampled at nodes(lo, hi, n), n =
+        len(values) - 1 >= 1, columns of a 2-D array fitted separately: the
+        type-I cosine transform c_j = (2/n) sum''_k f_k cos(pi j k / n), end
+        terms halved in j and k, is the FFT of the even extension f_0..f_n,
+        f_(n-1)..f_1 over n with c_0 and c_n halved."""
         values = np.asarray(values)
-        if len(values) < 2:
+        n = len(values) - 1
+        if n < 1:
             raise ValueError("a Chebyshev fit needs at least two values")
-        return cls(lo, hi, _cosine_transform(len(values) - 1) @ values)
+        even = np.concatenate([values, values[-2:0:-1]])
+        if np.iscomplexobj(values):
+            c = np.fft.fft(even, axis=0)[:n + 1] / n
+        else:
+            c = np.fft.rfft(even, axis=0).real / n
+        c[[0, n]] /= 2
+        return cls(lo, hi, c)
 
     @classmethod
     def interpolate(cls, fn, lo, hi, n):
@@ -310,22 +319,6 @@ def _parity_tail_sums(a):
     for p in (0, 1):
         out[p::2] = np.cumsum(a[p::2][::-1], axis=0)[::-1]
     return out
-
-
-@functools.cache
-def _cosine_transform(n):
-    """Type-I cosine transform taking values at the n + 1 points
-    cos(pi k / n) to the coefficients of their degree-n interpolant,
-    c_j = (2/n) sum''_k f_k cos(pi j k / n) with the end terms halved in
-    both j and k.  The angle index j k is reduced mod 2n, so every cosine
-    is taken of an argument in [0, 2 pi).  Built once per n; the matrix is
-    read-only, so no caller can change the cached one."""
-    jk = np.outer(np.arange(n + 1), np.arange(n + 1)) % (2 * n)
-    half = np.ones(n + 1)
-    half[[0, n]] = 0.5
-    m = (2.0 / n) * np.cos(np.pi * jk / n) * half[:, None] * half[None, :]
-    m.flags.writeable = False
-    return m
 
 
 def poly_normalize(p: ComplexPolynomial):

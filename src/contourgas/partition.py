@@ -81,16 +81,22 @@ class ExpansionReport:
         }
 
 
+def _leading_coefficients(beta, energy, log_density_avg):
+    """(F_-2, F_-1): the energy sets the quadratic order, the equilibrium
+    average of ln dmu/dz (the negated entropy) the linear one."""
+    F_m2 = -(beta / 2) * energy
+    F_m1 = ((beta / 2 - 1) * (log_density_avg + math.log(beta / 2))
+            + (beta / 2) * math.log(2 * math.pi / math.e) - math.lgamma(beta / 2))
+    return complex(F_m2), complex(F_m1)
+
+
 def quadratic_f_coefficients(beta, zeta1, zeta2, v_mid):
     """Closed-form leading expansion coefficients of the straight-line
     quadratic ensemble."""
     dz = complex(zeta2) - complex(zeta1)
     energy = -np.log(dz) + math.log(4) + 2 * complex(v_mid) + 0.75
     log_density_avg = 0.5 - math.log(math.pi / 2) - np.log(dz)
-    F_m2 = -(beta / 2) * energy
-    F_m1 = ((beta / 2 - 1) * (log_density_avg + math.log(beta / 2))
-            + (beta / 2) * math.log(2 * math.pi / math.e) - math.lgamma(beta / 2))
-    return complex(F_m2), complex(F_m1)
+    return _leading_coefficients(beta, energy, log_density_avg)
 
 
 def selberg_expansion(N_list, beta, zeta1=-1.0, zeta2=1.0, v_mid=0.0):
@@ -111,13 +117,7 @@ def selberg_expansion(N_list, beta, zeta1=-1.0, zeta2=1.0, v_mid=0.0):
 def f_coefficients(sol_or_data, beta):
     """Leading expansion coefficients from equilibrium data: the energy sets
     the quadratic order, the entropy block the linear order."""
-    src = sol_or_data
-    energy = src.complex_energy()
-    log_density_avg = -src.entropy()
-    F_m2 = -(beta / 2) * energy
-    F_m1 = ((beta / 2 - 1) * (log_density_avg + math.log(beta / 2))
-            + (beta / 2) * math.log(2 * math.pi / math.e) - math.lgamma(beta / 2))
-    return complex(F_m2), complex(F_m1)
+    return _leading_coefficients(beta, sol_or_data.complex_energy(), -sol_or_data.entropy())
 
 
 # -- direct small-N quadrature ------------------------------------------------
@@ -158,7 +158,7 @@ class RefineError(RuntimeError):
     pass
 
 
-def _z_quadrature(N, beta, V, curve, domain, M, richardson, tol, real_model):
+def _z_quadrature(N, beta, V, curve, domain, M, tol, real_model):
     """Partition function by tensor quadrature at M nodes, with the
     difference to the run at 2M/3 nodes as error estimate; returns (value,
     log_value, error_estimate)."""
@@ -170,8 +170,6 @@ def _z_quadrature(N, beta, V, curve, domain, M, richardson, tol, real_model):
         return Z * np.exp(shift), np.log(Z) + shift
 
     z2, logz2 = compute(M)
-    if not richardson:
-        return z2, logz2, np.nan
     z1, _ = compute(max(8, (2 * M) // 3))
     est = abs(z2 - z1)
     if tol is not None and est > tol * abs(z2):
@@ -179,22 +177,20 @@ def _z_quadrature(N, beta, V, curve, domain, M, richardson, tol, real_model):
     return z2, logz2, est
 
 
-def z_complex_quadrature(N, beta, V, curve=None, domain=(-1.0, 1.0), M=96,
-                         richardson=True, tol=None):
+def z_complex_quadrature(N, beta, V, curve=None, domain=(-1.0, 1.0), M=96, tol=None):
     """Oscillatory-model partition function by tensor quadrature in the
     curve parameter; returns (value, log_value, error_estimate).
 
     With even integer beta the principal-branch pair powers reproduce the
     single-valued integrand exactly.  N <= 4: O(M^N) flops, O(M^2) memory
     up to N = 3 and O(M^3) at N = 4 (`numkit.tensor_quadrature`)."""
-    return _z_quadrature(N, beta, V, curve, domain, M, richardson, tol, real_model=False)
+    return _z_quadrature(N, beta, V, curve, domain, M, tol, real_model=False)
 
 
-def z_real_quadrature(N, beta, V, curve=None, domain=(-1.0, 1.0), M=96,
-                      richardson=True, tol=None):
+def z_real_quadrature(N, beta, V, curve=None, domain=(-1.0, 1.0), M=96, tol=None):
     """Real-model partition function (moduli in place of complex factors).
     N <= 4, at the same cost as `z_complex_quadrature`."""
-    return _z_quadrature(N, beta, V, curve, domain, M, richardson, tol, real_model=True)
+    return _z_quadrature(N, beta, V, curve, domain, M, tol, real_model=True)
 
 
 def tensor_model_moment(N, beta, V, curve, domain, f_values_fn, M=96,
@@ -216,7 +212,7 @@ def tensor_model_moment(N, beta, V, curve, domain, f_values_fn, M=96,
 # -- derivative of the interpolation flow -------------------------------------
 
 
-def dt_potential(sol: OneCutSolution, t, h=1e-4, n_quad=96):
+def dt_potential(sol: OneCutSolution, t, h=1e-4):
     """Evaluator of the t-derivative of the interpolating potential at fixed
     z, by central differences across neighbouring family members; at t = 0
     and t = 1 the difference is one-sided, with O(h) error.
@@ -226,9 +222,9 @@ def dt_potential(sol: OneCutSolution, t, h=1e-4, n_quad=96):
     parametrization, which keeps the evaluator cheap on arrays."""
     tm = max(t - h, 0.0)
     tp = min(t + h, 1.0)
-    dm = interpolation_data(sol, tm, n_quad=n_quad)
-    dp = interpolation_data(sol, tp, n_quad=n_quad)
-    d0 = interpolation_data(sol, t, n_quad=n_quad)
+    dm = interpolation_data(sol, tm)
+    dp = interpolation_data(sol, tp)
+    d0 = interpolation_data(sol, t)
     span = tp - tm
 
     def fz(z):

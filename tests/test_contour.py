@@ -223,7 +223,8 @@ def test_mass_map_closed_form(request, fix):
 
 
 # not yet solved closer to the critical coupling: the arc has no plateau by
-# degree 1024, and past that cap the fixed-rule r_cut / r_plus fail validate
+# degree 1024 (c = -1.1 needs 1129, c = -1.2 more than 2048); the cut square
+# root is in closed form, so the degree cap is all that stops them
 _UNRESOLVED = pytest.mark.xfail(strict=True, raises=ParametrizationError,
                                 reason="arc unresolved by degree 1024")
 
@@ -237,6 +238,13 @@ def test_quartic_near_the_critical_coupling(c, pullback_residual):
     sol = eq.solve_one_cut(ComplexPolynomial([0, 0, c / 2, 0, 0.25]))     # validates
     assert len(sol.curve.g.coef) > 121
     assert max(pullback_residual(sol, float(t)) for t in np.round(np.linspace(0, 1, 11), 2)) <= 1e-8
+
+
+def test_steep_arc_pullback_at_t1(pullback_residual):
+    # z^4/4 - z^2/2 (degree 731): on a steep arc the boundary value r_plus
+    # keeps the t = 1 pullback at rounding
+    sol = eq.solve_one_cut(ComplexPolynomial([0, 0, -0.5, 0, 0.25]))
+    assert pullback_residual(sol, 1.0) <= 1e-11
 
 
 def test_quartic_unresolved_arc_raises_with_its_plateau():

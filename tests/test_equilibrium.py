@@ -156,6 +156,31 @@ def test_sqrt_asymptotics(quartic_sol):
         assert abs(resid) < 5e-3 / abs(z) ** 2 * abs(vprime(z))
 
 
+def _r_cut_reference(sol, z, panels=400, m=64):
+    """(z - zeta1) exp(1/2 int_0^1 gamma'/(gamma - z) dy), the root cut
+    along the arc, by a composite Gauss-Legendre rule of panels x m nodes."""
+    x, w = roots_legendre(m)
+    y = ((np.arange(panels)[:, None] + (x + 1) / 2) / panels).ravel()
+    w = np.tile(w / (2 * panels), panels)
+    g, gp = sol.curve(y), sol.curve.deriv1(y)
+    return (z - sol.zeta1) * np.exp((gp / (2 * (g - z[:, None]))) @ w)
+
+
+@pytest.mark.parametrize("fix", ["rot_sol", "cubic_sol"])
+def test_r_cut_near_the_arc(request, fix):
+    # at 0.05, 0.01 and 0.001 from the arc, on both sides, where a fixed
+    # rule along the arc loses its digits, against a composite rule; and at
+    # 1e-4 (the reference keeps 1e-7 there), inside the lens between the
+    # cubic arc and its Chebyshev polygon, no point takes the wrong sign
+    sol = request.getfixturevalue(fix)
+    for x in (0.02, 0.25, 0.5, 0.75, 0.98):
+        normal = 1j * sol.curve.deriv1(x) / abs(sol.curve.deriv1(x))
+        for dist, tol in ((0.05, 1e-12), (0.01, 1e-12), (0.001, 1e-12), (1e-4, 1e-7)):
+            z = sol.curve(x) + np.array([dist, -dist]) * normal
+            ref = _r_cut_reference(sol, z)
+            assert np.max(np.abs(sol.r_cut(z) - ref) / np.abs(ref)) <= tol
+
+
 def test_euler_lagrange_midpoint(rot_sol):
     assert abs(rot_sol.euler_lagrange_residual(0.5)[0]) < 1e-8
 
@@ -233,10 +258,13 @@ def test_prefactor_closed_formula(rot_sol, t):
     a = data.st_grid(x)
     b = _prefactor_formula(rot_sol, t, x)
     assert np.max(np.abs(a - b) / np.abs(b)) < 1e-8
-    # consistency of the reconstructed R_t with the prefactor squared
+    # consistency of the reconstructed R_t with the prefactor squared,
+    # 64 / (g'^2 Q(x, 0) Q(x, 1)) from the member's own series
     gt = data.gt(x)
+    q0, q1 = data.curve.end_chord(x)
+    square = 64 / (data.gtp(x) ** 2 * q0 * q1)
     resid = np.abs(a**2 * (gt - rot_sol.zeta1) * (gt - rot_sol.zeta2)
-                   - data._q_ratio(x) * (gt - rot_sol.zeta1) * (gt - rot_sol.zeta2))
+                   - square * (gt - rot_sol.zeta1) * (gt - rot_sol.zeta2))
     assert np.max(resid) < 1e-9
 
 
@@ -271,7 +299,7 @@ def test_st_grid_matches_member_loop(request, fix, t):
 
 
 def test_st_grid_takes_one_divided_difference(rot_sol, monkeypatch):
-    # all nine continuation steps read one chord series of the base arc
+    # the closed form reads one chord series of the base arc
     data = eq.interpolation_data(rot_sol, 0.5)
     calls = []
     method = ChebSeries.divided_difference
@@ -328,8 +356,7 @@ def test_effective_potential_off_support_positive_t_independent(rot_sol):
     # Re Phi_eff beyond the endpoint from the actual interpolated data,
     # against the closed t-independent profile
     x0 = -0.04
-    gl = make_grid("gauss_legendre", 64, (x0, 0.0))
-    closed = 8 * gl.integrate(np.sqrt(gl.nodes * (gl.nodes - 1)))
+    closed = rot_sol.effective_on_curve(x0)[0].real
     assert closed > 0
     grid = rot_sol.nu
     for t in (0.0, 0.5, 1.0):
@@ -338,6 +365,19 @@ def test_effective_potential_off_support_positive_t_independent(rot_sol):
         c_t = data.complex_energy() - np.sum(grid.weights * data.vt_gamma(grid.nodes))
         phi_eff = np.real(data.vt_gamma(x0)) + u - c_t.real
         assert phi_eff == pytest.approx(closed, abs=2e-6)
+
+
+def test_effective_potential_off_support_against_mpmath(quad_sol):
+    # Re Phi_eff = 8 |int sqrt(y (y - 1)) dy| from the nearer end, +-i pi
+    # past zeta2, to full relative accuracy up to the square-root end
+    for x, rel in ((-0.3, 1e-14), (-1e-6, 1e-10), (1.7, 1e-14)):
+        a, b = (x, 0) if x < 0 else (1, x)
+        with mpmath.workdps(30):
+            want = float(8 * mpmath.quad(lambda y: mpmath.sqrt(y * (y - 1)), [a, b]))
+        p, m = quad_sol.effective_on_curve(x)
+        im = math.pi if x > 1 else 0.0
+        assert p.real == m.real == pytest.approx(want, rel=rel)
+        assert (p.imag, m.imag) == (im, -im)
 
 
 def test_effective_potential_path_error(rot_sol, quad_sol):

@@ -327,7 +327,7 @@ def test_cheb_series_fits_columns_separately():
 
 @pytest.mark.parametrize("n", [1, 2, 44, 96, 120])
 def test_cheb_fit_is_chebfit_by_cosine_transform(n):
-    # the cached transform gives the least-squares interpolant it replaced,
+    # the FFT transform gives the least-squares interpolant it replaced,
     # for one series and for five columns, and the values at the nodes
     rng = np.random.default_rng(n)
     u = np.cos(np.pi * np.arange(n + 1) / n)
@@ -341,12 +341,32 @@ def test_cheb_fit_is_chebfit_by_cosine_transform(n):
         # evaluation at the nodes rounds like n terms of the series
         assert (np.max(np.abs(got.vander(nodes) @ got.coef - values))
                 <= 1e-14 * n * np.max(np.abs(values)))
-        got.coef[0] += 1.0                       # a fresh array, not the cached matrix
-    m = numkit._cosine_transform(n)
-    assert m.shape == (n + 1, n + 1) and not m.flags.writeable
-    with pytest.raises(ValueError):
-        m[0, 0] = 1.0
-    assert np.array_equal(ChebSeries.fit(0.0, 1.0, np.eye(n + 1)).coef, m)
+    # fitting the identity gives the type-I cosine transform matrix,
+    # c_j = (2/n) sum''_k f_k cos(pi j k / n), end terms halved in j and k
+    # (j k reduced mod 2n, so each cosine is taken in [0, 2 pi))
+    jk = np.outer(np.arange(n + 1), np.arange(n + 1)) % (2 * n)
+    half = np.where((np.arange(n + 1) == 0) | (np.arange(n + 1) == n), 0.5, 1.0)
+    m = (2.0 / n) * np.cos(np.pi * jk / n) * half[:, None] * half[None, :]
+    assert np.max(np.abs(ChebSeries.fit(0.0, 1.0, np.eye(n + 1)).coef - m)) <= 4e-16
+
+
+def test_cheb_fit_large_degree_in_little_memory():
+    # T_k at the 4097 extreme points fits to e_k, and the transform builds
+    # no dense (n + 1)^2 matrix (134 MB at n = 4096)
+    import tracemalloc
+    n = 4096
+    u = np.cos(np.pi * np.arange(n + 1) / n)
+    values = np.cos(np.outer(np.arccos(u), [0, 1, 7, 2048, n]))
+    tracemalloc.start()
+    try:
+        coef = ChebSeries.fit(0.0, 1.0, values).coef
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want = np.zeros((n + 1, 5))
+    want[[0, 1, 7, 2048, n], np.arange(5)] = 1.0
+    assert np.max(np.abs(coef - want)) <= 1e-13
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.filterwarnings("error")
