@@ -90,12 +90,12 @@ class Curve:
     def domain(self):
         return (-self.analytic_pad, 1 + self.analytic_pad)
 
-    def invert(self, z, x0=None, tol=1e-13, maxit=60):
-        """Parameters x with curve(x) = z, elementwise, by Newton seeded at x0
-        or else at the nearest point of a dense scan of the domain; a scalar
-        z gives a complex number.
+    def invert(self, z, x0=None):
+        """Parameters x with curve(x) = z, elementwise, by Newton (at most
+        60 steps) seeded at x0 or else at the nearest point of a dense scan
+        of the domain; a scalar z gives a complex number.
 
-        The residual target is tol, or the series' own rounding level where
+        The residual target is 1e-13, or the series' own rounding level where
         that is larger: a member near the straight segment carries
         coefficients of size 1/t, and its values are no more exact."""
         z = np.asarray(z, dtype=complex)
@@ -103,8 +103,8 @@ class Curve:
             xs = np.linspace(*self.domain, 257)
             x0 = xs[np.argmin(np.abs(z.reshape(-1, 1) - self(xs)), axis=1)].reshape(z.shape)
         x = np.array(np.broadcast_to(x0, z.shape), dtype=complex)
-        floor = max(tol, 16 * np.finfo(float).eps * np.sum(np.abs(self.g.coef)))
-        for _ in range(maxit):
+        floor = max(1e-13, 16 * np.finfo(float).eps * np.sum(np.abs(self.g.coef)))
+        for _ in range(60):
             f = self(x) - z
             if np.max(np.abs(f), initial=0.0) < floor:
                 return x if x.shape else complex(x)
@@ -408,11 +408,11 @@ def semicircle_parametrization(S: ComplexPolynomial, zeta1, zeta2, pad=0.05):
     return curve
 
 
-def arc_mass(curve: Curve, z, tol=1e-9):
+def arc_mass(curve: Curve, z):
     """Equilibrium mass collected along the support between the first
-    endpoint and the on-arc point z."""
+    endpoint and the on-arc point z (its parameter within 1e-9 of [0, 1])."""
     x = curve.invert(z)
-    if abs(x.imag) > 1e-7 or x.real < -tol or x.real > 1 + tol:
+    if abs(x.imag) > 1e-7 or x.real < -1e-9 or x.real > 1 + 1e-9:
         raise ValueError(f"point {z} is not on the support arc")
     return float(semicircle_cdf(min(max(x.real, 0.0), 1.0)))
 

@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+_NEWTON_TOL, _NEWTON_MAXIT = 1e-12, 50   # endpoint Newton: residual target, iterations
+_N_QUAD = 96                             # nodes of each member's nu rule
 
 
 class NoSolutionError(RuntimeError):
@@ -78,8 +80,7 @@ def _endpoint_residual(vprime, z1, z2):
     return F, J
 
 
-def solve_one_cut(V: ComplexPolynomial, seeds=None, tol=1e-12, maxit=50,
-                  pad=0.05, n_grid=64, validate=True):
+def solve_one_cut(V: ComplexPolynomial, seeds=None, pad=0.05, n_grid=64, validate=True):
     """Endpoints and polynomial part of the one-cut equilibrium data for a
     polynomial potential.
 
@@ -101,10 +102,10 @@ def solve_one_cut(V: ComplexPolynomial, seeds=None, tol=1e-12, maxit=50,
                 np.polynomial.polynomial.polyadd(
                     np.asarray(V.coeffs, dtype=complex) * s,
                     np.array([0, 0, (1 - s) / 2], dtype=complex)))
-            z = _newton_endpoints(mix.deriv(), z, tol, maxit)
+            z = _newton_endpoints(mix.deriv(), z)
     else:
         z = np.array([complex(seeds[0]), complex(seeds[1])])
-        z = _newton_endpoints(vprime, z, tol, maxit)
+        z = _newton_endpoints(vprime, z)
 
     z1, z2 = z
     c = _loop_coefficients(vprime, z1, z2, kappa - 2)
@@ -124,22 +125,22 @@ def solve_one_cut(V: ComplexPolynomial, seeds=None, tol=1e-12, maxit=50,
     return sol
 
 
-def _newton_endpoints(vprime, z, tol, maxit):
+def _newton_endpoints(vprime, z):
     """Damped Newton on the endpoint residual.  The residual and Jacobian of
     an accepted line-search point carry into the next iteration, so each
     iteration samples the loop once more per rejected trial only.  The
     converged iterate takes its last Newton step, which samples nothing,
     when that step solves and is below 1e-6 of max(1, |z|); else it stays."""
     F, J = _endpoint_residual(vprime, z[0], z[1])
-    for _ in range(maxit):
+    for _ in range(_NEWTON_MAXIT):
         base = np.max(np.abs(F))
         try:
             dz = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as exc:
-            if base < tol:
+            if base < _NEWTON_TOL:
                 return z
             raise NoSolutionError("singular endpoint Jacobian") from exc
-        if base < tol:
+        if base < _NEWTON_TOL:
             small = np.all(np.abs(dz) <= 1e-6 * np.maximum(1.0, np.abs(z)))
             return z + dz if small else z
         lam = 1.0
@@ -163,18 +164,22 @@ def _chord_root(q0, q1):
     return q0 * np.sqrt(q1 / q0)
 
 
+def _log_chord(curve, x, nu):
+    """int ln|Q(x, y)| dnu(y) at real x (an array), Q the curve's chord."""
+    q = curve.g.divided_difference(x.reshape(-1))
+    return nu.integrate(np.log(np.abs(q.vander(nu.nodes) @ q.coef)).T).reshape(x.shape)
+
+
 def log_potential(curve, x, nu):
     """U_gamma(x) = int ln|gamma(x) - gamma(y)| dnu(y) at real x (a scalar
-    or an array) anywhere on the curve's domain: the nu-rule integral of
-    ln|Q(x, y)|, Q the curve's chord, smooth through y = x, plus the flat
+    or an array) anywhere on the curve's domain: `_log_chord` plus the flat
     kernel's closed form, with s = 2x - 1: s^2 - 1/2 - 2 ln 2, less
     |s| sqrt(s^2 - 1) - arccosh|s| off the support."""
     x = np.asarray(x, dtype=float)
-    q = curve.g.divided_difference(x.reshape(-1))
     s = np.abs(2 * x - 1)
     flat = (4 * x * (x - 1) + 0.5 - 2 * LN2
             - s * np.sqrt(np.maximum(s * s - 1, 0.0)) + np.arccosh(np.maximum(s, 1.0)))
-    out = nu.integrate(np.log(np.abs(q.vander(nu.nodes) @ q.coef)).T).reshape(x.shape) + flat
+    out = _log_chord(curve, x, nu) + flat
     return out if out.shape else float(out)
 
 
@@ -249,7 +254,7 @@ class OneCutSolution:
     S: ComplexPolynomial
     nu: WeightedGrid
     pad: float = 0.05
-    pad_outer: float = 0.10
+    pad_outer = 0.10    # the arc's analytic pad: a class constant, not a field
     _curve: Curve = field(default=None, repr=False)
     _constant: complex = field(default=None, repr=False)
 
@@ -440,11 +445,11 @@ class OneCutSolution:
 
     # -- variational checks ------------------------------------------------
 
-    def frostman_check(self, off_points=None, n_on=24):
+    def frostman_check(self, off_points=None):
         """Equality on the support, inequality off it, and the residual of
-        the complexified first-order condition at interior nodes."""
+        the complexified first-order condition at 24 interior nodes."""
         C_re = self.equilibrium_constant().real
-        xs = np.linspace(0.04, 0.96, n_on)
+        xs = np.linspace(0.04, 0.96, 24)
         on = self.u_on_curve(xs) + self.potential(self.curve(xs)).real - C_re
         rep = {
             "on_support_max_abs": float(np.max(np.abs(on))),
@@ -468,8 +473,10 @@ class OneCutSolution:
         pv = pairwise_sum(ker * self.nu.weights[None, :], axis=-1) + 8 * (x - 0.5) / gpx
         return self.potential.deriv()(self.curve(x)) - pv
 
-    def validate(self, tol_mass=1e-10, tol_decomp=1e-8):
-        if self.mass_residual() > tol_mass:
+    def validate(self):
+        """Unit mass to 1e-10, no zero of S on the arc, and sqrtR against
+        `cauchy_sqrt_branch` to 1e-8 of its size on a loop around the cut."""
+        if self.mass_residual() > 1e-10:
             raise NotOneCutError("unit-mass condition violated")
         xs = np.linspace(-self.pad, 1 + self.pad, 101)
         svals = np.abs(self.S(self.curve(xs)))
@@ -478,9 +485,9 @@ class OneCutSolution:
         loop = make_grid("closed_loop_trapezoid", 128,
                          (self.midpoint, 1.5 * abs(self.zeta2 - self.zeta1)))
         z = loop.nodes
-        resid = np.max(np.abs(self.sqrtR(z) - self.cauchy_sqrt_branch(z)))
-        scale = np.max(np.abs(self.cauchy_sqrt_branch(z)))
-        if resid > tol_decomp * scale:
+        ref = self.cauchy_sqrt_branch(z)
+        resid = np.max(np.abs(self.sqrtR(z) - ref))
+        if resid > 1e-8 * np.max(np.abs(ref)):
             raise NotOneCutError(f"cut square root decomposition residual {resid:.2e}")
         return True
 
@@ -506,19 +513,20 @@ class OneCutSolution:
 @dataclass
 class InterpolationData:
     """Frozen data of one member of the interpolating family: the member
-    curve gamma_t, the n_quad-point rule `nu` of the semicircle law that
-    every integral against the member's measure uses (the master operators
+    curve gamma_t, the 96-point rule `nu` of the semicircle law that every
+    integral against the member's measure uses (the master operators
     included), and two cached series over the working interval: the
-    prefactor `st` of the cut square root and the potential `vt_gamma`."""
+    prefactor `st` of the cut square root and the potential `vt_gamma`,
+    both at the base arc's own degree, and at least 96."""
 
     sol: OneCutSolution
     t: float
-    n_quad: int = 96
 
     def __post_init__(self):
         self.curve = family_member(self.sol.curve, self.sol.zeta1, self.sol.zeta2, self.t)
         self.gt, self.gtp = self.curve, self.curve.deriv1
-        self.nu = semicircle_rule(self.n_quad)
+        self.nu = semicircle_rule(_N_QUAD)
+        self.n_fit = max(_N_QUAD, len(self.sol.curve.g.coef))
 
     # -- prefactor of the cut square root ---------------------------------
 
@@ -544,7 +552,7 @@ class InterpolationData:
     def st(self):
         """Prefactor along the curve as a series in the parameter x."""
         pad = self.sol.pad
-        return ChebSeries.interpolate(self.st_grid, -pad, 1 + pad, 96)
+        return ChebSeries.interpolate(self.st_grid, -pad, 1 + pad, self.n_fit)
 
     def st_at(self, z):
         """Prefactor at points z near the curve (a scalar or an array):
@@ -562,8 +570,8 @@ class InterpolationData:
 
     def vt_prime_pullback(self, x):
         """V_t'(gamma_t(x)) gamma_t'(x) by the subtracted-kernel formula;
-        bounded uniformly in t."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        bounded uniformly in t.  Complex x continues it analytically."""
+        x = np.atleast_1d(np.asarray(x))
         ker = subtracted_chord_kernel(self.curve, x, self.nu.nodes)
         return 8 * (x - 0.5) - pairwise_sum(ker * self.nu.weights[None, :], axis=-1)
 
@@ -597,7 +605,7 @@ class InterpolationData:
         """V_t(gamma_t(x)) as the Chebyshev antiderivative of the pulled-back
         potential slope; complex x continues it analytically."""
         pad = self.sol.pad
-        slope = ChebSeries.interpolate(self.vt_prime_pullback, -pad, 1 + pad, 96)
+        slope = ChebSeries.interpolate(self.vt_prime_pullback, -pad, 1 + pad, self.n_fit)
         anti = slope.antideriv()
         # pin the value at x = 1/2 to the path-integrated potential
         coef = anti.coef.copy()
@@ -616,5 +624,5 @@ class InterpolationData:
         return _entropy(self.curve, self.sol.nu, self.sol.zeta2 - self.sol.zeta1)
 
 
-def interpolation_data(sol: OneCutSolution, t: float, n_quad=96):
-    return InterpolationData(sol, float(t), n_quad)
+def interpolation_data(sol: OneCutSolution, t: float):
+    return InterpolationData(sol, float(t))

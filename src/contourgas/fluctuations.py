@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import InterpolationData
+from .equilibrium import InterpolationData, _log_chord
 from .numkit import ChebSeries, make_grid, pairwise_sum, semicircle_rule, tensor_quadrature, track_arg
 from .operators import DiscretizedOperator, complex_master_operator, real_master_operator
 from .partition import _log_weights
@@ -309,18 +309,13 @@ def loop_equation_check(N, beta, data: InterpolationData, domain, M=64):
     x = make_grid("gauss_legendre", M, domain).nodes
     nu = semicircle_rule(128)
     y, wy = nu.nodes, nu.weights
+    g, gp = gamma.g, gamma.g.deriv()
+    xgp = ChebSeries.interpolate(lambda s: s * gp(s), g.lo, g.hi, len(gp.coef))
 
     def Dkernel(xa, xb):
-        ga, gb = gamma(xa), gamma(xb)
-        da, db = dgamma(xa), dgamma(xb)
-        num = da[:, None] * xa[:, None] - db[None, :] * xb[None, :]
-        den = ga[:, None] - gb[None, :]
-        out = np.real(num / np.where(np.abs(den) < 1e-13, 1.0, den))
-        same = np.abs(xa[:, None] - xb[None, :]) < 1e-13
-        if np.any(same):
-            lim = np.real((da + xa * ddgamma(xa)) / da)
-            out = np.where(same, lim[:, None] * np.ones_like(out), out)
-        return out
+        # Re (xa g'(xa) - xb g'(xb)) / (g(xa) - g(xb)), exact on the diagonal
+        num, den = xgp.divided_difference(xb), g.divided_difference(xb)
+        return np.real((num.vander(xa) @ num.coef) / (den.vander(xa) @ den.coef))
 
     # test direction h(x) = x; Dbar = int D(., y) dnu(y) on both node sets
     Dbar = pairwise_sum(Dkernel(x, y) * wy[None, :], axis=-1)
@@ -351,11 +346,8 @@ def loop_equation_check(N, beta, data: InterpolationData, domain, M=64):
 
 
 def _phi_from_data(data: InterpolationData, x):
-    """Re V_t(gamma_t(x)): the pulled-back slope integrated by 48-point
-    Gauss-Legendre from x = 1/2, all points in one slope evaluation."""
-    gl = make_grid("gauss_legendre", 48, (0.0, 1.0))
-    x = np.atleast_1d(x)
-    nodes = 0.5 + gl.nodes[None, :] * (x[:, None] - 0.5)
-    vals = data.vt_prime_pullback(nodes.ravel()).reshape(nodes.shape)
-    v_half = data.vt_gamma(0.5)    # the value the series is pinned to
-    return np.real(v_half + (x - 0.5) * pairwise_sum(gl.weights * vals, axis=-1))
+    """Re V_t(gamma_t(x)): the real antiderivative of the pulled-back slope,
+    4x(x - 1) + `_log_chord` of the member, pinned to vt_gamma at x = 1/2."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    L = _log_chord(data.curve, np.append(x, 0.5), data.nu)
+    return data.vt_gamma(0.5).real + 1 + 4 * x * (x - 1) + L[:-1] - L[-1]

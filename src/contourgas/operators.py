@@ -115,7 +115,7 @@ def _member_rules(data: InterpolationData, n):
     derivative."""
     pad = data.sol.pad
     colloc = ChebCollocation(-pad, 1 + pad, n)
-    gc1 = make_grid("inverse_sqrt", data.n_quad, (0.0, 1.0))
+    gc1 = make_grid("inverse_sqrt", len(data.nu.nodes), (0.0, 1.0))
     return (colloc, data.nu, gc1, colloc.eval_matrix(data.nu.nodes),
             colloc.eval_matrix(gc1.nodes), colloc.diff_matrix())
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import OneCutSolution, interpolation_data
-from .numkit import make_grid, tensor_quadrature
+from .numkit import ChebSeries, make_grid, pairwise_sum, tensor_quadrature
 
 __all__ = [
     "ExpansionReport",
@@ -193,58 +193,57 @@ def z_real_quadrature(N, beta, V, curve=None, domain=(-1.0, 1.0), M=96, tol=None
     return _z_quadrature(N, beta, V, curve, domain, M, tol, real_model=True)
 
 
-def tensor_model_moment(N, beta, V, curve, domain, f_values_fn, M=96,
-                        real_model=False, centered_against=None):
-    """Expectation of a one-point statistic under the N-particle model by
-    tensor quadrature; optionally centred against a reference density on
-    the same parameter grid.
+def tensor_model_moment(N, beta, V, curve, domain, f_values_fn, M=96):
+    """Expectation of a one-point statistic under the N-particle
+    oscillatory model by tensor quadrature.
 
     f_values_fn maps parameter nodes to statistic values."""
-    x, w, log_single, log_pair = _log_weights(N, beta, V, curve, domain, M, real_model)
+    x, w, log_single, log_pair = _log_weights(N, beta, V, curve, domain, M, False)
     W, _ = tensor_quadrature(N, log_single, log_pair, w)
     m1 = W.sum(axis=tuple(range(1, W.ndim))) / W.sum()
-    mean_stat = m1 @ f_values_fn(x)
-    if centered_against is not None:
-        mean_stat = mean_stat - centered_against
-    return mean_stat
+    return m1 @ f_values_fn(x)
 
 
 # -- derivative of the interpolation flow -------------------------------------
 
 
-def dt_potential(sol: OneCutSolution, t, h=1e-4):
-    """Evaluator of the t-derivative of the interpolating potential at fixed
-    z, by central differences across neighbouring family members; at t = 0
-    and t = 1 the difference is one-sided, with O(h) error.
+def dt_potential(sol: OneCutSolution, t):
+    """Evaluator of d_t V_t at fixed points z (a 1-D array), in closed form
+    at every t in [0, 1]; a call inverts the member once.
 
-    Each member's potential is read off its curve-parametrized
-    antiderivative series after a vectorized inversion of the member's
-    parametrization, which keeps the evaluator cheap on arrays."""
-    tm = max(t - h, 0.0)
-    tp = min(t + h, 1.0)
-    dm = interpolation_data(sol, tm)
-    dp = interpolation_data(sol, tp)
-    d0 = interpolation_data(sol, t)
-    span = tp - tm
+    With q(s) = Q_b(s, 0), the base arc's chord to its first end, gamma_t(x)
+    = zeta1 + (zeta2 - zeta1) x q(t x) / q(t), so d_t gamma_t is a polynomial.
+    The t-derivative of V_t(gamma_t(x)) = 4x(x - 1) + int ln Q_t(x, .) dnu +
+    c_t, the antiderivative of `vt_prime_pullback` (Q_t the member's chord),
+    is d_t V_t(gamma_t(x)) = G(x) - G(x_mid), with x_mid the midpoint's
+    parameter (V_t = V there for every t) and, Q[f] the divided difference,
+    G = int Q[d_t gamma_t](x, .) / Q_t(x, .) dnu - d_t gamma_t vt_prime_pullback / gamma_t'."""
+    data = interpolation_data(sol, t)
+    g, gp, nu = data.curve.g, data.curve.g.deriv(), data.nu
+    ends = sol.curve.end_chord
+    q = ChebSeries(ends.lo, ends.hi, ends.coef[:, 0])
+    dq, dz = q.deriv(), sol.zeta2 - sol.zeta1
+    dgamma = ChebSeries.interpolate(
+        lambda x: dz * x * (x * dq(t * x) * q(t) - q(t * x) * dq(t)) / q(t) ** 2,
+        *data.curve.domain, len(q.coef))
+    num, den = dgamma.divided_difference(nu.nodes), g.divided_difference(nu.nodes)
 
-    def fz(z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        x0 = d0.curve.invert(z)
-        xp = dp.curve.invert(z, x0)
-        xm = dm.curve.invert(z, x0)
-        return (dp.vt_gamma(xp) - dm.vt_gamma(xm)) / span
+    def G(x):
+        ratio = (num.vander(x) @ num.coef) / (den.vander(x) @ den.coef)
+        return pairwise_sum(ratio * nu.weights) - data.vt_prime_pullback(x) * dgamma(x) / gp(x)
 
-    return fz
+    G_mid = G(np.atleast_1d(data.curve.invert(sol.midpoint)))
+    return lambda z: G(data.curve.invert(np.atleast_1d(np.asarray(z, dtype=complex)))) - G_mid
 
 
-def dt_lnZ(sol: OneCutSolution, t, N, beta, n=48, h=1e-4):
-    """- beta N^2 [ mu(dV/dt) + c1/N + c2/N^2 ] at one flow position;
-    returns the value and the three assembled pieces.  dV/dt is a central
-    difference of step h, one-sided (O(h) error) at t = 0 and t = 1."""
+def dt_lnZ(sol: OneCutSolution, t, N, beta, n=48):
+    """- beta N^2 [ mu(dV/dt) + c1/N + c2/N^2 ] at one flow position, with
+    dV/dt from `dt_potential`; returns the value and the three assembled
+    pieces."""
     from .fluctuations import one_stat_expansion
     data = interpolation_data(sol, t)
-    fz = dt_potential(sol, t, h=h)
+    fz = dt_potential(sol, t)
     mu_f = data.nu.integrate(fz(data.curve(data.nu.nodes)))
-    c1, c2, parts = one_stat_expansion(data, lambda zz: fz(zz), beta, n=n)
+    c1, c2, parts = one_stat_expansion(data, fz, beta, n=n)
     total = -beta * N * N * (mu_f + c1 / N + c2 / N / N)
     return total, {"mu_dtV": mu_f, "c1": c1, "c2": c2, **parts}

@@ -372,10 +372,10 @@ def concentration_scan(data: InterpolationData, N_list, f=lambda x: x,
 
 
 def edge_density_estimate(data: InterpolationData, N_list, sweeps=300,
-                          n_chains=8, seed=999, window=0.05):
+                          n_chains=8, seed=999):
     """Histogram estimates of the one-point density near the left domain
-    edge and in the bulk, per N.  An empty edge window is widened (with a
-    warning flag) until it catches samples."""
+    edge and in the bulk, per N.  The edge window starts at 0.05 and an
+    empty one is widened (with a warning flag) until it catches samples."""
     pad = data.sol.pad
     rows = []
     for N in N_list:
@@ -383,7 +383,7 @@ def edge_density_estimate(data: InterpolationData, N_list, sweeps=300,
         snaps, info = sample_real_model(chain, sweeps)
         xs = snaps.reshape(-1)
         total = xs.size / N  # number of configurations
-        win = window
+        win = 0.05
         widened = False
         while True:
             near_left = np.sum(xs < -pad + win)

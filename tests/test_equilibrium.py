@@ -80,7 +80,7 @@ def test_endpoint_newton_samples_the_loop_once_per_iteration(monkeypatch, seeds,
     monkeypatch.setattr(eq, "_endpoint_residual", counted_residual)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     vp = ComplexPolynomial([0, 0, 0, 0, 0.25]).deriv()
-    z = eq._newton_endpoints(vp, np.array(seeds, dtype=complex), 1e-12, 50)
+    z = eq._newton_endpoints(vp, np.array(seeds, dtype=complex))
     base, rejected = residuals[0], 0
     for f in residuals[1:]:
         if f < base:
@@ -99,7 +99,7 @@ def test_endpoint_newton_keeps_a_converged_point(monkeypatch, J):
     monkeypatch.setattr(eq, "_endpoint_residual",
                         lambda vp, z1, z2: (np.array([1e-13, -1e-13]), J))
     z = np.array([-1.5 + 0.1j, 1.5 - 0.1j])
-    assert np.array_equal(eq._newton_endpoints(None, z, 1e-12, 50), z)
+    assert np.array_equal(eq._newton_endpoints(None, z), z)
 
 
 def test_solver_rejects_degree_one():
@@ -227,6 +227,20 @@ def test_vt_gamma_pins_with_one_curve_inversion(rot_sol, monkeypatch):
                         lambda self, *a, **k: calls.append(a) or invert(self, *a, **k))
     data.vt_gamma
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("coeffs, tol_v", [([0, 0, 0.3j, 0, 0, 0, 1 / 6], 1e-12),
+                                            ([0, 0, -0.4, 0, 0.25], 1e-10)])
+def test_member_series_at_the_arc_degree(coeffs, tol_v):
+    # z^6/6 + 0.3i z^2 and z^4/4 - 0.8 z^2/2 have arcs of degree 197 and 423;
+    # fitted at a fixed 96 points, vt_gamma was off by 1.4e-10 and 6.9e-6,
+    # and st by 1.8e-10 and 6.5e-6 relative
+    sol = eq.solve_one_cut(ComplexPolynomial(coeffs))
+    data = eq.interpolation_data(sol, 1.0)
+    x = np.linspace(-sol.pad, 1 + sol.pad, 301)
+    assert np.max(np.abs(data.vt_gamma(x) - sol.potential(sol.curve(x)))) <= tol_v
+    want = data.st_grid(x)
+    assert np.max(np.abs(data.st(x) - want) / np.abs(want)) <= 1e-13
 
 
 @pytest.mark.parametrize("t", [1e-3, 0.5])

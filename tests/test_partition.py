@@ -162,7 +162,7 @@ def test_dt_lnZ_vanishes_for_quadratic(quad_sol):
 
 
 def test_dt_lnZ_near_straight_segment(rot_sol):
-    # t = 0 takes a one-sided difference; near it dt_lnZ is linear in t
+    # dt_lnZ vanishes at t = 0 and is smooth there, so it is linear in t nearby
     vals = {t: pt.dt_lnZ(rot_sol, t, 2, 2.0)[0] for t in (0.0, 1e-4, 1e-3)}
     assert all(np.isfinite(v) for v in vals.values())
     assert abs(vals[1e-4] - 0.1 * vals[1e-3]) < 1e-5
@@ -172,12 +172,66 @@ def _fd4(fn, t, h):
     return (-fn(t + 2 * h) + 8 * fn(t + h) - 8 * fn(t - h) + fn(t - 2 * h)) / (12 * h)
 
 
+def _d_dt(fn, t):
+    """(16 D(h/2) - D(h)) / 15 at h = 1e-2 for the fourth-order difference
+    D: central inside (0, 1), the one-sided five-point stencil into the
+    interval at t = 0 and t = 1."""
+    if 0 < t < 1:
+        diff = _fd4
+    else:
+        def diff(fn, t, h):
+            h = h if t == 0 else -h
+            return (-25 * fn(t) + 48 * fn(t + h) - 36 * fn(t + 2 * h) + 16 * fn(t + 3 * h)
+                    - 3 * fn(t + 4 * h)) / (12 * h)
+    return (16 * diff(fn, t, 5e-3) - diff(fn, t, 1e-2)) / 15
+
+
+@pytest.mark.parametrize("fix", ["rot_sol", "cubic_sol", "quartic_sol"])
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.6, 1.0])
+def test_dt_potential_against_extrapolated_t_differences(request, fix, t):
+    # V_s at the fixed points z = gamma_t(x), read off each member's series
+    sol = request.getfixturevalue(fix)
+    z = eq.interpolation_data(sol, t).curve(np.array([0.05, 0.37, 0.5, 0.8, 0.97]))
+
+    def v_at(s):
+        data = eq.interpolation_data(sol, s)
+        return data.vt_gamma(data.curve.invert(z))
+
+    assert np.max(np.abs(pt.dt_potential(sol, t)(z) - _d_dt(v_at, t))) <= 1e-8
+
+
+@pytest.mark.parametrize("fix", ["rot_sol", "cubic_sol", "quartic_sol"])
+def test_dt_lnZ_vanishes_at_the_flat_member(request, fix):
+    # at t = 0 the flow derivative is odd about the midpoint of the straight
+    # segment, whose quadratic ensemble is even, so every piece vanishes
+    sol = request.getfixturevalue(fix)
+    for N in (2, 8):
+        assert abs(pt.dt_lnZ(sol, 0.0, N, 2.0)[0]) <= 1e-10
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_energy_derivative_identity_at_the_ends(rot_sol, t):
+    dE = _d_dt(lambda s: eq.interpolation_data(rot_sol, s).complex_energy(), t)
+    data = eq.interpolation_data(rot_sol, t)
+    mu_dtv = data.nu.integrate(pt.dt_potential(rot_sol, t)(data.gt(data.nu.nodes)))
+    assert mu_dtv == pytest.approx(dE / 2, abs=1e-8)
+
+
+def test_dt_lnZ_builds_two_members(rot_sol, monkeypatch):
+    built = []
+    post_init = eq.InterpolationData.__post_init__
+    monkeypatch.setattr(eq.InterpolationData, "__post_init__",
+                        lambda self: built.append(self.t) or post_init(self))
+    pt.dt_lnZ(rot_sol, 0.5, 8, 2.0)
+    assert len(built) <= 2
+
+
 def test_energy_derivative_identity(rot_sol):
     # mu(dV/dt) = (1/2) d/dt of the complexified energy
     t0, h = 0.6, 2e-3
     dE = _fd4(lambda t: eq.interpolation_data(rot_sol, t).complex_energy(), t0, h)
     data = eq.interpolation_data(rot_sol, t0)
-    fz = pt.dt_potential(rot_sol, t0, h=1e-4)
+    fz = pt.dt_potential(rot_sol, t0)
     mu_dtv = np.sum(data.nu.weights * fz(data.gt(data.nu.nodes)))
     assert mu_dtv == pytest.approx(dE / 2, abs=1e-6)
 
@@ -188,7 +242,7 @@ def test_entropy_derivative_identity(rot_sol):
     t0, h = 0.6, 2e-3
     dLnRho = _fd4(lambda t: -eq.interpolation_data(rot_sol, t).entropy(), t0, h)
     data = eq.interpolation_data(rot_sol, t0)
-    fz = pt.dt_potential(rot_sol, t0, h=1e-4)
+    fz = pt.dt_potential(rot_sol, t0)
     op = ops.complex_master_operator(data, n=64)
     xs = op.grid
     u = op.inverse_apply(fz(data.gt(xs)))
@@ -199,17 +253,17 @@ def test_entropy_derivative_identity(rot_sol):
 
 
 def test_flow_integral_reproduces_leading_orders(rot_sol):
-    # 16-node flow integration of mu(dV/dt) recovers the energy difference
-    gl = make_grid("gauss_legendre", 16, (0.0, 1.0))
+    # 24-node flow integration of mu(dV/dt) recovers the energy difference
+    gl = make_grid("gauss_legendre", 24, (0.0, 1.0))
     vals = []
     for t in gl.nodes:
         data = eq.interpolation_data(rot_sol, float(t))
-        fz = pt.dt_potential(rot_sol, float(t), h=1e-4)
+        fz = pt.dt_potential(rot_sol, float(t))
         vals.append(np.sum(data.nu.weights * fz(data.gt(data.nu.nodes))))
     integral = np.sum(gl.weights * np.asarray(vals))
     E1 = eq.interpolation_data(rot_sol, 1.0).complex_energy()
     E0 = eq.interpolation_data(rot_sol, 0.0).complex_energy()
-    assert integral == pytest.approx((E1 - E0) / 2, abs=2e-6)
+    assert integral == pytest.approx((E1 - E0) / 2, abs=5e-10)
 
 
 def test_expansion_report_serialization():
