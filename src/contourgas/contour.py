@@ -423,8 +423,20 @@ def subtracted_chord_kernel(curve: Curve, x, y):
     the exact divided difference of the g series: no cancellation at any
     distance, and K(x, x) = -g''/(2 g').  A quotient by the slope that must
     cancel K's own g' reads g.deriv(), not the separately fitted d1."""
+    return chord_kernel(chord_table(curve, y), x)
+
+
+def chord_table(curve: Curve, y):
+    """The chords Q(., y_j) of the g series, one column per point y_j, and
+    their x-derivative: the part of `subtracted_chord_kernel` that depends
+    on y alone, to be built once for kernels at many x."""
     Q = curve.g.divided_difference(y)
-    dQ = Q.deriv()
+    return Q, Q.deriv()
+
+
+def chord_kernel(table, x):
+    """`subtracted_chord_kernel` at x rows from a `chord_table`."""
+    Q, dQ = table
     V = Q.vander(np.atleast_1d(x))
     return -(V[:, :len(dQ.coef)] @ dQ.coef) / (V @ Q.coef)
 

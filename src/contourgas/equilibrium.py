@@ -4,16 +4,18 @@ variational-condition checks, and the energy/entropy functionals."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .contour import (Curve, _flat_mass, affine_curve, family_member, semicircle_cdf,
-                      semicircle_parametrization, subtracted_chord_kernel)
+from .contour import (Curve, _flat_mass, affine_curve, chord_kernel, chord_table,
+                      family_member, semicircle_cdf, semicircle_parametrization,
+                      subtracted_chord_kernel)
 from .numkit import (ChebSeries, ComplexPolynomial, WeightedGrid, make_grid,
-                     pairwise_sum, semicircle_rule, track_arg)
+                     pairwise_sum, read_only, semicircle_rule, track_arg)
 
 __all__ = [
     "OneCutSolution",
@@ -246,7 +248,8 @@ class OneCutSolution:
     """Endpoints, monic polynomial part S of the cut square root, and the
     Gauss rule `nu` of the [0, 1] semicircle law, the pull-back of the
     equilibrium measure along the arc (`numkit.semicircle_rule`); the
-    analytic parametrization is built lazily."""
+    analytic parametrization is built lazily, and so are the interpolating
+    members, one per t (`interpolation_data`)."""
 
     potential: ComplexPolynomial
     zeta1: complex
@@ -257,6 +260,7 @@ class OneCutSolution:
     pad_outer = 0.10    # the arc's analytic pad: a class constant, not a field
     _curve: Curve = field(default=None, repr=False)
     _constant: complex = field(default=None, repr=False)
+    _members: dict = field(default_factory=dict, repr=False)
 
     @property
     def midpoint(self):
@@ -510,14 +514,26 @@ class OneCutSolution:
 # -- interpolating family ---------------------------------------------------
 
 
+@functools.cache
+def member_rule():
+    """The 96-point rule of the semicircle law that every member and both
+    master operators integrate against, built once; its arrays are
+    read-only."""
+    nu = semicircle_rule(_N_QUAD)
+    read_only(nu.nodes, nu.weights)
+    return nu
+
+
 @dataclass
 class InterpolationData:
     """Frozen data of one member of the interpolating family: the member
     curve gamma_t, the 96-point rule `nu` of the semicircle law that every
     integral against the member's measure uses (the master operators
-    included), and two cached series over the working interval: the
-    prefactor `st` of the cut square root and the potential `vt_gamma`,
-    both at the base arc's own degree, and at least 96."""
+    included), the chord table at its nodes, and two cached series over the
+    working interval: the prefactor `st` of the cut square root and the
+    potential `vt_gamma`, both at the base arc's own degree, and at least
+    96.  Cached arrays are read-only, and the master operators of the
+    member are kept in `_operators`, one per kind and size n."""
 
     sol: OneCutSolution
     t: float
@@ -525,8 +541,18 @@ class InterpolationData:
     def __post_init__(self):
         self.curve = family_member(self.sol.curve, self.sol.zeta1, self.sol.zeta2, self.t)
         self.gt, self.gtp = self.curve, self.curve.deriv1
-        self.nu = semicircle_rule(_N_QUAD)
+        self.nu = member_rule()
         self.n_fit = max(_N_QUAD, len(self.sol.curve.g.coef))
+        self._operators = {}
+
+    @cached_property
+    def chord(self):
+        """`contour.chord_table` of the member at the nodes of nu: the
+        chords Q_t(., y) and their x-derivative, read by every kernel the
+        member integrates against nu."""
+        Q, dQ = chord_table(self.curve, self.nu.nodes)
+        read_only(Q.coef, dQ.coef)
+        return Q, dQ
 
     # -- prefactor of the cut square root ---------------------------------
 
@@ -552,7 +578,9 @@ class InterpolationData:
     def st(self):
         """Prefactor along the curve as a series in the parameter x."""
         pad = self.sol.pad
-        return ChebSeries.interpolate(self.st_grid, -pad, 1 + pad, self.n_fit)
+        st = ChebSeries.interpolate(self.st_grid, -pad, 1 + pad, self.n_fit)
+        read_only(st.coef)
+        return st
 
     def st_at(self, z):
         """Prefactor at points z near the curve (a scalar or an array):
@@ -572,7 +600,7 @@ class InterpolationData:
         """V_t'(gamma_t(x)) gamma_t'(x) by the subtracted-kernel formula;
         bounded uniformly in t.  Complex x continues it analytically."""
         x = np.atleast_1d(np.asarray(x))
-        ker = subtracted_chord_kernel(self.curve, x, self.nu.nodes)
+        ker = chord_kernel(self.chord, x)
         return 8 * (x - 0.5) - pairwise_sum(ker * self.nu.weights[None, :], axis=-1)
 
     def vt_prime(self, z):
@@ -610,6 +638,7 @@ class InterpolationData:
         # pin the value at x = 1/2 to the path-integrated potential
         coef = anti.coef.copy()
         coef[0] += self.vt(self.curve(0.5)) - anti(0.5)
+        read_only(coef)
         return ChebSeries(anti.lo, anti.hi, coef)
 
     def complex_energy(self):
@@ -625,4 +654,9 @@ class InterpolationData:
 
 
 def interpolation_data(sol: OneCutSolution, t: float):
-    return InterpolationData(sol, float(t))
+    """The solution's member at float(t), built on the first request and
+    shared by every later one."""
+    t = float(t)
+    if t not in sol._members:
+        sol._members[t] = InterpolationData(sol, t)
+    return sol._members[t]

@@ -29,10 +29,15 @@ __all__ = [
     "one_stat_expansion",
     "loop_equation_check",
     "CovarianceError",
+    "DomainError",
 ]
 
 
 class CovarianceError(ValueError):
+    pass
+
+
+class DomainError(ValueError):
     pass
 
 
@@ -192,25 +197,30 @@ def finite_rank_oracle(B, mu, A, lam, beta=1.0):
     + i beta <lam, xi>)] for a structured complex Gaussian vector with mean
     mu and covariance B (conjugation-symmetric index pairs).  The phase of
     the complex/real ratio (`KernelPair`) takes lam = (1/beta - 1/2) P."""
-    B = np.asarray(B, dtype=complex)
-    A = beta * np.asarray(A, dtype=complex)
-    lam = beta * np.asarray(lam, dtype=complex)
-    mu = np.asarray(mu, dtype=complex)
+    B, A, lam, mu = (_floating(v) for v in (B, beta * np.asarray(A), beta * np.asarray(lam), mu))
+    # real B and A (as `fourier_kernels` gives) keep both spectra in real
+    # arithmetic; complex ones take the same steps in complex arithmetic
     evB, QB = np.linalg.eigh(0.5 * (B + B.conj().T))
     if evB.min() < -1e-10 * max(1.0, abs(evB.max())):
         raise CovarianceError("B is not positive semidefinite")
-    sqB = QB @ np.diag(np.sqrt(np.clip(evB, 0, None))) @ QB.conj().T
+    sqB = (QB * np.sqrt(np.clip(evB, 0, None))) @ QB.conj().T
     lams = np.linalg.eigvalsh(sqB @ (0.5 * (A + A.conj().T)) @ sqB)
     factors = 1 - 1j * lams
     if np.exp(0.5 * pairwise_sum(np.log(np.abs(factors)))) < 1 - 1e-9:
         raise CovarianceError("determinant modulus below 1")
     det_msqrt = np.prod(factors ** -0.5)
     M = np.eye(len(mu)) - 1j * B @ A
-    Minv_mu = np.linalg.solve(M, mu)
+    Minv_mu, Minv_Blam = np.linalg.solve(M, np.stack([mu, B @ lam], axis=1)).T
     e = 0.5j * (mu.conj() @ (A @ Minv_mu))
     e += 1j * (lam.conj() @ Minv_mu)
-    e += -0.5 * (lam.conj() @ np.linalg.solve(M, B @ lam))
+    e += -0.5 * (lam.conj() @ Minv_Blam)
     return det_msqrt * np.exp(e)
+
+
+def _floating(v):
+    """v as a float64 or complex128 array, whichever holds it."""
+    v = np.asarray(v)
+    return v.astype(np.result_type(v, float), copy=False)
 
 
 def structured_index_map(n):
@@ -303,13 +313,20 @@ def loop_equation_check(N, beta, data: InterpolationData, domain, M=64):
     the intended use.  The domain has no default: the dropped term is
     exponentially small only when the domain reaches well past the support,
     and on the working interval [-pad, 1 + pad] it is not (the flat z^2
-    member at N = 2 leaves -2.67e-2 there, -1.5e-14 on (-1, 2))."""
+    member at N = 2 leaves -2.67e-2 there, -1.5e-14 on (-1, 2)).  Raises
+    DomainError when the domain leaves the interval of the member's curve
+    series and the curve is not a straight segment: its series are not
+    valid there."""
     gamma, dgamma, ddgamma = data.curve, data.curve.deriv1, data.curve.deriv2
+    g = gamma.g
+    if len(g.coef) > 2 and not g.lo <= min(domain) <= max(domain) <= g.hi:
+        raise DomainError(f"domain {tuple(domain)} leaves the curve series' interval "
+                          f"[{g.lo:.3g}, {g.hi:.3g}]")
 
     x = make_grid("gauss_legendre", M, domain).nodes
     nu = semicircle_rule(128)
     y, wy = nu.nodes, nu.weights
-    g, gp = gamma.g, gamma.g.deriv()
+    gp = g.deriv()
     xgp = ChebSeries.interpolate(lambda s: s * gp(s), g.lo, g.hi, len(gp.coef))
 
     def Dkernel(xa, xb):

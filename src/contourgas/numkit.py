@@ -230,8 +230,9 @@ class ChebSeries:
         all columns).  A plateau starts at the first j whose envelope at
         1.25 j + 5 has fallen by less than 3 (1 - ln e_j / ln tol); the cut
         is then where the envelope plus a linear bias toward short series
-        is least.  length is None when no plateau has formed yet; level is
-        then the envelope at the last coefficient."""
+        is least.  A tail of exact zeros is a plateau at level 0, cut after
+        the last nonzero coefficient.  length is None when no plateau has
+        formed yet; level is then the envelope at the last coefficient."""
         tol = _CHOP_TOL
         b = np.abs(self.coef).reshape(len(self.coef), -1).max(axis=1)
         n = len(b)
@@ -243,12 +244,14 @@ class ChebSeries:
         j2 = np.floor(1.25 * j + 5.5).astype(int)
         j, j2 = j[j2 <= n], j2[j2 <= n]
         e1, e2 = env[j - 1], env[j2 - 1]
-        with np.errstate(divide="ignore"):
-            found = np.flatnonzero((e1 == 0) | (e2 > 3 * (1 - np.log(e1) / np.log(tol)) * e1))
+        # an exactly zero envelope is a plateau by itself; its log is not taken
+        ratio = 3 * (1 - np.log(np.where(e1 > 0, e1, 1.0)) / np.log(tol))
+        found = np.flatnonzero((e1 == 0) | (e2 > ratio * e1))
         if found.size == 0:
             return None, float(env[-1])
         point, stop = j[found[0]] - 1, j2[found[0]]
-        level = float(env[point - 1])
+        # past a tail of exact zeros the envelope flattens at level 0
+        level = 0.0 if e1[found[0]] == 0 else float(env[point - 1])
         if level == 0:
             return int(point), level
         floor = tol ** (7 / 6)
@@ -294,8 +297,9 @@ def _tvander(u, n):
     T[:1] = 1
     T[1:2] = u
     b = max(math.isqrt(n), 1)
+    two_u = 2 * u
     for k in range(2, min(b, n) + 1):
-        np.multiply(2 * u, T[k - 1], out=T[k])
+        np.multiply(two_u, T[k - 1], out=T[k])
         T[k] -= T[k - 2]
     two_tb = 2 * T[b:b + 1]
     np.multiply(two_tb, T[1:b], out=T[b + 1:2 * b])      # T_{b+m}, 0 < m < b
@@ -351,12 +355,19 @@ class WeightedGrid:
         return pairwise_sum(self.weights * np.asarray(values))
 
 
+def read_only(*arrays):
+    """Mark arrays that a cache hands out as read-only, so that a caller
+    editing one in place fails instead of changing every later result."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 @functools.cache
 def _legendre_rule(n):
     """The n-point Gauss-Legendre rule on [-1, 1], solved once per n; its
     arrays are read-only, so no caller can change the cached rule."""
     x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = w.flags.writeable = False
+    read_only(x, w)
     return x, w
 
 

@@ -4,13 +4,14 @@ parameter interval), with their normalizing functionals."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import subtracted_chord_kernel
-from .equilibrium import InterpolationData
-from .numkit import ChebSeries, WeightedGrid, make_grid, pairwise_sum
+from .contour import chord_kernel, subtracted_chord_kernel
+from .equilibrium import InterpolationData, member_rule
+from .numkit import ChebSeries, WeightedGrid, make_grid, pairwise_sum, read_only
 
 __all__ = [
     "ChebCollocation",
@@ -108,25 +109,46 @@ def _near_pairs(targets, nodes):
     return np.abs(targets[:, None] - nodes[None, :]) < _PAIR_TOL
 
 
-def _member_rules(data: InterpolationData, n):
-    """Set-up shared by both operators: collocation on the working
-    interval, the member's nu rule and the inverse-sqrt rule of the same
-    size, the nodal-value maps to both node sets and the collocation
-    derivative."""
-    pad = data.sol.pad
+@functools.cache
+def _member_rules(pad, n):
+    """Set-up shared by both operators of every member with working
+    interval [-pad, 1 + pad], built once per (pad, n): collocation on that
+    interval, the members' nu rule (`equilibrium.member_rule`) and the
+    inverse-sqrt rule of the same size, the nodal-value maps to both node
+    sets and the collocation derivative, all read-only."""
     colloc = ChebCollocation(-pad, 1 + pad, n)
-    gc1 = make_grid("inverse_sqrt", len(data.nu.nodes), (0.0, 1.0))
-    return (colloc, data.nu, gc1, colloc.eval_matrix(data.nu.nodes),
-            colloc.eval_matrix(gc1.nodes), colloc.diff_matrix())
+    nu = member_rule()
+    gc1 = make_grid("inverse_sqrt", len(nu.nodes), (0.0, 1.0))
+    rules = (colloc, nu, gc1, colloc.eval_matrix(nu.nodes),
+             colloc.eval_matrix(gc1.nodes), colloc.diff_matrix())
+    read_only(colloc.u, colloc.x, colloc.cardinal.coef, colloc._d_cardinal.coef,
+              gc1.nodes, gc1.weights, *rules[3:])
+    return rules
+
+
+def _built_once(data: InterpolationData, build, n):
+    """The member's operator build(data, n), built on the first request for
+    this build and n; its arrays are read-only."""
+    key = (build, int(n))
+    if key not in data._operators:
+        op = build(data, int(n))
+        read_only(op.forward, op.k_row, op.inverse)
+        data._operators[key] = op
+    return data._operators[key]
 
 
 def real_master_operator(data: InterpolationData, n=64):
-    """Discretization of the real master operator and its explicit inverse.
+    """Discretization of the real master operator and its explicit inverse,
+    built once per member and n.
 
     The inverse composes the flat-interval closed-form inverse with the
     Fredholm resolvent of the compact curve-dependent correction; the
     normalizing functional is assembled along the same path."""
-    colloc, nu, gc1, E_y, E_s, D_x = _member_rules(data, n)
+    return _built_once(data, _real_operator, n)
+
+
+def _real_operator(data: InterpolationData, n):
+    colloc, nu, gc1, E_y, E_s, D_x = _member_rules(data.sol.pad, n)
     xs = colloc.x
     y, w2 = nu.nodes, nu.weights
     s, w1 = gc1.nodes, gc1.weights
@@ -135,7 +157,7 @@ def real_master_operator(data: InterpolationData, n=64):
     # forward: diag(Re V_t' g_t') - integral of the deformed difference
     # quotient against the semicircle law
     W = np.real(data.vt_prime_pullback(xs))
-    Kxy = subtracted_chord_kernel(curve, xs, y)
+    Kxy = chord_kernel(data.chord, xs)
     Kyx = np.real(subtracted_chord_kernel(curve, y, xs))
     forward = np.diag(W)
     forward += np.diag(pairwise_sum(np.real(Kxy) * w2[None, :], axis=-1))
@@ -186,8 +208,12 @@ def real_master_operator(data: InterpolationData, n=64):
 def complex_master_operator(data: InterpolationData, n=64):
     """Discretization of the holomorphic master operator on the deformed
     arc, with the closed-form inverse built on the prefactor of the cut
-    square root."""
-    colloc, nu, gc1, E_y, E_s, D_x = _member_rules(data, n)
+    square root; built once per member and n."""
+    return _built_once(data, _complex_operator, n)
+
+
+def _complex_operator(data: InterpolationData, n):
+    colloc, nu, gc1, E_y, E_s, D_x = _member_rules(data.sol.pad, n)
     xs = colloc.x
     y, w2 = nu.nodes, nu.weights
     s, w1 = gc1.nodes, gc1.weights

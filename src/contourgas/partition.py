@@ -219,14 +219,14 @@ def dt_potential(sol: OneCutSolution, t):
     parameter (V_t = V there for every t) and, Q[f] the divided difference,
     G = int Q[d_t gamma_t](x, .) / Q_t(x, .) dnu - d_t gamma_t vt_prime_pullback / gamma_t'."""
     data = interpolation_data(sol, t)
-    g, gp, nu = data.curve.g, data.curve.g.deriv(), data.nu
+    gp, nu = data.curve.g.deriv(), data.nu
     ends = sol.curve.end_chord
     q = ChebSeries(ends.lo, ends.hi, ends.coef[:, 0])
     dq, dz = q.deriv(), sol.zeta2 - sol.zeta1
     dgamma = ChebSeries.interpolate(
         lambda x: dz * x * (x * dq(t * x) * q(t) - q(t * x) * dq(t)) / q(t) ** 2,
         *data.curve.domain, len(q.coef))
-    num, den = dgamma.divided_difference(nu.nodes), g.divided_difference(nu.nodes)
+    num, den = dgamma.divided_difference(nu.nodes), data.chord[0]
 
     def G(x):
         ratio = (num.vander(x) @ num.coef) / (den.vander(x) @ den.coef)

@@ -21,13 +21,24 @@ def quartic_sol():
     return eq.solve_one_cut(ComplexPolynomial([0, 0, 0, 0, 0.25]))
 
 
+def _rotated_quartic():
+    c = 0.5 * np.exp(1j * np.pi / 4)
+    return eq.solve_one_cut(ComplexPolynomial([0, 0, c / 2, 0, 0.25]),
+                            seeds=(-1.2 + 0.1j, 1.2 - 0.1j))
+
+
 @pytest.fixture(scope="session")
 def rot_sol():
     """Rotated quartic V = z^4/4 + c z^2/2 with complex c: the standard
     genuinely complex one-cut test case."""
-    c = 0.5 * np.exp(1j * np.pi / 4)
-    return eq.solve_one_cut(ComplexPolynomial([0, 0, c / 2, 0, 0.25]),
-                            seeds=(-1.2 + 0.1j, 1.2 - 0.1j))
+    return _rotated_quartic()
+
+
+@pytest.fixture
+def fresh_rot_sol():
+    """The rotated quartic solved anew for one test, with no members or
+    operators cached on it yet: for tests that count what gets built."""
+    return _rotated_quartic()
 
 
 @pytest.fixture(scope="session")

@@ -156,6 +156,29 @@ def test_fredholm_trivial_cases():
     assert fl.fredholm_expectation(kp1, 4.0) == pytest.approx(expect, abs=1e-12)
 
 
+def test_fredholm_real_inputs_match_complex_cast(rot_data_t1, cubic_sol, monkeypatch):
+    # fourier_kernels gives real B, A, m and P; the oracle keeps both
+    # spectra real, and casting its inputs to complex changes the value by
+    # rounding only
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, solver=solver: seen.append(a.dtype) or solver(a))
+    for data in (rot_data_t1, eq.interpolation_data(cubic_sol, 0.5)):
+        for beta in (2.0, 4.0):
+            kp = fl.fourier_kernels(data, beta)
+            lam = (1 / beta - 0.5) * kp.P
+            seen.clear()
+            real = fl.finite_rank_oracle(kp.B, kp.m, kp.A, lam, beta)
+            assert seen == [np.float64, np.float64]
+            cast = fl.finite_rank_oracle(*(v.astype(complex) for v in (kp.B, kp.m, kp.A, lam)),
+                                         beta)
+            assert seen[2:] == [np.complex128, np.complex128]
+            assert real == fl.fredholm_expectation(kp, beta)
+            assert abs(real - cast) <= 1e-14
+
+
 def test_finite_rank_vs_monte_carlo():
     rng = np.random.default_rng(31)
     B, mu, A, lam = _structured_instance(2, rng)
@@ -259,6 +282,20 @@ def test_loop_equation_small_N(quad_data_t0):
     assert abs(r2) < 1e-6
     r3 = fl.loop_equation_check(3, 2.0, quad_data_t0, domain=(-1.0, 2.0), M=72)
     assert abs(r3) < 1e-5
+
+
+def test_loop_equation_rejects_domain_past_a_curved_member(rot_sol, quad_sol):
+    # the rotated quartic's arc series hold on [-0.1, 1.1] only: (-1, 2)
+    # used to read them far outside it and return 0.18 without complaint
+    data = eq.interpolation_data(rot_sol, 1.0)
+    assert (data.curve.g.lo, data.curve.g.hi) == pytest.approx((-0.1, 1.1))
+    with pytest.raises(fl.DomainError, match="interval"):
+        fl.loop_equation_check(2, 2.0, data, domain=(-1.0, 2.0), M=32)
+    # inside the interval it runs; a straight member takes any domain
+    assert np.isfinite(fl.loop_equation_check(2, 2.0, data, domain=(-0.1, 1.1), M=32))
+    flat = eq.interpolation_data(quad_sol, 0.5)
+    assert len(flat.curve.g.coef) == 2
+    assert np.isfinite(fl.loop_equation_check(2, 2.0, flat, domain=(-1.0, 2.0), M=32))
 
 
 def test_loop_equation_flat_member_closed_form(quad_data_t0):

@@ -578,3 +578,13 @@ def test_chop_finds_the_plateau():
     length, level = ChebSeries.interpolate(np.abs, -1, 1, 64).chop()
     assert length is None and level > 1e-4
     assert ChebSeries(-1, 1, np.zeros(40)).chop() == (1, 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_chop_on_an_exactly_zero_tail():
+    # the tail's log is not taken (0 log 0 warned), and the envelope
+    # flattens at 0 after the last nonzero coefficient, not at its size
+    for head in ([1.0, 0.5, 0.25], [1.0], [2.0, -1e-3, 1e-9, 3e-12]):
+        coef = np.concatenate([head, np.zeros(40)])
+        assert ChebSeries(-1, 1, coef).chop() == (len(head), 0.0)
+        assert ChebSeries(-1, 1, np.stack([coef, 0.5 * coef], axis=1)).chop() == (len(head), 0.0)

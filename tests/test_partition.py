@@ -217,13 +217,16 @@ def test_energy_derivative_identity_at_the_ends(rot_sol, t):
     assert mu_dtv == pytest.approx(dE / 2, abs=1e-8)
 
 
-def test_dt_lnZ_builds_two_members(rot_sol, monkeypatch):
+def test_dt_lnZ_builds_one_member(fresh_rot_sol, monkeypatch):
+    # dt_lnZ, dt_potential and a later caller share the solution's member
+    sol = fresh_rot_sol
     built = []
     post_init = eq.InterpolationData.__post_init__
     monkeypatch.setattr(eq.InterpolationData, "__post_init__",
                         lambda self: built.append(self.t) or post_init(self))
-    pt.dt_lnZ(rot_sol, 0.5, 8, 2.0)
-    assert len(built) <= 2
+    pt.dt_lnZ(sol, 0.5, 8, 2.0)
+    assert eq.interpolation_data(sol, 0.5) is eq.interpolation_data(sol, np.float64(0.5))
+    assert built == [0.5]
 
 
 def test_energy_derivative_identity(rot_sol):
