@@ -14,8 +14,8 @@ import numpy as np
 from .contour import (Curve, _flat_mass, affine_curve, chord_kernel, chord_table,
                       family_member, semicircle_cdf, semicircle_parametrization,
                       subtracted_chord_kernel)
-from .numkit import (ChebSeries, ComplexPolynomial, WeightedGrid, make_grid,
-                     pairwise_sum, read_only, semicircle_rule, track_arg)
+from .numkit import (ChebSeries, ComplexPolynomial, make_grid, pairwise_sum, read_only,
+                     semicircle_rule, track_arg)
 
 __all__ = [
     "OneCutSolution",
@@ -31,7 +31,7 @@ __all__ = [
 
 LN2 = math.log(2.0)
 _NEWTON_TOL, _NEWTON_MAXIT = 1e-12, 50   # endpoint Newton: residual target, iterations
-_N_QUAD = 96                             # nodes of each member's nu rule
+_N_QUAD = 96                             # nodes of the one nu rule, `member_rule`
 
 
 class NoSolutionError(RuntimeError):
@@ -82,7 +82,7 @@ def _endpoint_residual(vprime, z1, z2):
     return F, J
 
 
-def solve_one_cut(V: ComplexPolynomial, seeds=None, pad=0.05, n_grid=64, validate=True):
+def solve_one_cut(V: ComplexPolynomial, seeds=None, validate=True):
     """Endpoints and polynomial part of the one-cut equilibrium data for a
     polynomial potential.
 
@@ -121,7 +121,7 @@ def solve_one_cut(V: ComplexPolynomial, seeds=None, pad=0.05, n_grid=64, validat
         raise NotOneCutError(f"polynomial part has leading {lead}, expected {expected}")
     S = ComplexPolynomial(S_w.shift(-mid).coeffs)
 
-    sol = OneCutSolution(V, z1, z2, S, semicircle_rule(n_grid), pad)
+    sol = OneCutSolution(V, z1, z2, S)
     if validate:
         sol.validate()
     return sol
@@ -219,6 +219,16 @@ def _log_deriv_tracked(curve, nu, chord):
     return np.log(np.abs(gp)) + 1j * (tr.args + shift)
 
 
+@functools.cache
+def member_rule():
+    """The one rule of the semicircle law nu that the package integrates
+    against: 96 Gauss nodes, exact to degree 191, built once, with
+    read-only arrays."""
+    nu = semicircle_rule(_N_QUAD)
+    read_only(nu.nodes, nu.weights)
+    return nu
+
+
 # The arc of a solution and every interpolating member share these three
 # functionals; v_on_curve is x -> V(gamma(x)) for the member's potential.
 
@@ -246,18 +256,20 @@ def _entropy(curve, nu, chord):
 @dataclass
 class OneCutSolution:
     """Endpoints, monic polynomial part S of the cut square root, and the
-    Gauss rule `nu` of the [0, 1] semicircle law, the pull-back of the
-    equilibrium measure along the arc (`numkit.semicircle_rule`); the
-    analytic parametrization is built lazily, and so are the interpolating
-    members, one per t (`interpolation_data`)."""
+    rule `nu` (`member_rule`) of the [0, 1] semicircle law, the pull-back
+    of the equilibrium measure along the arc; the analytic parametrization
+    is built lazily, and so are the interpolating members, one per t
+    (`interpolation_data`)."""
 
     potential: ComplexPolynomial
     zeta1: complex
     zeta2: complex
     S: ComplexPolynomial
-    nu: WeightedGrid
-    pad: float = 0.05
-    pad_outer = 0.10    # the arc's analytic pad: a class constant, not a field
+    # class constants, not fields: the one nu rule, the working interval
+    # [-pad, 1 + pad] and the arc's analytic pad
+    nu = member_rule()
+    pad = 0.05
+    pad_outer = 0.10
     _curve: Curve = field(default=None, repr=False)
     _constant: complex = field(default=None, repr=False)
     _members: dict = field(default_factory=dict, repr=False)
@@ -514,26 +526,16 @@ class OneCutSolution:
 # -- interpolating family ---------------------------------------------------
 
 
-@functools.cache
-def member_rule():
-    """The 96-point rule of the semicircle law that every member and both
-    master operators integrate against, built once; its arrays are
-    read-only."""
-    nu = semicircle_rule(_N_QUAD)
-    read_only(nu.nodes, nu.weights)
-    return nu
-
-
 @dataclass
 class InterpolationData:
     """Frozen data of one member of the interpolating family: the member
-    curve gamma_t, the 96-point rule `nu` of the semicircle law that every
-    integral against the member's measure uses (the master operators
-    included), the chord table at its nodes, and two cached series over the
-    working interval: the prefactor `st` of the cut square root and the
-    potential `vt_gamma`, both at the base arc's own degree, and at least
-    96.  Cached arrays are read-only, and the master operators of the
-    member are kept in `_operators`, one per kind and size n."""
+    curve gamma_t, the solution's rule `nu` that every integral against the
+    member's measure uses (the master operators included), the chord table
+    at its nodes, the prefactor `st` of the cut square root in closed form
+    (`st_grid`), and the potential series `vt_gamma` over the working
+    interval, at the base arc's own degree and at least 96.  Cached arrays
+    are read-only, and the master operators of the member are kept in
+    `_operators`, one per kind and size n."""
 
     sol: OneCutSolution
     t: float
@@ -541,7 +543,7 @@ class InterpolationData:
     def __post_init__(self):
         self.curve = family_member(self.sol.curve, self.sol.zeta1, self.sol.zeta2, self.t)
         self.gt, self.gtp = self.curve, self.curve.deriv1
-        self.nu = member_rule()
+        self.nu = self.sol.nu
         self.n_fit = max(_N_QUAD, len(self.sol.curve.g.coef))
         self._operators = {}
 
@@ -574,13 +576,7 @@ class InterpolationData:
         q = V[..., :len(chord.coef)] @ chord.coef
         return 8 / (kt**2 * gp * _chord_root(q[..., 0], q[..., 1]))
 
-    @cached_property
-    def st(self):
-        """Prefactor along the curve as a series in the parameter x."""
-        pad = self.sol.pad
-        st = ChebSeries.interpolate(self.st_grid, -pad, 1 + pad, self.n_fit)
-        read_only(st.coef)
-        return st
+    st = st_grid    # the one route to the prefactor, under its short name
 
     def st_at(self, z):
         """Prefactor at points z near the curve (a scalar or an array):
@@ -610,7 +606,7 @@ class InterpolationData:
         measure)."""
         z = np.asarray(z, dtype=complex)
         y = self.nu.nodes
-        sy, gy = self.st(y), self.curve(y)
+        sy, gy = self.st_grid(y), self.curve(y)
         Sz = np.asarray(self.st_at(z))
         integ = pairwise_sum(self.nu.weights * (sy - Sz[..., None])
                              / (sy * (gy - z[..., None])))
@@ -644,13 +640,12 @@ class InterpolationData:
     def complex_energy(self):
         """Complexified energy of the flow member: equilibrium constant of
         the deformed data plus the potential's equilibrium average."""
-        nu = self.sol.nu
-        return _complex_energy(_equilibrium_constant(self.curve, self.vt_gamma, nu),
-                               self.vt_gamma, nu)
+        return _complex_energy(_equilibrium_constant(self.curve, self.vt_gamma, self.nu),
+                               self.vt_gamma, self.nu)
 
     def entropy(self):
         """- int ln(dmu_t/dz) dmu_t along the deformed arc."""
-        return _entropy(self.curve, self.sol.nu, self.sol.zeta2 - self.sol.zeta1)
+        return _entropy(self.curve, self.nu, self.sol.zeta2 - self.sol.zeta1)
 
 
 def interpolation_data(sol: OneCutSolution, t: float):

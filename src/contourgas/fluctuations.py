@@ -10,9 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import InterpolationData, _log_chord
-from .numkit import ChebSeries, make_grid, pairwise_sum, semicircle_rule, tensor_quadrature, track_arg
+from .numkit import ChebSeries, _log_weights, make_grid, pairwise_sum, tensor_quadrature, track_arg
 from .operators import DiscretizedOperator, complex_master_operator, real_master_operator
-from .partition import _log_weights
 
 __all__ = [
     "GaussianLaw",
@@ -62,19 +61,23 @@ class GaussianLaw:
 
     def mean(self, f):
         """(1/beta - 1/2) nu( Re(g''/g') u + u' ) with u the master-operator
-        inverse of f."""
+        inverse of f: a function, its nodal values, or an (n, k) matrix of
+        nodal columns, whose k means it returns."""
         op = self.op
         u = op.inverse_apply(self._nodal(f))
+        rfac = self.rfac.reshape((-1,) + (1,) * (u.ndim - 1))
         u_nu = op.E_nu @ u
         up_nu = op.E_nu @ (op.D @ u)
-        return (1 / self.beta - 0.5) * op.nu.integrate(self.rfac * u_nu + up_nu)
+        return (1 / self.beta - 0.5) * (op.nu.weights @ (rfac * u_nu + up_nu))
 
     def cov(self, f, g):
-        """(1/beta) nu( f' * inverse[g] ); symmetric in its arguments."""
+        """(1/beta) nu( f' * inverse[g] ); symmetric in its arguments.  Either
+        may be an (n, k) matrix of nodal columns, with a row (column) of the
+        result per column of f (g)."""
         op = self.op
         fp_nu = op.E_nu @ (op.D @ self._nodal(f))
         u_nu = op.E_nu @ op.inverse_apply(self._nodal(g))
-        return (1 / self.beta) * op.nu.integrate(fp_nu * u_nu)
+        return (1 / self.beta) * ((fp_nu.T * op.nu.weights) @ u_nu)
 
     def variance(self, f):
         return self.cov(f, f)
@@ -90,8 +93,8 @@ def wick_moments(fs, law: GaussianLaw):
     fs = list(fs)
     if not fs:
         return 1.0
-    means = [law.mean(f) for f in fs]
-    covs = [[law.cov(fi, fj) for fj in fs] for fi in fs]
+    F = np.stack([law._nodal(f) for f in fs], axis=1)
+    means, covs = law.mean(F), law.cov(F, F)
 
     def rec(idx):
         if not idx:
@@ -100,7 +103,7 @@ def wick_moments(fs, law: GaussianLaw):
         rest = idx[:-1]
         out = means[last] * rec(rest)
         for q in range(len(rest)):
-            out += covs[rest[q]][last] * rec(rest[:q] + rest[q + 1:])
+            out += covs[rest[q], last] * rec(rest[:q] + rest[q + 1:])
         return out
 
     return rec(list(range(len(fs))))
@@ -167,18 +170,15 @@ def phase_kernels(data: InterpolationData):
 def fourier_kernels(data: InterpolationData, beta, law: GaussianLaw = None):
     """The kernel pair of the phase functional in the Chebyshev basis of
     `phase_kernels`: A and P are the kernels' coefficients, m_k the law's
-    mean of xi(T_k) and B_jk = cov(xi(T_j), xi(T_k)), symmetrized.  No
-    Fourier transform is taken: the name and signature are kept for the
+    mean of xi(T_k) and B_jk = cov(xi(T_j), xi(T_k)), symmetrized, both
+    read off the law in one call each on the nodal columns of T_0..T_{_N_C}.
+    No Fourier transform is taken: the name and signature are kept for the
     callers, among them the benchmark's `perfbench/limits.py`."""
     law = law or gaussian_law(data, beta)
     Ca, p = phase_kernels(data)
-    op = law.op
-    T = p.vander(op.grid)
-    U = op.inverse_apply(T)
-    U_nu = op.E_nu @ U
-    m = (1 / beta - 0.5) * (op.nu.weights @ (law.rfac[:, None] * U_nu + op.E_nu @ (op.D @ U)))
-    B = (1 / beta) * ((op.E_nu @ (op.D @ T)).T * op.nu.weights) @ U_nu
-    return KernelPair(Ca, p.coef, (B + B.T) / 2, m)
+    T = p.vander(law.op.grid)
+    B = law.cov(T, T)
+    return KernelPair(Ca, p.coef, (B + B.T) / 2, law.mean(T))
 
 
 def fredholm_expectation(kp: KernelPair, beta):
@@ -324,7 +324,7 @@ def loop_equation_check(N, beta, data: InterpolationData, domain, M=64):
                           f"[{g.lo:.3g}, {g.hi:.3g}]")
 
     x = make_grid("gauss_legendre", M, domain).nodes
-    nu = semicircle_rule(128)
+    nu = data.nu
     y, wy = nu.nodes, nu.weights
     gp = g.deriv()
     xgp = ChebSeries.interpolate(lambda s: s * gp(s), g.lo, g.hi, len(gp.coef))

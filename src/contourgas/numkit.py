@@ -466,6 +466,31 @@ def tensor_quadrature(N, log_single, log_pair, weights):
     return W, shift
 
 
+def _log_weights(N, beta, V, curve, domain, M, real_model):
+    """Rule and integrand of `tensor_quadrature` on a curve (None: the line):
+    Gauss-Legendre nodes and weights on the parameter domain with the one-
+    and two-particle log-integrands of either model: complex factors
+    (principal branches) or, for the real model, their moduli."""
+    gl = make_grid("gauss_legendre", M, domain)
+    x, w = gl.nodes, gl.weights
+    if curve is None:
+        g = x.astype(complex)
+        gp = np.ones_like(g)
+    else:
+        g = curve(x)
+        gp = curve.deriv1(x)
+    Vv = V(g) if callable(V) else V
+    diff = g[:, None] - g[None, :]
+    if real_model:
+        log_single = np.log(np.abs(gp)) - N * beta * np.real(Vv)
+        log_pair = beta * np.log(np.abs(diff) + np.eye(M))
+    else:
+        log_single = np.log(gp.astype(complex)) - N * beta * Vv
+        log_pair = beta * np.log(diff + np.eye(M))
+    np.fill_diagonal(log_pair, -1e30)  # integrand vanishes at collisions
+    return x, w, log_single, log_pair
+
+
 @dataclass(frozen=True)
 class BranchTrack:
     samples: np.ndarray

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import chord_kernel, subtracted_chord_kernel
+from .contour import subtracted_chord_kernel
 from .equilibrium import InterpolationData, member_rule
 from .numkit import ChebSeries, WeightedGrid, make_grid, pairwise_sum, read_only
 
@@ -155,12 +155,11 @@ def _real_operator(data: InterpolationData, n):
     curve = data.curve
 
     # forward: diag(Re V_t' g_t') - integral of the deformed difference
-    # quotient against the semicircle law
-    W = np.real(data.vt_prime_pullback(xs))
-    Kxy = chord_kernel(data.chord, xs)
+    # quotient against the semicircle law.  With the same rule, Re V_t' g_t'
+    # = 8(x - 1/2) - int Re K(x, .) dnu cancels the diagonal int Re K(x, .)
+    # dnu of the kernel term, so the diagonal is the flat 8(x - 1/2)
     Kyx = np.real(subtracted_chord_kernel(curve, y, xs))
-    forward = np.diag(W)
-    forward += np.diag(pairwise_sum(np.real(Kxy) * w2[None, :], axis=-1))
+    forward = np.diag(8 * (xs - 0.5))
     forward += (Kyx.T * w2) @ E_y
     forward -= _difference_quotient_rows(w2, xs[:, None] - y[None, :], _near_pairs(xs, y),
                                          E_y, D_x)
@@ -229,8 +228,8 @@ def _complex_operator(data: InterpolationData, n):
     forward -= _difference_quotient_rows(w2, zx[:, None] - zy[None, :],
                                          _near_pairs(xs, y), E_y, Dz_x)
 
-    st_s = data.st(s)
-    st_x = data.st(xs)
+    st_s = data.st_grid(s)
+    st_x = data.st_grid(xs)
     scale = np.max(np.abs(st_s))
     if np.min(np.abs(st_x)) < 1e-12 * scale or np.min(np.abs(st_s)) < 1e-12 * scale:
         raise NearSingularError("cut-square-root prefactor vanishes on the grid")
@@ -252,9 +251,6 @@ def finite_hilbert_transform(phi, x, n=128):
     gc2 = make_grid("gauss_chebyshev_sqrt", n, (-1.0, 1.0))
     y, w = gc2.nodes, gc2.weights
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = phi(y)
-    out = np.empty(x.shape)
-    for i, xi in enumerate(x):
-        dq = (vals - phi(xi)) / (y - xi)
-        out[i] = pairwise_sum(w * dq) - np.pi * xi * phi(xi)
-    return out
+    px = phi(x)
+    dq = (phi(y)[None, :] - px[:, None]) / (y[None, :] - x[:, None])
+    return pairwise_sum(w * dq, axis=-1) - np.pi * x * px

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import OneCutSolution, interpolation_data
-from .numkit import ChebSeries, make_grid, pairwise_sum, tensor_quadrature
+from .fluctuations import one_stat_expansion
+from .numkit import ChebSeries, _log_weights, pairwise_sum, tensor_quadrature
 
 __all__ = [
     "ExpansionReport",
@@ -130,30 +131,6 @@ def quadratic_line_domain(N, beta, edge=1.0, n_sigma=7.0):
             edge + n_sigma / math.sqrt(2 * N * beta))
 
 
-def _log_weights(N, beta, V, curve, domain, M, real_model):
-    """Gauss-Legendre nodes and weights on the parameter domain with the
-    one- and two-particle log-integrands of either model: complex factors
-    (principal branches) or, for the real model, their moduli."""
-    gl = make_grid("gauss_legendre", M, domain)
-    x, w = gl.nodes, gl.weights
-    if curve is None:
-        g = x.astype(complex)
-        gp = np.ones_like(g)
-    else:
-        g = curve(x)
-        gp = curve.deriv1(x)
-    Vv = V(g) if callable(V) else V
-    diff = g[:, None] - g[None, :]
-    if real_model:
-        log_single = np.log(np.abs(gp)) - N * beta * np.real(Vv)
-        log_pair = beta * np.log(np.abs(diff) + np.eye(M))
-    else:
-        log_single = np.log(gp.astype(complex)) - N * beta * Vv
-        log_pair = beta * np.log(diff + np.eye(M))
-    np.fill_diagonal(log_pair, -1e30)  # integrand vanishes at collisions
-    return x, w, log_single, log_pair
-
-
 class RefineError(RuntimeError):
     pass
 
@@ -236,14 +213,14 @@ def dt_potential(sol: OneCutSolution, t):
     return lambda z: G(data.curve.invert(np.atleast_1d(np.asarray(z, dtype=complex)))) - G_mid
 
 
-def dt_lnZ(sol: OneCutSolution, t, N, beta, n=48):
+def dt_lnZ(sol: OneCutSolution, t, N, beta):
     """- beta N^2 [ mu(dV/dt) + c1/N + c2/N^2 ] at one flow position, with
-    dV/dt from `dt_potential`; returns the value and the three assembled
-    pieces."""
-    from .fluctuations import one_stat_expansion
+    dV/dt from `dt_potential` and (c1, c2) from `one_stat_expansion` on the
+    member's n = 64 complex master operator, the one every other caller of
+    that member reads; returns the value and the three assembled pieces."""
     data = interpolation_data(sol, t)
     fz = dt_potential(sol, t)
     mu_f = data.nu.integrate(fz(data.curve(data.nu.nodes)))
-    c1, c2, parts = one_stat_expansion(data, fz, beta, n=n)
+    c1, c2, parts = one_stat_expansion(data, fz, beta)
     total = -beta * N * N * (mu_f + c1 / N + c2 / N / N)
     return total, {"mu_dtV": mu_f, "c1": c1, "c2": c2, **parts}

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contour import Curve, semicircle_cdf
-from .equilibrium import InterpolationData, double_log_potential, log_potential
+from .equilibrium import InterpolationData, double_log_potential, log_potential, member_rule
 from .fluctuations import phase_kernels
 from .numkit import ChebSeries, NetMassError, log_energy_direct, semicircle_rule
 
@@ -29,9 +29,6 @@ __all__ = [
 
 class TuningError(RuntimeError):
     pass
-
-
-_N_NU = 128     # nu rule of the exact log-energy distance (64..1024 agree to 4e-16)
 
 
 def _semicircle_quantiles(N):
@@ -295,16 +292,16 @@ def log_energy_distance(measure1, measure2, curve, squared=False, log_decades=No
     them, or 'semicircle', the equilibrium measure nu.  With sigma = atoms1
     - atoms2 + c nu, D^2 is the atoms' pair sum with box self-energies
     (`log_energy_direct`), minus 2c sum_i m_i U_gamma(x_i) (`log_potential`),
-    minus c^2 I_gamma (`double_log_potential`), both on the _N_NU-point rule
-    of nu.  `log_decades` is accepted and has no effect."""
+    minus c^2 I_gamma (`double_log_potential`), both on the nu rule
+    `member_rule`.  `log_decades` is accepted and has no effect."""
     val = _log_energy_sq(measure1, measure2, curve, *_nu_energy(curve))
     return val if squared else float(np.sqrt(max(val, 0.0)))
 
 
 def _nu_energy(curve):
-    """The _N_NU-point rule of nu and its double log potential I_gamma on
+    """The nu rule `member_rule` and its double log potential I_gamma on
     the curve: what every distance to nu on that curve shares."""
-    nu = semicircle_rule(_N_NU)
+    nu = member_rule()
     return nu, double_log_potential(curve, nu)
 
 
@@ -347,7 +344,7 @@ def concentration_scan(data: InterpolationData, N_list, f=lambda x: x,
     """Empirical statistics of the centred empirical measure across N:
     mean |L_N(f) - nu(f)|, mean squared log-energy distance, and the fitted
     decay exponent of the latter."""
-    nu = semicircle_rule(256)
+    nu = member_rule()
     nu_f = nu.integrate(f(nu.nodes))
     nu_energy = _nu_energy(data.curve)
     rows = []
@@ -416,7 +413,9 @@ def phase_expectation_mc(data: InterpolationData, N, beta, sweeps=600,
     Ca, p = phase_kernels(data)
     cp = p.coef
 
-    nu = semicircle_rule(192)
+    # the kernel series have degree 96 (`fluctuations._N_C`), so the nu
+    # rule, exact to degree 191, gives their nu averages exactly
+    nu = member_rule()
     vbar = nu.weights @ p.vander(nu.nodes)
     abar_coef = Ca @ vbar           # 1D coefficients of int a(x,y) dnu(y)
     a_nu_nu = vbar @ Ca @ vbar

@@ -54,6 +54,22 @@ def test_cov_symmetric_and_diagonal(rot_laws):
     assert law.cov(f, f) == pytest.approx(law.variance(f))
 
 
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_law_on_nodal_columns_matches_column_calls(rot_laws, t):
+    # mean and cov take an (n, k) matrix of nodal columns in one call
+    law = rot_laws[(t, 4.0)]
+    xs = law.op.grid
+    F = np.stack([xs, xs**2, np.cos(3 * xs), np.exp(xs)], axis=1)
+    G = np.stack([np.sin(xs), xs**3], axis=1)
+    means = law.mean(F)
+    assert means.shape == (4,)
+    assert np.max(np.abs(means - [law.mean(F[:, j]) for j in range(4)])) <= 1e-15
+    covs = law.cov(F, G)
+    assert covs.shape == (4, 2)
+    cols = [[law.cov(F[:, i], G[:, j]) for j in range(2)] for i in range(4)]
+    assert np.max(np.abs(covs - cols)) <= 1e-15
+
+
 def test_wick_moments(rot_laws):
     law = rot_laws[(0.0, 2.0)]
     xs = law.op.grid

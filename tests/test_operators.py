@@ -66,20 +66,24 @@ def test_operators_carry_member_rule(rot_ops):
 
 
 def test_operators_built_once_per_member_and_size(fresh_rot_sol, monkeypatch):
-    # one_stat_expansion reuses the operator its caller built; another size
-    # is another operator; the collocation rules are shared by all members
+    # dt_lnZ builds the member's n = 64 complex operator, which later callers
+    # and one_stat_expansion reuse; another size is another operator; the
+    # collocation rules are shared by all members
     from contourgas import fluctuations as fl
+    from contourgas import partition as pt
+    pt.dt_lnZ(fresh_rot_sol, 0.5, 8, 2.0)
     data = eq.interpolation_data(fresh_rot_sol, 0.5)
     built = []
     init = ops.DiscretizedOperator.__init__
     monkeypatch.setattr(ops.DiscretizedOperator, "__init__",
                         lambda self, *a, **k: built.append(1) or init(self, *a, **k))
     D = ops.complex_master_operator(data, n=64)
+    assert built == []
     fl.one_stat_expansion(data, lambda z: z**2, 2.0, n=64)
-    assert ops.complex_master_operator(data, 64) is D and len(built) == 1
+    assert ops.complex_master_operator(data, 64) is D and built == []
     assert ops.real_master_operator(data, n=64) is fl.gaussian_law(data, 2.0).op
-    assert len(built) == 2
-    assert ops.complex_master_operator(data, n=48) is not D and len(built) == 3
+    assert len(built) == 1
+    assert ops.complex_master_operator(data, n=48) is not D and len(built) == 2
     other = eq.interpolation_data(fresh_rot_sol, 1.0)
     assert ops.complex_master_operator(other, n=64).colloc is D.colloc
 
@@ -93,7 +97,7 @@ def test_cached_arrays_are_read_only(fresh_rot_sol):
     arrays = [X.forward, X.k_row, X.inverse, X.E_nu, X.D, X.grid,
               D.forward, D.k_row, D.inverse, D.colloc.cardinal.coef,
               data.nu.nodes, data.nu.weights, data.chord[0].coef, data.chord[1].coef,
-              data.st.coef, data.vt_gamma.coef]
+              data.vt_gamma.coef]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0

@@ -156,7 +156,7 @@ def test_ratio_vs_fredholm_trend(rot_sol):
 
 
 def test_dt_lnZ_vanishes_for_quadratic(quad_sol):
-    val, parts = pt.dt_lnZ(quad_sol, 0.5, 8, 2.0, n=32)
+    val, parts = pt.dt_lnZ(quad_sol, 0.5, 8, 2.0)
     assert abs(val) < 1e-6
     assert abs(parts["mu_dtV"]) < 1e-9
 
@@ -305,7 +305,7 @@ def test_flow_derivative_vs_tensor_fd(rot_sol):
     t0, h, beta = 0.6, 2e-3, 2.0
     for N, M, tol in ((2, 110, 2e-2), (3, 64, 1e-2)):
         fd = (lnZ_at(t0 + h, N, beta, M) - lnZ_at(t0 - h, N, beta, M)) / (2 * h)
-        pred, parts = pt.dt_lnZ(rot_sol, t0, N, beta, n=48)
+        pred, parts = pt.dt_lnZ(rot_sol, t0, N, beta)
         assert abs(fd - pred) / abs(fd) < tol
         leading = -beta * N * N * parts["mu_dtV"]
         assert abs(fd - leading) > 3 * abs(fd - pred)  # corrections earn their keep

@@ -136,7 +136,8 @@ def test_log_energy_distance_nu_rule_converged(rot_data_t1, monkeypatch):
     # curved member: the module's nu rule against one twice its size
     m, curve = _jittered_atoms(64, 9), rot_data_t1.curve
     d2 = sp.log_energy_distance(m, "semicircle", curve, squared=True)
-    monkeypatch.setattr(sp, "_N_NU", 2 * sp._N_NU)
+    twice = semicircle_rule(2 * len(sp.member_rule().nodes))
+    monkeypatch.setattr(sp, "member_rule", lambda: twice)
     assert abs(sp.log_energy_distance(m, "semicircle", curve, squared=True) - d2) <= 1e-12
 
 
