@@ -11,9 +11,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .contour import (Curve, _flat_mass, affine_curve, chord_kernel, chord_table,
-                      family_member, semicircle_cdf, semicircle_parametrization,
-                      subtracted_chord_kernel)
+from .contour import (Curve, _flat_mass, _from_end, _MassMap, affine_curve, chord_kernel,
+                      chord_table, family_member, semicircle_cdf,
+                      semicircle_parametrization, subtracted_chord_kernel)
 from .numkit import (ChebSeries, ComplexPolynomial, make_grid, pairwise_sum, read_only,
                      semicircle_rule, track_arg)
 
@@ -25,7 +25,6 @@ __all__ = [
     "log_potential", "double_log_potential",
     "NoSolutionError",
     "NotOneCutError",
-    "PathError",
     "LN2",
 ]
 
@@ -39,10 +38,6 @@ class NoSolutionError(RuntimeError):
 
 
 class NotOneCutError(RuntimeError):
-    pass
-
-
-class PathError(ValueError):
     pass
 
 
@@ -377,7 +372,8 @@ class OneCutSolution:
     def effective_on_curve(self, x):
         """(Phi_+, Phi_-) of the complex effective potential at gamma(x): on
         the support +-i pi times the mass up to x; off it 8 |int sqrt(y (y -
-        1)) dy| from the nearer end in closed form, plus +-i pi past zeta2."""
+        1)) dy| from the nearer end, plus +-i pi past zeta2: `_flat_mass`,
+        the closed form of `effective_potential` with the flat Q."""
         x = float(x)
         if 0.0 <= x <= 1.0:
             v = 1j * np.pi * semicircle_cdf(x)
@@ -386,50 +382,44 @@ class OneCutSolution:
         real = abs(_flat_mass(x, e)[0].real)
         return complex(real) + 1j * np.pi * e, complex(real) - 1j * np.pi * e
 
-    def _g_function(self, z):
-        """Branch-tracked logarithmic potential -int ln(z - w) dmu(w) for z
-        off the support arc."""
-        diff = complex(z) - self.curve(self.nu.nodes)
-        if np.min(np.abs(diff)) < 1e-11:
-            raise PathError("logarithmic potential evaluated on the support")
-        tr = track_arg(diff, base=float(np.angle(diff[0])))
-        logs = np.log(np.abs(diff)) + 1j * tr.args
-        return -self.nu.integrate(logs)
+    @cached_property
+    def _mass_map(self):
+        """`contour._MassMap` of the solution: Phi = Q r + lam log(y + r),
+        y = z - midpoint, an antiderivative of sqrtR = S r."""
+        return _MassMap(self.S, self.zeta1, self.zeta2)
+
+    def _phi_from_end(self, z, e):
+        """Phi(z) - Phi(zeta_e) for the end e (0 or 1, or an array like z),
+        by `contour._from_end` with the sign of r taken from r_cut: the
+        other sign negates it.  At an end r vanishes and r_cut is not read."""
+        z = np.asarray(z, dtype=complex)
+        zf = z.reshape(-1)
+        m = self._mass_map
+        e = np.broadcast_to(e, z.shape).reshape(-1)
+        X, r = _from_end(m.Q, m.lam, m.ye[e], zf - m.zeta[e])
+        off = (zf != self.zeta1) & (zf != self.zeta2)
+        rc = self.r_cut(zf[off])
+        X[off] = np.where(np.abs(rc - r[off]) > np.abs(rc + r[off]), -X[off], X[off])
+        return X.reshape(z.shape) if z.shape else complex(X[0])
 
     def effective_potential(self, z):
-        """Complex effective potential at z off the contour; the reference
-        path from the first endpoint must not cross the arc."""
-        z = complex(z)
-        if self._segment_crosses_arc(z):
-            raise PathError("integration path crosses the contour")
-        C = self.equilibrium_constant()
-        return self.potential(z) + self._g_function(z) - C
+        """Complex effective potential Phi_eff = V + g - C at z (a scalar or
+        an array), counted from zeta1: Phi(z) - Phi(zeta1) in the closed
+        form of the mass map, with no quadrature and no constant C.  Its
+        branch is the cut plane's: the cut runs along the support, where the
+        boundary values are +-i pi F(x), and along the chord's continuation
+        past zeta2, where the principal log1p jumps by 2 pi i."""
+        return self._phi_from_end(z, 0)
 
     def phi_eff(self, z):
-        return self.effective_potential(z).real
-
-    def _segment_crosses_arc(self, z, n=200):
-        xs = np.linspace(-self.pad, 1 + self.pad, n)
-        arc = self.curve(xs)
-        a, b = complex(self.zeta1), complex(z)
-        d = b - a
-        if abs(d) < 1e-14:
-            return False
-        # parameter of each arc point along the segment and its offset
-        tpar = ((arc - a) * np.conj(d)).real / abs(d) ** 2
-        off = ((arc - a) * np.conj(1j * d)).real / abs(d)
-        sgn = np.sign(off)
-        crossing = np.where((sgn[:-1] * sgn[1:] < 0)
-                            & (tpar[:-1] > 1e-3) & (tpar[:-1] < 1 - 1e-3))[0]
-        return crossing.size > 0
+        """Re Phi_eff at z (a scalar or an array), counted from the nearer
+        end as `contour._MassMap.solve` counts: full relative accuracy next
+        to either end, where Re Phi_eff vanishes like |z - zeta_e|^(3/2)."""
+        z = np.asarray(z, dtype=complex)
+        return np.real(self._phi_from_end(z, (np.abs(z - self.zeta2)
+                                              < np.abs(z - self.zeta1)).astype(int)))
 
     # -- constants, energy, entropy ---------------------------------------
-
-    def electrostatic_potential(self, z):
-        """U[mu](z) = -int ln|z-w| dmu(w); valid on and off the arc (on-arc
-        points should be passed as parameters via u_on_curve)."""
-        g = self.curve(self.nu.nodes)
-        return -self.nu.integrate(np.log(np.abs(complex(z) - g)))
 
     def u_on_curve(self, x):
         return -log_potential(self.curve, x, self.nu)
@@ -462,8 +452,9 @@ class OneCutSolution:
     # -- variational checks ------------------------------------------------
 
     def frostman_check(self, off_points=None):
-        """Equality on the support, inequality off it, and the residual of
-        the complexified first-order condition at 24 interior nodes."""
+        """Equality on the support (the nu log potential plus Re V, less
+        Re C), inequality off it (`phi_eff` at off_points), and the residual
+        of the complexified first-order condition at 24 interior nodes."""
         C_re = self.equilibrium_constant().real
         xs = np.linspace(0.04, 0.96, 24)
         on = self.u_on_curve(xs) + self.potential(self.curve(xs)).real - C_re
@@ -472,9 +463,7 @@ class OneCutSolution:
             "equilibrium_constant": C_re,
         }
         if off_points is not None:
-            off = np.array([self.electrostatic_potential(z)
-                            + self.potential(complex(z)).real - C_re
-                            for z in off_points])
+            off = self.phi_eff(off_points)
             rep["off_support_min"] = float(np.min(off))
             rep["off_support_values"] = off
         rep["euler_lagrange_max_abs"] = float(np.max(np.abs(self.euler_lagrange_residual(xs))))
@@ -627,10 +616,14 @@ class InterpolationData:
     @cached_property
     def vt_gamma(self):
         """V_t(gamma_t(x)) as the Chebyshev antiderivative of the pulled-back
-        potential slope; complex x continues it analytically."""
+        potential slope, cut at its `ChebSeries.chop` plateau (whole when no
+        plateau has formed); complex x continues it analytically, since
+        the coefficients past the plateau are rounding noise, which grows
+        off the real axis."""
         pad = self.sol.pad
         slope = ChebSeries.interpolate(self.vt_prime_pullback, -pad, 1 + pad, self.n_fit)
         anti = slope.antideriv()
+        anti = ChebSeries(anti.lo, anti.hi, anti.coef[:anti.chop()[0]])
         # pin the value at x = 1/2 to the path-integrated potential
         coef = anti.coef.copy()
         coef[0] += self.vt(self.curve(0.5)) - anti(0.5)

@@ -258,12 +258,13 @@ def sample_structured_gaussian(B, mu, n_samples, rng):
 
 def one_stat_expansion(data: InterpolationData, f, beta, n=64):
     """Coefficients (c1, c2) of <<f>> = c1/N + c2/N^2 + ... for the centred
-    one-linear statistic of the complex model.
+    one-linear statistic of the complex model, so E sum f = N mu(f) + c1 +
+    c2/N + ...
 
-    Iterating the first two loop equations mechanically puts one term at
-    order 1/N and three at 1/N^2; both this grouping and the one implied by
-    the displayed powers of the source expansion (connected term at 1/N)
-    are reported."""
+    Iterating the first two loop equations puts one term at order 1/N and
+    three at 1/N^2 (the connected term among them).  On the flat member of
+    V = z^2, the Gaussian beta-ensemble, the exact moments of the
+    Dumitriu-Edelman tridiagonal model confirm this grouping at every beta."""
     op = complex_master_operator(data, n=n)
     xs = op.grid
     zs = data.curve(xs)
@@ -297,9 +298,7 @@ def one_stat_expansion(data: InterpolationData, f, beta, n=64):
     c1 = term1
     c2 = term2 + term3 + term4
     return c1, c2, {"deriv": term1, "double_deriv": term2,
-                    "connected": term3, "diagonal": term4,
-                    "c1_displayed_grouping": term1 + term3,
-                    "c2_displayed_grouping": term2 + term4}
+                    "connected": term3, "diagonal": term4}
 
 
 # -- small-N tensor quadrature and the first loop equation -------------------

@@ -1,4 +1,8 @@
+import functools
+import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -216,3 +220,84 @@ def _ode_arc(R, zeta1, zeta2, pad=0.05, n_cheb=120, delta=1e-3, rtol=1e-12):
 @pytest.fixture(scope="session")
 def ode_arc():
     return _ode_arc
+
+
+# -- exact moments of the Gaussian beta-ensemble ------------------------------
+
+
+@functools.cache
+def _closed_walks(length):
+    """Closed walks of `length` steps in {-1, 0, 1} from site 0, grouped by
+    what they read: (lowest site, highest site, stays per site, crossings
+    per edge, edge e joining sites e and e + 1) -> number of walks."""
+    walks = Counter()
+    for steps in itertools.product((-1, 0, 1), repeat=length):
+        if sum(steps):
+            continue
+        pos, lo, hi, stays, edges = 0, 0, 0, Counter(), Counter()
+        for s in steps:
+            if s:
+                edges[min(pos, pos + s)] += 1
+            else:
+                stays[pos] += 1
+            pos += s
+            lo, hi = min(lo, pos), max(hi, pos)
+        walks[(lo, hi, tuple(sorted(stays.items())), tuple(sorted(edges.items())))] += 1
+    return walks
+
+
+def _gaussian_trace_moment(k, N, beta):
+    """E tr T^(2k), exact, for the Dumitriu-Edelman tridiagonal T of size
+    N: diagonal a_i ~ N(0, 2), off-diagonal b_i ~ chi_(beta (N - i)), all
+    independent, so that the eigenvalues of T / sqrt(2) have the density
+    |Delta|^beta exp(-sum l^2 / 2).  The trace is a sum over closed walks on
+    the path graph of E prod a^(stays) prod b^(crossings), with E a^(2j) =
+    2^j (2j - 1)!! and E chi_m^(2j) = m (m + 2) ... (m + 2j - 2); a walk on
+    a tree crosses each edge an even number of times."""
+    def gauss(m):
+        return 0 if m % 2 else 2 ** (m // 2) * math.prod(range(1, m, 2))
+
+    def chi(m, n):
+        return math.prod(m + 2 * j for j in range(n // 2))
+
+    total = Fraction(0)
+    for (lo, hi, stays, edges), count in _closed_walks(2 * k).items():
+        term = count * math.prod(gauss(m) for _, m in stays)
+        if not term:
+            continue
+        for i in range(1 - lo, N - hi + 1):
+            total += term * math.prod(chi(beta * (N - i - e), n) for e, n in edges)
+    return total
+
+
+def _gaussian_moment_expansion(k, beta):
+    """Exact Laurent coefficients [nu, c1, c2, ...] of E sum x^(2k) = N nu +
+    c1 + c2 / N + ... for the ensemble |Delta|^beta exp(-N beta sum x^2),
+    x = l / sqrt(2 N beta), l the eigenvalues of T / sqrt(2).  N^k E sum
+    x^(2k) = E tr T^(2k) / (4 beta)^k is a polynomial of degree k + 1 in N;
+    it is interpolated exactly at N = 2k + 2, ..., 3k + 3 (Newton divided
+    differences in fractions), and checked at N = 3k + 4."""
+    beta = Fraction(beta)
+    Ns = list(range(2 * k + 2, 3 * k + 5))
+    P = [_gaussian_trace_moment(k, N, beta) / (4 * beta) ** k for N in Ns]
+    fit, dd = Ns[:-1], list(P[:-1])
+    for j in range(1, len(fit)):
+        for i in range(len(fit) - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (fit[i] - fit[i - j])
+    # Newton form to monomials, highest power first
+    poly = [Fraction(0)]
+    for i in range(len(fit) - 1, -1, -1):
+        shifted = poly + [Fraction(0)]
+        for j in range(len(poly)):
+            shifted[j + 1] -= fit[i] * poly[j]
+        shifted[-1] += dd[i]
+        poly = shifted
+    poly = poly[1:]
+    if sum(c * Ns[-1] ** (len(poly) - 1 - j) for j, c in enumerate(poly)) != P[-1]:
+        raise AssertionError(f"E tr T^{2 * k} is not a polynomial of degree {k + 1} in N")
+    return poly
+
+
+@pytest.fixture(scope="session")
+def gaussian_moments():
+    return _gaussian_moment_expansion

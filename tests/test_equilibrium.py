@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from scipy.special import roots_legendre
 
 from contourgas import equilibrium as eq
-from contourgas.contour import Curve, family_member
-from contourgas.equilibrium import NoSolutionError, PathError
+from contourgas.contour import Curve, family_member, semicircle_cdf
+from contourgas.equilibrium import NoSolutionError
 from contourgas.numkit import ChebSeries, ComplexPolynomial, make_grid, semicircle_rule, track_arg
 
 LN2 = math.log(2)
@@ -240,6 +241,17 @@ def test_member_series_at_the_arc_degree(coeffs, tol_v):
     assert np.max(np.abs(data.vt_gamma(x) - sol.potential(sol.curve(x)))) <= tol_v
 
 
+def test_vt_gamma_continues_to_complex_x():
+    # V_t(mid) = V(mid) for every t, and the member passes near the midpoint
+    # at complex x_mid; the noise coefficients past the series' plateau grow
+    # off the real axis, which left 9.6e-8 here before the series was cut
+    sol = eq.solve_one_cut(ComplexPolynomial([0, 0, 0.3j, 0, 0, 0, 1 / 6]))
+    data = eq.interpolation_data(sol, 0.5)
+    x_mid = data.curve.invert(sol.midpoint)
+    assert abs(x_mid.imag) > 1e-3
+    assert abs(data.vt_gamma(x_mid) - sol.potential(sol.midpoint)) <= 1e-10
+
+
 @pytest.mark.parametrize("t", [1e-3, 0.5])
 def test_pinned_potential_matches_path_integral(rot_sol, t):
     # two independent routes to V_t on the member: the antiderivative of the
@@ -391,13 +403,103 @@ def test_effective_potential_off_support_against_mpmath(quad_sol):
         assert (p.imag, m.imag) == (im, -im)
 
 
-def test_effective_potential_path_error(rot_sol, quad_sol):
-    # straight path from the first endpoint through the arc interior
-    z_blocked = 2 * rot_sol.curve(0.7) - rot_sol.zeta1
-    with pytest.raises(PathError):
-        rot_sol.effective_potential(z_blocked)
-    val = quad_sol.effective_potential(0.5 + 0.9j)
-    assert np.isfinite(val.real) and np.isfinite(val.imag)
+def _sqrtR_path_integral(sol, path, n=100):
+    """int sqrtR from zeta1 along the polyline zeta1, *path by Gauss-Legendre
+    with n nodes a leg; on the first leg s = zeta1 + u^2 (b - zeta1) takes
+    the square-root end into a smooth integrand."""
+    u, w = roots_legendre(n)
+    u, w = (u + 1) / 2, w / 2
+    a, b = sol.zeta1, path[0]
+    total = np.sum(w * sol.sqrtR(a + u * u * (b - a)) * 2 * u) * (b - a)
+    for a, b in zip(path[:-1], path[1:]):
+        total += np.sum(w * sol.sqrtR(a + u * (b - a))) * (b - a)
+    return total
+
+
+def _crosses(p, q, a, b):
+    """Whether the segment p-q meets any of the segments a[i]-b[i]."""
+    def side(o, s, t):
+        return np.sign(((t - o) * np.conj(s - o)).imag)
+    return bool(np.any((side(p, q, a) != side(p, q, b)) & (side(a, b, p) != side(a, b, q))))
+
+
+@pytest.mark.parametrize("fix", ["quad_sol", "quartic_sol", "rot_sol", "cubic_sol"])
+def test_effective_potential_vs_sqrtR_path_integral(request, fix):
+    # Phi_eff is the antiderivative of sqrtR from zeta1 in the plane cut
+    # along the support and along the chord's continuation past zeta2; each
+    # path leaves zeta1 across the chord, on the side of its end point, and
+    # meets neither cut (checked against the arc's polygon and the ray);
+    # -1 - 0.02i is zeta1 - 0.01i (zeta2 - zeta1), where a straight-path
+    # scan once took the rotated quartic's arc extension for the support
+    sol = request.getfixturevalue(fix)
+    mid, h = sol.midpoint, (sol.zeta2 - sol.zeta1) / 2
+    arc = sol.curve(np.linspace(0, 1, 801))
+    cut_a = np.append(arc[:-1], sol.zeta2)
+    cut_b = np.append(arc[1:], sol.zeta2 + 100 * h)
+    points = [mid + h * w for w in (0.3 + 0.9j, 0.3 - 0.9j, -1.6 + 0.2j, 1.6 + 0.5j,
+                                     1.6 - 0.5j, -1 - 0.02j)]
+    if fix == "rot_sol":
+        # its straight path from zeta1 passes through the support
+        points.append(2 * sol.curve(0.7) - sol.zeta1)
+    for z in points:
+        side = 1 if ((z - mid) / h).imag > 0 else -1
+        path = [mid + h * (-1 + 1.5j * side), z]
+        # the first leg is checked from just past zeta1, where the cut starts
+        legs = zip([sol.zeta1 + 1e-3 * (path[0] - sol.zeta1)] + path[:-1], path)
+        assert not any(_crosses(p, q, cut_a, cut_b) for p, q in legs)
+        want = _sqrtR_path_integral(sol, path)
+        assert abs(sol.effective_potential(z) - want) <= 1e-11 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("fix", ["quad_sol", "rot_sol", "cubic_sol"])
+def test_effective_potential_vanishes_at_zeta1(request, fix):
+    # counted from zeta1, Phi_eff tends to 0 there from both sides of the
+    # chord, and is exactly 0 at zeta1 with no division by zero
+    sol = request.getfixturevalue(fix)
+    for side in (1, -1):
+        z = sol.zeta1 + side * 1e-3j * (sol.zeta2 - sol.zeta1)
+        assert abs(sol.effective_potential(z)) <= 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sol.effective_potential(sol.zeta1) == 0
+        assert sol.phi_eff(sol.zeta1) == 0 and sol.phi_eff(sol.zeta2) == 0
+
+
+@pytest.mark.parametrize("fix", ["quad_sol", "quartic_sol", "rot_sol", "cubic_sol"])
+def test_effective_potential_boundary_values(request, fix):
+    # +-i pi F(x) on the two sides of the support, F the semicircle mass
+    sol = request.getfixturevalue(fix)
+    for x in (0.25, 0.5, 0.9):
+        g, gp = sol.curve(x), sol.curve.deriv1(x)
+        side = 1e-6j * gp / abs(gp)
+        F = semicircle_cdf(x)
+        assert abs(sol.effective_potential(g + side) - 1j * math.pi * F) <= 1e-5
+        assert abs(sol.effective_potential(g - side) + 1j * math.pi * F) <= 1e-5
+
+
+@pytest.mark.parametrize("fix", ["quad_sol", "quartic_sol", "rot_sol", "cubic_sol"])
+def test_phi_eff_near_the_arc_vs_dense_nu_rule(request, fix):
+    # Re Phi_eff = -int ln|z - w| dmu + Re V - Re C at 0.01 i gamma' off the
+    # arc, by a 2048-node nu rule that resolves the nearby log singularity
+    sol = request.getfixturevalue(fix)
+    nu = semicircle_rule(2048)
+    C_re = sol.potential(sol.curve(0.5)).real - eq.log_potential(sol.curve, 0.5, nu)
+    x = np.array([0.1, 0.25, 0.5, 0.9])
+    for side in (1, -1):
+        z = sol.curve(x) + side * 0.01j * sol.curve.deriv1(x)
+        want = (-nu.integrate(np.log(np.abs(z[:, None] - sol.curve(nu.nodes))))
+                + sol.potential(z).real - C_re)
+        assert np.max(np.abs(sol.phi_eff(z) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("fix", ["quad_sol", "quartic_sol", "rot_sol", "cubic_sol"])
+def test_phi_eff_at_the_ends_matches_the_flat_profile(request, fix):
+    # counted from the nearer end, Re Phi_eff keeps its relative accuracy
+    # where it vanishes like |x - e|^(3/2)
+    sol = request.getfixturevalue(fix)
+    for x in (-1e-6, -1e-3, 1 + 1e-3, 1 + 1e-6):
+        want = sol.effective_on_curve(x)[0].real
+        assert sol.phi_eff(sol.curve(x)) == pytest.approx(want, rel=1e-9)
 
 
 def test_complex_energy_quadratic(quad_sol):

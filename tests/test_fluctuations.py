@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -356,6 +357,32 @@ def test_one_stat_expansion_vs_tensor_scan(quartic_sol):
             cen = val - mu_f
             resid.append(abs(cen - (c1 / N + c2 / N**2)))
         assert resid[1] < resid[0] / 4  # strictly better than 1/N^2 leftover
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+def test_gaussian_moments_helper(gaussian_moments, beta):
+    # leading term: the semicircle on [-1, 1] has nu(x^(2k)) = C_k / 4^k;
+    # at beta = 2 the Harer-Zagier moments E tr H^4 = 2N^3 + N and E tr H^6
+    # = 5N^4 + 10N^2 give N/8 + 1/(16N) and 5N/64 + 5/(32N)
+    for k in (2, 3, 4):
+        assert gaussian_moments(k, beta)[0] == Fraction(math.comb(2 * k, k), (k + 1) * 4**k)
+    if beta == 2:
+        assert gaussian_moments(2, 2) == [Fraction(1, 8), 0, Fraction(1, 16), 0]
+        assert gaussian_moments(3, 2) == [Fraction(5, 64), 0, Fraction(5, 32), 0, 0]
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_one_stat_expansion_matches_exact_gaussian_moments(quad_data_t0, gaussian_moments,
+                                                           k, beta):
+    # the flat member of V = z^2 is the Gaussian beta-ensemble, where E sum
+    # x^(2k) = N nu + c1 + c2/N + ... is exact; from z^6 on the connected
+    # term is nonzero at beta != 2 (1.6e-2 for z^6 at beta = 1), so this
+    # also fixes which order it belongs to
+    _, c1, c2 = gaussian_moments(k, beta)[:3]
+    got1, got2, _ = fl.one_stat_expansion(quad_data_t0, lambda z: z ** (2 * k), beta)
+    assert abs(got1 - float(c1)) <= 1e-11
+    assert abs(got2 - float(c2)) <= 1e-11
 
 
 def test_covariance_error_guard():

@@ -73,4 +73,4 @@ def _settable_values():
 
 def test_settable_values_do_not_grow():
     # a new option shows up here as an edit of this bound
-    assert _settable_values() <= 75
+    assert _settable_values() <= 74
