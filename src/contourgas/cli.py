@@ -276,7 +276,7 @@ def run_fredholm(cfg):
 
 def run_verify(cfg):
     """Desk-scale pass over the module invariants; deterministic given the
-    seed.  Monte Carlo entries retry once with doubled samples."""
+    seed."""
     import numpy as np
     from .numkit import ComplexPolynomial, make_grid, log_energy_form
     from .equilibrium import solve_one_cut, interpolation_data
@@ -347,21 +347,13 @@ def run_verify(cfg):
     add("fluctuations.variance_flat", abs(v - 1 / (8 * cfg.beta)) < 1e-8,
         abs(v - 1 / (8 * cfg.beta)), 1e-8, "closed-form")
 
-    # Monte Carlo moment check, rerun once with doubled samples on failure;
-    # the row keeps the deviation of every attempt
+    # Monte Carlo moment check: the semicircle law's mean position is 1/2;
+    # one run, no retry, so the bound is a gate and not a soft target
     from .sampler import make_chain, sample_real_model
-    sweeps = 80
-    devs = []
-    for attempt in range(2):
-        chain = make_chain(data, 32, cfg.beta, n_chains=4, seed=cfg.seed + attempt)
-        snaps, _ = sample_real_model(chain, sweeps)
-        devs.append(float(abs(snaps.reshape(-1).mean() - 0.5)))
-        if devs[-1] < 0.01:
-            break
-        sweeps *= 2
-    add("sampler.mean_position", devs[-1] < 0.01, devs[-1], 0.01,
-        f"semicircle-moment (attempt {len(devs)})")
-    checks[-1]["attempt_values"] = devs
+    chain = make_chain(data, 32, cfg.beta, n_chains=4, seed=cfg.seed)
+    snaps, _ = sample_real_model(chain, 80)
+    dev = float(abs(snaps.reshape(-1).mean() - 0.5))
+    add("sampler.mean_position", dev < 0.01, dev, 0.01, "semicircle-moment")
 
     passed = all(c["passed"] for c in checks)
     rep = {"mode": "verify", "seed": cfg.seed, "beta": cfg.beta,

@@ -360,7 +360,7 @@ def _hermite(xa, za, sa, xb, zb, sb, x):
             + t * t * (3 - 2 * t) * zb + t * t * (t - 1) * h * sb)
 
 
-def semicircle_parametrization(S: ComplexPolynomial, zeta1, zeta2, pad=0.05):
+def semicircle_parametrization(S: ComplexPolynomial, zeta1, zeta2, pad):
     """Arc through zeta1, zeta2 on which the equilibrium measure pulls back
     to the [0, 1] semicircle law, on [-pad, 1 + pad], for the polynomial
     part S of the cut square root sqrt(R) = S r (`OneCutSolution.S`).

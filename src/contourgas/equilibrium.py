@@ -330,9 +330,13 @@ class OneCutSolution:
         polygon, where an edge may pass z on the other side than the arc,
         the sign comes from the inverted form x sqrt((x - 1)/x) `_chord_root`
         at z = gamma(x), cut exactly on the arc (that close, x lies well
-        inside the region where the curve series converges)."""
+        inside the region where the curve series converges).  At zeta1 and
+        zeta2 the root is exactly 0."""
         z = np.asarray(z, dtype=complex)
         zf = z.reshape(-1)
+        off = (zf != self.zeta1) & (zf != self.zeta2)
+        out = np.zeros(zf.shape, dtype=complex)
+        zf = zf[off]
         xs, pts, reach = self._arc_polygon
         d = pts - zf[:, None]
         flip = np.abs(np.angle(np.roll(d, -1, axis=1) / d).sum(axis=1)) > np.pi
@@ -343,8 +347,8 @@ class OneCutSolution:
             x = self.curve.invert(zf[near], x0=xs[np.argmin(close[near], axis=1)])
             inv = x * np.sqrt((x - 1) / x) * _chord_root(*self.curve.end_chord(x))
             flip[near] = np.abs(val[near] - inv) > np.abs(val[near] + inv)
-        val = np.where(flip, -val, val)
-        return val.reshape(z.shape) if z.shape else complex(val[0])
+        out[off] = np.where(flip, -val, val)
+        return out.reshape(z.shape) if z.shape else complex(out[0])
 
     def r_plus(self, x):
         """Boundary value of r_cut on the support, from the + side, at
@@ -363,7 +367,7 @@ class OneCutSolution:
         with the Cauchy transform evaluated by support quadrature."""
         z = np.asarray(z, dtype=complex)
         g = self.curve(self.nu.nodes)
-        cau = pairwise_sum(self.nu.weights[None, :] / (z.reshape(-1, 1) - g[None, :]), axis=-1)
+        cau = pairwise_sum(self.nu.weights[None, :] / (z.reshape(-1, 1) - g[None, :]))
         out = self.potential.deriv()(z.reshape(-1)) - cau
         return out.reshape(z.shape) if z.shape else complex(out[0])
 
@@ -391,15 +395,14 @@ class OneCutSolution:
     def _phi_from_end(self, z, e):
         """Phi(z) - Phi(zeta_e) for the end e (0 or 1, or an array like z),
         by `contour._from_end` with the sign of r taken from r_cut: the
-        other sign negates it.  At an end r vanishes and r_cut is not read."""
+        other sign negates it."""
         z = np.asarray(z, dtype=complex)
         zf = z.reshape(-1)
         m = self._mass_map
         e = np.broadcast_to(e, z.shape).reshape(-1)
         X, r = _from_end(m.Q, m.lam, m.ye[e], zf - m.zeta[e])
-        off = (zf != self.zeta1) & (zf != self.zeta2)
-        rc = self.r_cut(zf[off])
-        X[off] = np.where(np.abs(rc - r[off]) > np.abs(rc + r[off]), -X[off], X[off])
+        rc = self.r_cut(zf)
+        X = np.where(np.abs(rc - r) > np.abs(rc + r), -X, X)
         return X.reshape(z.shape) if z.shape else complex(X[0])
 
     def effective_potential(self, z):
@@ -475,7 +478,7 @@ class OneCutSolution:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         gpx = self.curve.g.deriv()(x)
         ker = -subtracted_chord_kernel(self.curve, x, self.nu.nodes) / gpx[:, None]
-        pv = pairwise_sum(ker * self.nu.weights[None, :], axis=-1) + 8 * (x - 0.5) / gpx
+        pv = pairwise_sum(ker * self.nu.weights[None, :]) + 8 * (x - 0.5) / gpx
         return self.potential.deriv()(self.curve(x)) - pv
 
     def validate(self):
@@ -586,7 +589,7 @@ class InterpolationData:
         bounded uniformly in t.  Complex x continues it analytically."""
         x = np.atleast_1d(np.asarray(x))
         ker = chord_kernel(self.chord, x)
-        return 8 * (x - 0.5) - pairwise_sum(ker * self.nu.weights[None, :], axis=-1)
+        return 8 * (x - 0.5) - pairwise_sum(ker * self.nu.weights[None, :])
 
     def vt_prime(self, z):
         """V_t' at points z in the analytic strip around the curve (a scalar

@@ -334,8 +334,8 @@ def loop_equation_check(N, beta, data: InterpolationData, domain, M=64):
         return np.real((num.vander(xa) @ num.coef) / (den.vander(xa) @ den.coef))
 
     # test direction h(x) = x; Dbar = int D(., y) dnu(y) on both node sets
-    Dbar = pairwise_sum(Dkernel(x, y) * wy[None, :], axis=-1)
-    Dbar_y = pairwise_sum(Dkernel(y, y) * wy[None, :], axis=-1)
+    Dbar = pairwise_sum(Dkernel(x, y) * wy[None, :])
+    Dbar_y = pairwise_sum(Dkernel(y, y) * wy[None, :])
     Xi_h = np.real(data.vt_prime_pullback(x)) * x - Dbar
     nu_Xi_h = nu.integrate(np.real(data.vt_prime_pullback(y)) * y - Dbar_y)
     R_h = np.real(ddgamma(x) / dgamma(x)) * x + 1.0

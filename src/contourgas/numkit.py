@@ -30,6 +30,7 @@ __all__ = [
 
 
 _CHOP_TOL = np.finfo(float).eps     # relative accuracy `ChebSeries.chop` resolves to
+_NET_MASS_TOL = 1e-9                # net mass a signed measure may leave, relative
 
 
 class InvalidPotentialError(ValueError):
@@ -48,14 +49,13 @@ class QuadratureUnderflowError(ArithmeticError):
     pass
 
 
-def pairwise_sum(a, axis=-1):
-    """Fixed-order pairwise summation. Deterministic regardless of BLAS
-    threading, and more accurate than sequential summation."""
+def pairwise_sum(a):
+    """Fixed-order pairwise summation over the last axis. Deterministic
+    regardless of BLAS threading, and more accurate than sequential
+    summation."""
     a = np.asarray(a)
-    n = a.shape[axis]
-    if n == 0:
-        return np.zeros(np.delete(a.shape, axis), dtype=a.dtype)
-    a = np.moveaxis(a, axis, -1)
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1], dtype=a.dtype)
     while a.shape[-1] > 1:
         m = a.shape[-1]
         if m % 2:
@@ -518,7 +518,7 @@ def track_arg(values, base=None):
     return BranchTrack(v, args, float(base))
 
 
-def log_energy_form(masses, points, n_theta=32, n_rho=64, mass_tol=1e-9):
+def log_energy_form(masses, points, n_theta=32, n_rho=64):
     """Logarithmic energy of a zero-mass signed measure via its planar
     Fourier transform.
 
@@ -532,7 +532,7 @@ def log_energy_form(masses, points, n_theta=32, n_rho=64, mass_tol=1e-9):
     """
     masses = np.asarray(masses, dtype=float)
     points = np.asarray(points, dtype=complex)
-    if abs(pairwise_sum(masses)) > mass_tol * max(1.0, pairwise_sum(np.abs(masses))):
+    if abs(pairwise_sum(masses)) > _NET_MASS_TOL * max(1.0, pairwise_sum(np.abs(masses))):
         raise NetMassError("signed measure must have zero net mass")
 
     tg = make_grid("gauss_legendre", n_theta, (0.0, np.pi))

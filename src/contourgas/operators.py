@@ -189,7 +189,7 @@ def _real_operator(data: InterpolationData, n):
     # L[r] = (1/8pi) sum_p w1_p (T_s[p] - T_x[r]) / (s_p - x_r)
     invX = 1.0 / X
     L = -(invX * w1[None, :]) @ T_s / (8 * np.pi)
-    L += (pairwise_sum(invX * w1[None, :], axis=-1))[:, None] * T_x / (8 * np.pi)
+    L += pairwise_sum(invX * w1[None, :])[:, None] * T_x / (8 * np.pi)
 
     A = np.eye(n) + L
     sign, logdet = np.linalg.slogdet(A)
@@ -244,13 +244,13 @@ def _complex_operator(data: InterpolationData, n):
     return DiscretizedOperator(colloc, forward, k_row, Dinv, nu, E_y, D_x)
 
 
-def finite_hilbert_transform(phi, x, n=128):
+def finite_hilbert_transform(phi, x):
     """PV integral of phi(y) sqrt(1-y^2)/(y-x) over [-1,1] by the
-    subtracted form; the classical sqrt-weight moment supplies the
-    principal value of the bare kernel."""
-    gc2 = make_grid("gauss_chebyshev_sqrt", n, (-1.0, 1.0))
+    subtracted form on the 128-node sqrt-weight Gauss rule; the classical
+    sqrt-weight moment supplies the principal value of the bare kernel."""
+    gc2 = make_grid("gauss_chebyshev_sqrt", 128, (-1.0, 1.0))
     y, w = gc2.nodes, gc2.weights
     x = np.atleast_1d(np.asarray(x, dtype=float))
     px = phi(x)
     dq = (phi(y)[None, :] - px[:, None]) / (y[None, :] - x[:, None])
-    return pairwise_sum(w * dq, axis=-1) - np.pi * x * px
+    return pairwise_sum(w * dq) - np.pi * x * px

@@ -91,24 +91,18 @@ def _leading_coefficients(beta, energy, log_density_avg):
     return complex(F_m2), complex(F_m1)
 
 
-def quadratic_f_coefficients(beta, zeta1, zeta2, v_mid):
-    """Closed-form leading expansion coefficients of the straight-line
-    quadratic ensemble."""
-    dz = complex(zeta2) - complex(zeta1)
-    energy = -np.log(dz) + math.log(4) + 2 * complex(v_mid) + 0.75
-    log_density_avg = 0.5 - math.log(math.pi / 2) - np.log(dz)
-    return _leading_coefficients(beta, energy, log_density_avg)
-
-
-def selberg_expansion(N_list, beta, zeta1=-1.0, zeta2=1.0, v_mid=0.0):
-    """Exact log partition function against its large-N prediction through
-    the linear order; the residual tends to the constant term."""
-    F_m2, F_m1 = quadratic_f_coefficients(beta, zeta1, zeta2, v_mid)
+def selberg_expansion(N_list, beta):
+    """Exact log partition function of the quadratic ensemble on [-1, 1]
+    (`selberg_exact` with v_mid = 0) against its large-N prediction through
+    the linear order; the residual tends to the constant term.  The segment
+    has energy ln 2 + 3/4 and mean log density 1/2 - ln(pi/2) - ln 2."""
+    F_m2, F_m1 = _leading_coefficients(beta, math.log(2) + 0.75,
+                                       0.5 - math.log(math.pi / 2) - math.log(2))
     c_log = (3 + beta / 2 + 2 / beta) / 12
     c_nlogn = beta / 2
     rows = []
     for N in N_list:
-        exact = selberg_exact(N, beta, zeta1, zeta2, v_mid)
+        exact = selberg_exact(N, beta, -1.0, 1.0, 0.0)
         pred = (c_nlogn * N * math.log(N) + c_log * math.log(N)
                 + F_m2 * N * N + F_m1 * N)
         rows.append((int(N), exact, pred, exact - pred))
@@ -124,11 +118,11 @@ def f_coefficients(sol_or_data, beta):
 # -- direct small-N quadrature ------------------------------------------------
 
 
-def quadratic_line_domain(N, beta, edge=1.0, n_sigma=7.0):
-    """Truncation interval for straight-line quadrature: equilibrium edge
-    plus a multiple of the single-particle Gaussian width."""
-    return (-edge - n_sigma / math.sqrt(2 * N * beta),
-            edge + n_sigma / math.sqrt(2 * N * beta))
+def quadratic_line_domain(N, beta):
+    """Truncation interval for straight-line quadrature: the equilibrium
+    edge 1 plus seven single-particle Gaussian widths."""
+    reach = 1.0 + 7.0 / math.sqrt(2 * N * beta)
+    return (-reach, reach)
 
 
 class RefineError(RuntimeError):
@@ -164,10 +158,10 @@ def z_complex_quadrature(N, beta, V, curve=None, domain=(-1.0, 1.0), M=96, tol=N
     return _z_quadrature(N, beta, V, curve, domain, M, tol, real_model=False)
 
 
-def z_real_quadrature(N, beta, V, curve=None, domain=(-1.0, 1.0), M=96, tol=None):
+def z_real_quadrature(N, beta, V, curve=None, domain=(-1.0, 1.0), M=96):
     """Real-model partition function (moduli in place of complex factors).
     N <= 4, at the same cost as `z_complex_quadrature`."""
-    return _z_quadrature(N, beta, V, curve, domain, M, tol, real_model=True)
+    return _z_quadrature(N, beta, V, curve, domain, M, None, real_model=True)
 
 
 def tensor_model_moment(N, beta, V, curve, domain, f_values_fn, M=96):

@@ -12,7 +12,7 @@ import numpy as np
 from .contour import Curve, semicircle_cdf
 from .equilibrium import InterpolationData, double_log_potential, log_potential, member_rule
 from .fluctuations import phase_kernels
-from .numkit import ChebSeries, NetMassError, log_energy_direct, semicircle_rule
+from .numkit import _NET_MASS_TOL, ChebSeries, NetMassError, log_energy_direct, semicircle_rule
 
 __all__ = [
     "ParticleChain",
@@ -268,11 +268,11 @@ def regularize(positions, N=None):
     return out, widths, masses
 
 
-def _measure_atoms(measure, n_smooth=256):
+def _measure_atoms(measure):
     """(params, masses, widths) from a measure spec: either the tuple
-    itself, or the string 'semicircle'."""
+    itself, or the string 'semicircle', atomized on its 256-node rule."""
     if measure == "semicircle":
-        nu = semicircle_rule(n_smooth)
+        nu = semicircle_rule(256)
         return nu.nodes, nu.weights, None
     params, masses, widths = measure
     return np.asarray(params), np.asarray(masses), widths
@@ -317,7 +317,7 @@ def _log_energy_sq(measure1, measure2, curve, nu, I_nu):
             p, masses, widths = measure
             atoms.append(np.array([p, sign * np.asarray(masses), widths], dtype=float))
     x, m, w = np.concatenate(atoms, axis=1)
-    if abs(m.sum() + c) > 1e-9:
+    if abs(m.sum() + c) > _NET_MASS_TOL:
         raise NetMassError("the two measures must have equal mass")
     return (log_energy_direct(m, curve(x), w, curve.deriv1(x))
             - 2 * c * (m @ log_potential(curve, x, nu)) - c * c * I_nu)
@@ -339,13 +339,14 @@ def log_energy_distance_direct(measure1, measure2, curve):
     return log_energy_direct(masses, points, widths=widths, tangents=tangents)
 
 
-def concentration_scan(data: InterpolationData, N_list, f=lambda x: x,
-                       sweeps=400, n_chains=8, seed=777, snapshots_per_chain=6):
+def concentration_scan(data: InterpolationData, N_list, sweeps=400, n_chains=8,
+                       seed=777, snapshots_per_chain=6):
     """Empirical statistics of the centred empirical measure across N:
-    mean |L_N(f) - nu(f)|, mean squared log-energy distance, and the fitted
-    decay exponent of the latter."""
+    mean |L_N(x) - nu(x)| (the deviation of the mean position), mean
+    squared log-energy distance, and the fitted decay exponent of the
+    latter."""
     nu = member_rule()
-    nu_f = nu.integrate(f(nu.nodes))
+    nu_x = nu.integrate(nu.nodes)
     nu_energy = _nu_energy(data.curve)
     rows = []
     for N in N_list:
@@ -355,7 +356,7 @@ def concentration_scan(data: InterpolationData, N_list, f=lambda x: x,
         picks = snaps[::step]
         stats, d2s = [], []
         for xs in picks.reshape(-1, N):           # snapshot-major, then chain
-            stats.append(abs(np.mean(f(xs)) - nu_f))
+            stats.append(abs(np.mean(xs) - nu_x))
             reg, widths, masses = regularize(xs, N)
             d2s.append(_log_energy_sq((reg, masses, widths), "semicircle",
                                       data.curve, *nu_energy))
@@ -368,15 +369,14 @@ def concentration_scan(data: InterpolationData, N_list, f=lambda x: x,
     return rows, float(-slope)
 
 
-def edge_density_estimate(data: InterpolationData, N_list, sweeps=300,
-                          n_chains=8, seed=999):
+def edge_density_estimate(data: InterpolationData, N_list, sweeps=300, seed=999):
     """Histogram estimates of the one-point density near the left domain
     edge and in the bulk, per N.  The edge window starts at 0.05 and an
     empty one is widened (with a warning flag) until it catches samples."""
     pad = data.sol.pad
     rows = []
     for N in N_list:
-        chain = make_chain(data, int(N), 2.0, n_chains=n_chains, seed=seed + N)
+        chain = make_chain(data, int(N), 2.0, seed=seed + N)
         snaps, info = sample_real_model(chain, sweeps)
         xs = snaps.reshape(-1)
         total = xs.size / N  # number of configurations

@@ -182,6 +182,20 @@ def test_r_cut_near_the_arc(request, fix):
             assert np.max(np.abs(sol.r_cut(z) - ref) / np.abs(ref)) <= tol
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fix", ["rot_sol", "cubic_sol"])
+def test_r_cut_and_sqrtR_vanish_at_the_ends(request, fix):
+    # both ends are vertices of the polygon whose winding signs r_cut; there
+    # the root is exactly 0, alone or beside an off-arc point, with no warning
+    sol = request.getfixturevalue(fix)
+    far = sol.midpoint + 2j * (sol.zeta2 - sol.zeta1)
+    for f in (sol.r_cut, sol.sqrtR):
+        for end in (sol.zeta1, sol.zeta2):
+            assert f(end) == 0
+            pair = f(np.array([end, far]))
+            assert pair[0] == 0 and pair[1] == f(far) != 0
+
+
 def test_euler_lagrange_midpoint(rot_sol):
     assert abs(rot_sol.euler_lagrange_residual(0.5)[0]) < 1e-8
 
