@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkit import ChebSeries, ComplexPolynomial
+from .numkit import ChebSeries, ComplexPolynomial, read_only
 
 __all__ = [
     "Curve",
@@ -90,18 +90,27 @@ class Curve:
     def domain(self):
         return (-self.analytic_pad, 1 + self.analytic_pad)
 
+    @cached_property
+    def _scan(self):
+        """257 equispaced parameters of the domain and their points, built
+        once and read-only: the seeds of `invert`."""
+        xs = np.linspace(*self.domain, 257)
+        pts = self(xs)
+        read_only(xs, pts)
+        return xs, pts
+
     def invert(self, z, x0=None):
         """Parameters x with curve(x) = z, elementwise, by Newton (at most
         60 steps) seeded at x0 or else at the nearest point of a dense scan
-        of the domain; a scalar z gives a complex number.
+        of the domain (`_scan`); a scalar z gives a complex number.
 
         The residual target is 1e-13, or the series' own rounding level where
         that is larger: a member near the straight segment carries
         coefficients of size 1/t, and its values are no more exact."""
         z = np.asarray(z, dtype=complex)
         if x0 is None:
-            xs = np.linspace(*self.domain, 257)
-            x0 = xs[np.argmin(np.abs(z.reshape(-1, 1) - self(xs)), axis=1)].reshape(z.shape)
+            xs, pts = self._scan
+            x0 = xs[np.argmin(np.abs(z.reshape(-1, 1) - pts), axis=1)].reshape(z.shape)
         x = np.array(np.broadcast_to(x0, z.shape), dtype=complex)
         floor = max(1e-13, 16 * np.finfo(float).eps * np.sum(np.abs(self.g.coef)))
         for _ in range(60):

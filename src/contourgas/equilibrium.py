@@ -550,6 +550,15 @@ class InterpolationData:
 
     # -- prefactor of the cut square root ---------------------------------
 
+    @cached_property
+    def _base_chord(self):
+        """The base arc's chords Q_b(., 0) and Q_b(., t), as the two columns
+        of one read-only series, and k_t t = (z2 - z1) / Q_b(t; 0), which is
+        b(t) - b(0) without cancellation: built once per member."""
+        chord = self.sol.curve.g.divided_difference([0.0, self.t])
+        read_only(chord.coef)
+        return chord, (self.sol.zeta2 - self.sol.zeta1) / chord(self.t)[0]
+
     def st_grid(self, x):
         """Prefactor values on an x-array, real or complex: 8 / (g'
         `_chord_root`) on the member, so st^2 (g - z1)(g - z2) g'^2 = 64 x
@@ -560,9 +569,7 @@ class InterpolationData:
         z1) / (b(t) - b(0)): all are read off the base arc b, whose series
         keep the digits that the member's stretched ones lose at small t."""
         base = self.sol.curve
-        chord = base.g.divided_difference([0.0, self.t])
-        # k_t t = (z2 - z1) / Q_b(t; 0): b(t) - b(0) without cancellation
-        kt = (self.sol.zeta2 - self.sol.zeta1) / chord(self.t)[0]
+        chord, kt = self._base_chord
         V = base.g.vander(self.t * np.asarray(x))
         gp = V[..., :len(base.d1.coef)] @ base.d1.coef
         q = V[..., :len(chord.coef)] @ chord.coef

@@ -159,12 +159,13 @@ def phase_kernels(data: InterpolationData):
     outer interval [-analytic_pad, 1 + analytic_pad], interpolated at its
     Chebyshev points.  Returns the pair-kernel coefficient matrix Ca, with
     a(x, y) = v(x) @ Ca @ v(y) for v = p.vander, and the slope-kernel
-    series p."""
+    series p, both by `ChebSeries.fit`: Ca fits the pair values along one
+    axis, then the other."""
     outer = data.sol.curve.analytic_pad
     lo, hi = -outer, 1 + outer
     p_vals, ang = pair_angles(data, ChebSeries.nodes(lo, hi, _N_C))
-    to_coef = ChebSeries.fit(lo, hi, np.eye(_N_C + 1)).coef   # values -> coefficients
-    return to_coef @ ang @ to_coef.T, ChebSeries(lo, hi, to_coef @ p_vals)
+    Ca = ChebSeries.fit(lo, hi, ChebSeries.fit(lo, hi, ang).coef.T).coef.T
+    return Ca, ChebSeries.fit(lo, hi, p_vals)
 
 
 def fourier_kernels(data: InterpolationData, beta, law: GaussianLaw = None):
@@ -196,24 +197,36 @@ def finite_rank_oracle(B, mu, A, lam, beta=1.0):
     """Closed Gaussian-integral value of E[exp(i beta/2 <xi, A xi>
     + i beta <lam, xi>)] for a structured complex Gaussian vector with mean
     mu and covariance B (conjugation-symmetric index pairs).  The phase of
-    the complex/real ratio (`KernelPair`) takes lam = (1/beta - 1/2) P."""
+    the complex/real ratio (`KernelPair`) takes lam = (1/beta - 1/2) P.
+
+    The integral lives on B's numerical range.  B = L L^H from eigh keeps
+    the r eigenvalues above len(B) eps max, the tolerance of
+    `numpy.linalg.matrix_rank`; with G = L^H A L the determinant factor is
+    prod (1 - i lam_k)^(-1/2) over the eigenvalues lam_k of (G + G^H)/2,
+    and the solves with I - i B A are r x r ones with K = I - i G by
+    Woodbury: (I - i B A)^-1 v = v + i L K^-1 L^H A v, and (I - i B A)^-1 B
+    = L K^-1 L^H.  `fourier_kernels` builds B from the law's nodal columns,
+    so r is at most the collocation size n, below the _N_C + 1 dimensions."""
     B, A, lam, mu = (_floating(v) for v in (B, beta * np.asarray(A), beta * np.asarray(lam), mu))
     # real B and A (as `fourier_kernels` gives) keep both spectra in real
     # arithmetic; complex ones take the same steps in complex arithmetic
     evB, QB = np.linalg.eigh(0.5 * (B + B.conj().T))
     if evB.min() < -1e-10 * max(1.0, abs(evB.max())):
         raise CovarianceError("B is not positive semidefinite")
-    sqB = (QB * np.sqrt(np.clip(evB, 0, None))) @ QB.conj().T
-    lams = np.linalg.eigvalsh(sqB @ (0.5 * (A + A.conj().T)) @ sqB)
-    factors = 1 - 1j * lams
+    keep = evB > len(evB) * np.finfo(float).eps * evB.max()
+    L = QB[:, keep] * np.sqrt(evB[keep])
+    LhA = L.conj().T @ A
+    G = LhA @ L
+    factors = 1 - 1j * np.linalg.eigvalsh(0.5 * (G + G.conj().T))
     if np.exp(0.5 * pairwise_sum(np.log(np.abs(factors)))) < 1 - 1e-9:
         raise CovarianceError("determinant modulus below 1")
     det_msqrt = np.prod(factors ** -0.5)
-    M = np.eye(len(mu)) - 1j * B @ A
-    Minv_mu, Minv_Blam = np.linalg.solve(M, np.stack([mu, B @ lam], axis=1)).T
+    y_mu, y_lam = np.linalg.solve(np.eye(len(G)) - 1j * G,
+                                  np.stack([LhA @ mu, L.conj().T @ lam], axis=1)).T
+    Minv_mu = mu + 1j * (L @ y_mu)
     e = 0.5j * (mu.conj() @ (A @ Minv_mu))
     e += 1j * (lam.conj() @ Minv_mu)
-    e += -0.5 * (lam.conj() @ Minv_Blam)
+    e += -0.5 * (lam.conj() @ (L @ y_lam))
     return det_msqrt * np.exp(e)
 
 

@@ -90,7 +90,9 @@ class ComplexPolynomial:
     def __call__(self, z):
         """Horner evaluation.  A scalar (Python or numpy, or a 0-d array)
         runs on Python complex numbers and gives a complex; any other input
-        becomes a complex array and gives an array of its shape."""
+        becomes a complex array and gives an array of its shape.  The two
+        routes round differently: at a point, the scalar value and an array
+        entry may differ in the last bit."""
         if isinstance(z, (int, float, complex, np.number)) or np.ndim(z) == 0:
             z, out = complex(z), self.coeffs[-1]
         else:
@@ -184,9 +186,12 @@ class ChebSeries:
 
     def __call__(self, x):
         """Series values, shape coef.shape[1:] + x.shape; a scalar x gives a
-        scalar."""
-        T = _tvander(self.map(x), len(self.coef) - 1)
-        return np.tensordot(self.coef, T, axes=(0, 0))[()]
+        scalar.  One matrix product of the coefficients, one series per
+        row, with the T_k table, one point per column."""
+        c = self.coef
+        T = _tvander(self.map(x), len(c) - 1)
+        out = c.reshape(len(c), -1).T @ T.reshape(len(T), -1)
+        return out.reshape(c.shape[1:] + T.shape[1:])[()]
 
     def vander(self, x):
         """T_0..T_deg at the points x, shape x.shape + (deg + 1,): vander(x) @ coef."""

@@ -13,6 +13,7 @@ import numpy as np
 from .equilibrium import OneCutSolution, interpolation_data
 from .fluctuations import one_stat_expansion
 from .numkit import ChebSeries, _log_weights, pairwise_sum, tensor_quadrature
+from .operators import complex_master_operator
 
 __all__ = [
     "ExpansionReport",
@@ -178,16 +179,17 @@ def tensor_model_moment(N, beta, V, curve, domain, f_values_fn, M=96):
 # -- derivative of the interpolation flow -------------------------------------
 
 
-def dt_potential(sol: OneCutSolution, t):
-    """Evaluator of d_t V_t at fixed points z (a 1-D array), in closed form
-    at every t in [0, 1]; a call inverts the member once.
+def _dt_pullback(sol: OneCutSolution, t):
+    """The member at t and the pullback x -> d_t V_t(gamma_t(x)) on a 1-D
+    array of parameters x, in closed form at every t in [0, 1].
 
     With q(s) = Q_b(s, 0), the base arc's chord to its first end, gamma_t(x)
     = zeta1 + (zeta2 - zeta1) x q(t x) / q(t), so d_t gamma_t is a polynomial.
     The t-derivative of V_t(gamma_t(x)) = 4x(x - 1) + int ln Q_t(x, .) dnu +
     c_t, the antiderivative of `vt_prime_pullback` (Q_t the member's chord),
     is d_t V_t(gamma_t(x)) = G(x) - G(x_mid), with x_mid the midpoint's
-    parameter (V_t = V there for every t) and, Q[f] the divided difference,
+    parameter (V_t = V there for every t; its one curve inversion) and, Q[f]
+    the divided difference,
     G = int Q[d_t gamma_t](x, .) / Q_t(x, .) dnu - d_t gamma_t vt_prime_pullback / gamma_t'."""
     data = interpolation_data(sol, t)
     gp, nu = data.curve.g.deriv(), data.nu
@@ -204,17 +206,26 @@ def dt_potential(sol: OneCutSolution, t):
         return pairwise_sum(ratio * nu.weights) - data.vt_prime_pullback(x) * dgamma(x) / gp(x)
 
     G_mid = G(np.atleast_1d(data.curve.invert(sol.midpoint)))
-    return lambda z: G(data.curve.invert(np.atleast_1d(np.asarray(z, dtype=complex)))) - G_mid
+    return data, lambda x: G(x) - G_mid
+
+
+def dt_potential(sol: OneCutSolution, t):
+    """Evaluator of d_t V_t at fixed points z (a 1-D array), in closed form
+    at every t in [0, 1]: the pullback of `_dt_pullback` at the parameters
+    of one inversion of the member for all of them."""
+    data, pullback = _dt_pullback(sol, t)
+    return lambda z: pullback(data.curve.invert(np.atleast_1d(np.asarray(z, dtype=complex))))
 
 
 def dt_lnZ(sol: OneCutSolution, t, N, beta):
     """- beta N^2 [ mu(dV/dt) + c1/N + c2/N^2 ] at one flow position, with
-    dV/dt from `dt_potential` and (c1, c2) from `one_stat_expansion` on the
+    dV/dt the pullback of `dt_potential` read at parameters already known,
+    with no inversion: the nu nodes for mu, and for (c1, c2) the grid of the
     member's n = 64 complex master operator, the one every other caller of
-    that member reads; returns the value and the three assembled pieces."""
-    data = interpolation_data(sol, t)
-    fz = dt_potential(sol, t)
-    mu_f = data.nu.integrate(fz(data.curve(data.nu.nodes)))
-    c1, c2, parts = one_stat_expansion(data, fz, beta)
+    that member reads, whose nodal values go to `one_stat_expansion`.
+    Returns the value and the three assembled pieces."""
+    data, pullback = _dt_pullback(sol, t)
+    mu_f = data.nu.integrate(pullback(data.nu.nodes))
+    c1, c2, parts = one_stat_expansion(data, pullback(complex_master_operator(data).grid), beta)
     total = -beta * N * N * (mu_f + c1 / N + c2 / N / N)
     return total, {"mu_dtV": mu_f, "c1": c1, "c2": c2, **parts}

@@ -113,7 +113,7 @@ def _chain_series(chain: ParticleChain):
 
 def _local_terms(series, x):
     """gamma, log|gamma'| and phi at x: one product with the chain series."""
-    re, im, dre, dim, phi = np.moveaxis(series.vander(x) @ series.coef, -1, 0)
+    re, im, dre, dim, phi = series(x)
     return re + 1j * im, np.log(np.hypot(dre, dim)), phi
 
 
@@ -128,7 +128,7 @@ def sample_real_model(chain: ParticleChain, sweeps, burn_fraction=0.2):
     """Single-site Metropolis sweeps, vectorized across chains, on the
     member curve and potential series the chain holds, re-expanded once per
     call as one real five-column series on the chain's domain, so gamma,
-    gamma' and phi at all proposals of a sweep cost one Vandermonde product.
+    gamma' and phi at all proposals of a sweep cost one matrix product.
 
     Returns (snapshots, info): snapshots has shape (n_kept, n_chains, N)
     with one retained configuration per post-burn-in sweep (N moves per

@@ -385,12 +385,69 @@ def test_one_stat_expansion_matches_exact_gaussian_moments(quad_data_t0, gaussia
     assert abs(got2 - float(c2)) <= 1e-11
 
 
-def test_covariance_error_guard():
+def test_covariance_error_guard(monkeypatch):
     rng = np.random.default_rng(61)
     B, mu, A, lam = _structured_instance(1, rng)
     bad = -np.eye(2)  # genuinely negative covariance
-    with pytest.raises(fl.CovarianceError):
+    with pytest.raises(fl.CovarianceError, match="positive semidefinite"):
         fl.finite_rank_oracle(bad, mu, A, lam, 2.0)
+    # a Hermitian spectrum keeps every |1 - i lam| >= 1; the modulus guard
+    # fires on a spectrum pushed off the real axis
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) - 0.5j)
+    with pytest.raises(fl.CovarianceError, match="modulus"):
+        fl.finite_rank_oracle(B, mu, A, lam, 2.0)
+
+
+def _full_dimension_oracle(B, mu, A, lam, beta):
+    """The finite-rank formula in all len(B) dimensions: B's matrix square
+    root, the spectrum of sqrt(B) A_h sqrt(B), and solves with I - i B A."""
+    B, A, lam, mu = (np.asarray(v, dtype=complex) for v in (B, beta * np.asarray(A),
+                                                          beta * np.asarray(lam), mu))
+    evB, QB = np.linalg.eigh(0.5 * (B + B.conj().T))
+    sqB = (QB * np.sqrt(np.clip(evB, 0, None))) @ QB.conj().T
+    lams = np.linalg.eigvalsh(sqB @ (0.5 * (A + A.conj().T)) @ sqB)
+    det_msqrt = np.prod((1 - 1j * lams) ** -0.5)
+    M = np.eye(len(mu)) - 1j * B @ A
+    Minv_mu, Minv_Blam = np.linalg.solve(M, np.stack([mu, B @ lam], axis=1)).T
+    e = 0.5j * (mu.conj() @ (A @ Minv_mu)) + 1j * (lam.conj() @ Minv_mu)
+    return det_msqrt * np.exp(e - 0.5 * (lam.conj() @ Minv_Blam))
+
+
+@pytest.mark.parametrize("fix", ["quad_sol", "quartic_sol", "rot_sol", "cubic_sol"])
+def test_oracle_on_the_range_of_B_matches_full_dimension(request, fix):
+    # the kernel pairs' B has rank at most n of its _N_C + 1 dimensions;
+    # the reduced formula matches the full-dimension one to rounding
+    sol = request.getfixturevalue(fix)
+    for t in (0.5, 1.0):
+        data = eq.interpolation_data(sol, t)
+        for n in (64, 128):
+            for beta in (1.0, 2.0, 4.0):
+                kp = fl.fourier_kernels(data, beta, fl.gaussian_law(data, beta, n))
+                lam = (1 / beta - 0.5) * kp.P
+                got = fl.finite_rank_oracle(kp.B, kp.m, kp.A, lam, beta)
+                assert abs(got - _full_dimension_oracle(kp.B, kp.m, kp.A, lam, beta)) <= 1e-14
+
+
+def test_oracle_on_the_range_of_B_structured_and_singular():
+    # complex structured inputs of the A6 shapes, then the same with B
+    # embedded among exact zero rows and columns (zero mean there, any A)
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 1, 2, 2):
+        B, mu, A, lam = _structured_instance(n, rng)
+        m = len(mu)
+        Bz = np.zeros((m + 3, m + 3), dtype=complex)
+        Bz[1:m + 1, 1:m + 1] = B
+        muz = np.zeros(m + 3, dtype=complex)
+        muz[1:m + 1] = mu
+        Az = rng.normal(size=(m + 3, m + 3)) + 1j * rng.normal(size=(m + 3, m + 3))
+        Az = 0.25 * (Az + Az.conj().T)
+        Az[1:m + 1, 1:m + 1] = A
+        lamz = rng.normal(size=m + 3) + 1j * rng.normal(size=m + 3)
+        for beta in (1.0, 2.0, 4.0):
+            for args in ((B, mu, A, lam), (Bz, muz, Az, lamz)):
+                got = fl.finite_rank_oracle(*args, beta)
+                assert abs(got - _full_dimension_oracle(*args, beta)) <= 1e-14
 
 
 def test_structured_index_map_entries():

@@ -432,8 +432,9 @@ _X_CASES = {
 @pytest.mark.parametrize("ccomplex", [False, True])
 def test_cheb_series_matches_numpy_layouts(xkind, cshape, ccomplex):
     # values, Vandermonde rows, derivatives and antiderivatives have numpy's
-    # shapes and dtypes for every input layout, degree 0 included, and its
-    # values to rounding; a scalar x still gives a scalar
+    # shapes and dtypes for every input layout (1-D and 2-D coef, real and
+    # complex; scalar, 1-D and 2-D x, real and complex), degree 0 included,
+    # and its values to rounding; a scalar x still gives a scalar
     cheb = np.polynomial.chebyshev
     rng = np.random.default_rng(len(cshape) * 100 + cshape[0])
     coef = rng.normal(size=cshape) * 0.9 ** np.arange(cshape[0]).reshape(
@@ -454,6 +455,11 @@ def test_cheb_series_matches_numpy_layouts(xkind, cshape, ccomplex):
     assert type(got) is type(want)
     assert np.shape(got) == np.shape(want) and np.result_type(got) == np.result_type(want)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(coef)) * np.max(size)
+    # a call is one product of the coefficients with the T_k table: the
+    # values of vander(x) @ coef, series axis first
+    series_first = (lambda a: np.moveaxis(a, -1, 0)) if len(cshape) == 2 else (lambda a: a)
+    assert np.all(np.abs(got - series_first(V @ coef))
+                  <= 1e-15 * series_first(np.abs(V) @ np.abs(coef)))
 
     for m in (1, 2):
         d, want = s.deriv(m).coef, cheb.chebder(coef, m) * scale**m

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from contourgas import equilibrium as eq
 from contourgas import partition as pt
-from contourgas.contour import affine_curve
+from contourgas.contour import Curve, affine_curve
 from contourgas.numkit import make_grid, tensor_quadrature
 
 LN2 = math.log(2)
@@ -227,6 +227,18 @@ def test_dt_lnZ_builds_one_member(fresh_rot_sol, monkeypatch):
     pt.dt_lnZ(sol, 0.5, 8, 2.0)
     assert eq.interpolation_data(sol, 0.5) is eq.interpolation_data(sol, np.float64(0.5))
     assert built == [0.5]
+
+
+def test_dt_lnZ_inverts_only_the_midpoint(fresh_rot_sol, monkeypatch):
+    # the pullback of d_t V_t is read at parameters dt_lnZ already holds,
+    # the nu nodes and the operator grid: the one inversion is the midpoint's
+    sol = fresh_rot_sol
+    inverted = []
+    invert = Curve.invert
+    monkeypatch.setattr(Curve, "invert",
+                        lambda self, z, x0=None: inverted.append(np.size(z)) or invert(self, z, x0))
+    pt.dt_lnZ(sol, 0.5, 8, 2.0)
+    assert inverted == [1]
 
 
 def test_energy_derivative_identity(rot_sol):
