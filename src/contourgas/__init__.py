@@ -10,9 +10,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "numkit": ("BranchTrack", "ChebSeries", "ComplexPolynomial", "WeightedGrid",
-               "log_energy_form", "make_grid", "poly_normalize", "tensor_quadrature",
-               "track_arg"),
+    "numkit": ("ChebSeries", "ComplexPolynomial", "WeightedGrid", "log_energy_form",
+               "make_grid", "poly_normalize", "tensor_quadrature"),
     "contour": ("Curve", "arc_mass", "bilipschitz_check",
                 "family_member", "semicircle_cdf", "semicircle_parametrization"),
     "equilibrium": ("InterpolationData", "OneCutSolution", "interpolation_data",

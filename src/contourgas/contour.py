@@ -21,6 +21,7 @@ __all__ = [
     "semicircle_parametrization",
     "affine_curve",
     "bilipschitz_check",
+    "log_chord",
     "ParametrizationError",
 ]
 
@@ -89,6 +90,18 @@ class Curve:
     @property
     def domain(self):
         return (-self.analytic_pad, 1 + self.analytic_pad)
+
+    @cached_property
+    def chord_branch(self):
+        """rho = Q(0, 1) = gamma(1) - gamma(0) and its principal log, the
+        base of `log_chord`'s branch, after the turn check: the argument of
+        gamma'/rho at the `_scan` parameters must span less than pi."""
+        rho = complex(self.end_chord(0.0)[1])
+        w = self.deriv1(self._scan[0]) / rho
+        turn = np.ptp(np.arctan2(w.imag, w.real))
+        if turn >= np.pi:
+            raise ParametrizationError(f"the slope turns by {turn:.3f} >= pi: no principal ln Q")
+        return rho, complex(np.log(abs(rho)), np.arctan2(rho.imag, rho.real))
 
     @cached_property
     def _scan(self):
@@ -448,6 +461,24 @@ def chord_kernel(table, x):
     Q, dQ = table
     V = Q.vander(np.atleast_1d(x))
     return -(V[:, :len(dQ.coef)] @ dQ.coef) / (V @ Q.coef)
+
+
+def log_chord(curve: Curve, x, y=None):
+    """ln Q(x_i, y_j) of the chord Q(x, y) = (gamma(x) - gamma(y)) / (x - y),
+    rows x and columns y (1-D arrays), or ln gamma'(x) = ln Q(x, x) from the
+    slope series when y is None: ln rho plus the principal ln(Q / rho), rho
+    = Q(0, 1) (`Curve.chord_branch`).  Q is the mean of gamma' over [x, y]
+    and rho its mean over [0, 1], so Q / rho lies in the convex sector of
+    the slopes gamma'/rho, which the turn check keeps narrower than pi: the
+    principal branch is the continuous one, with no tracking."""
+    rho, ln_rho = curve.chord_branch
+    if y is None:
+        q = curve.deriv1(x)
+    else:
+        Q = curve.g.divided_difference(y)
+        q = Q.vander(np.atleast_1d(x)) @ Q.coef
+    w = q / rho
+    return (ln_rho.real + np.log(np.abs(w))) + 1j * (ln_rho.imag + np.arctan2(w.imag, w.real))
 
 
 def bilipschitz_check(point_fn, lo, hi, n=256):

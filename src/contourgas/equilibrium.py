@@ -12,10 +12,10 @@ from functools import cached_property
 import numpy as np
 
 from .contour import (Curve, _flat_mass, _from_end, _MassMap, affine_curve, chord_kernel,
-                      chord_table, family_member, semicircle_cdf,
+                      chord_table, family_member, log_chord, semicircle_cdf,
                       semicircle_parametrization, subtracted_chord_kernel)
 from .numkit import (ChebSeries, ComplexPolynomial, make_grid, pairwise_sum, read_only,
-                     semicircle_rule, track_arg)
+                     semicircle_rule)
 
 __all__ = [
     "OneCutSolution",
@@ -162,56 +162,41 @@ def _chord_root(q0, q1):
 
 
 def _log_chord(curve, x, nu):
-    """int ln|Q(x, y)| dnu(y) at real x (an array), Q the curve's chord."""
-    q = curve.g.divided_difference(x.reshape(-1))
-    return nu.integrate(np.log(np.abs(q.vander(nu.nodes) @ q.coef)).T).reshape(x.shape)
+    """int ln|Q(x, y)| dnu(y) at real x (an array), Q the curve's chord: the
+    real part of `log_chord`."""
+    return nu.integrate(log_chord(curve, nu.nodes, x.reshape(-1)).real.T).reshape(x.shape)
+
+
+def _flat_log_potential(x):
+    """int ln|x - y| dnu(y) at real x in closed form, s = 2x - 1: s^2 - 1/2
+    - 2 ln 2, less |s| sqrt(s^2 - 1) - arccosh|s| off the support."""
+    s = np.abs(2 * x - 1)
+    return (4 * x * (x - 1) + 0.5 - 2 * LN2
+            - s * np.sqrt(np.maximum(s * s - 1, 0.0)) + np.arccosh(np.maximum(s, 1.0)))
 
 
 def log_potential(curve, x, nu):
     """U_gamma(x) = int ln|gamma(x) - gamma(y)| dnu(y) at real x (a scalar
-    or an array) anywhere on the curve's domain: `_log_chord` plus the flat
-    kernel's closed form, with s = 2x - 1: s^2 - 1/2 - 2 ln 2, less
-    |s| sqrt(s^2 - 1) - arccosh|s| off the support."""
+    or an array) anywhere on the curve's domain: `_log_chord` plus
+    `_flat_log_potential`."""
     x = np.asarray(x, dtype=float)
-    s = np.abs(2 * x - 1)
-    flat = (4 * x * (x - 1) + 0.5 - 2 * LN2
-            - s * np.sqrt(np.maximum(s * s - 1, 0.0)) + np.arccosh(np.maximum(s, 1.0)))
-    out = _log_chord(curve, x, nu) + flat
+    out = _log_chord(curve, x, nu) + _flat_log_potential(x)
     return out if out.shape else float(out)
 
 
 def double_log_potential(curve, nu):
-    """I_gamma = iint ln|gamma(x) - gamma(y)| dnu dnu: the nu x nu rule of
-    ln|(gamma(x) - gamma(y)) / (x - y)|, ln|gamma'| on the diagonal, plus
-    the flat value -1/4 - 2 ln 2."""
-    y, g = nu.nodes, curve(nu.nodes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.log(np.abs((g[:, None] - g) / (y[:, None] - y)))
-    np.fill_diagonal(lam, np.log(np.abs(curve.deriv1(y))))
-    return nu.weights @ lam @ nu.weights + (-0.25 - 2 * LN2)
+    """I_gamma = iint ln|gamma(x) - gamma(y)| dnu dnu: the nu average of
+    `_log_chord` at the nu nodes plus the flat value -1/4 - 2 ln 2."""
+    return nu.integrate(_log_chord(curve, nu.nodes, nu)) + (-0.25 - 2 * LN2)
 
 
 def _log_distance(curve, x0, nu):
-    """int ln(gamma(x0) - gamma(y)) dnu(y), complex: `log_potential` plus
-    the nu-rule integral of the argument of the chord Q(x0, y), continuous
-    along the nodes.  Q is continuous through y = x0, so the imaginary part
-    averages the arguments of gamma(x0) - gamma(y) for y < x0 and of
-    gamma(y) - gamma(x0) for y > x0, the two boundary values of the log
-    potential."""
-    q = curve.g.divided_difference([x0])(nu.nodes)[0]
-    return log_potential(curve, x0, nu) + 1j * nu.integrate(track_arg(q).args)
-
-
-def _log_deriv_tracked(curve, nu, chord):
-    """Branch-tracked log of the curve slope on the nodes of nu, anchored
-    near the chord direction."""
-    y = nu.nodes
-    gp = curve.deriv1(y)
-    tr = track_arg(gp)
-    mid = len(y) // 2
-    target = np.angle(chord)
-    shift = 2 * np.pi * round((target - tr.args[mid]) / (2 * np.pi))
-    return np.log(np.abs(gp)) + 1j * (tr.args + shift)
+    """int ln(gamma(x0) - gamma(y)) dnu(y), complex: the nu integral of the
+    `log_chord` row at x0 plus `_flat_log_potential`.  Q is continuous
+    through y = x0, so the imaginary part averages the arguments of
+    gamma(x0) - gamma(y) for y < x0 and of gamma(y) - gamma(x0) for y > x0,
+    the two boundary values of the log potential."""
+    return nu.integrate(log_chord(curve, nu.nodes, [x0])[:, 0]) + _flat_log_potential(x0)
 
 
 @functools.cache
@@ -241,11 +226,12 @@ def _complex_energy(constant, v_on_curve, nu):
     return constant + nu.integrate(v_on_curve(nu.nodes))
 
 
-def _entropy(curve, nu, chord):
+def _entropy(curve, nu):
     """Ent = -int ln(dmu/dz) dmu; the flat semicircle part is closed form
-    (Beta-function derivative), the curve part is smooth quadrature."""
+    (Beta-function derivative), the curve part is smooth quadrature of
+    ln gamma' on `log_chord`'s branch."""
     flat = 0.5 + math.log(2 / np.pi)
-    return -flat + nu.integrate(_log_deriv_tracked(curve, nu, chord))
+    return -flat + nu.integrate(log_chord(curve, nu.nodes))
 
 
 @dataclass
@@ -450,7 +436,7 @@ class OneCutSolution:
 
     def entropy(self):
         """Ent = -int ln(dmu/dz) dmu."""
-        return _entropy(self.curve, self.nu, self.zeta2 - self.zeta1)
+        return _entropy(self.curve, self.nu)
 
     # -- variational checks ------------------------------------------------
 
@@ -482,10 +468,12 @@ class OneCutSolution:
         return self.potential.deriv()(self.curve(x)) - pv
 
     def validate(self):
-        """Unit mass to 1e-10, no zero of S on the arc, and sqrtR against
-        `cauchy_sqrt_branch` to 1e-8 of its size on a loop around the cut."""
+        """Unit mass to 1e-10, the arc's turn check, no zero of S on the arc,
+        and sqrtR against `cauchy_sqrt_branch` to 1e-8 of its size on a loop
+        around the cut."""
         if self.mass_residual() > 1e-10:
             raise NotOneCutError("unit-mass condition violated")
+        self.curve.chord_branch
         xs = np.linspace(-self.pad, 1 + self.pad, 101)
         svals = np.abs(self.S(self.curve(xs)))
         if self.S.degree > 0 and svals.min() < 1e-6 * max(1.0, svals.max()):
@@ -648,7 +636,7 @@ class InterpolationData:
 
     def entropy(self):
         """- int ln(dmu_t/dz) dmu_t along the deformed arc."""
-        return _entropy(self.curve, self.nu, self.sol.zeta2 - self.sol.zeta1)
+        return _entropy(self.curve, self.nu)
 
 
 def interpolation_data(sol: OneCutSolution, t: float):

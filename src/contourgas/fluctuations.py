@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contour import log_chord
 from .equilibrium import InterpolationData, _log_chord
-from .numkit import ChebSeries, _log_weights, make_grid, pairwise_sum, tensor_quadrature, track_arg
+from .numkit import ChebSeries, _log_weights, make_grid, pairwise_sum, tensor_quadrature
 from .operators import DiscretizedOperator, complex_master_operator, real_master_operator
 
 __all__ = [
@@ -138,20 +139,13 @@ class KernelPair:
 
 
 def pair_angles(data: InterpolationData, x):
-    """Uncut phase kernels on an ordered parameter grid: the slope argument
-    p(x) = arg gamma_t'(x), anchored at its principal value at the middle
-    node, and the pair argument a(x, y) = arg Q(x, y) of the chord
-    Q(x, y) = (gamma_t(x) - gamma_t(y)) / (x - y), the curve's divided
-    difference (Q(x, x) = gamma_t'(x)), unwrapped along rows, re-anchored
-    on the diagonal a(x, x) = p(x) and symmetrized.  Returns (p, a)."""
-    gpx = data.curve.deriv1(x)
-    tr = track_arg(gpx)
-    mid = len(x) // 2
-    p = tr.args + (np.angle(gpx[mid]) - tr.args[mid])
-    Q = data.curve.g.divided_difference(x)
-    ang = np.unwrap(np.angle(Q.vander(x) @ Q.coef), axis=1)
-    ang += (p - np.diag(ang))[:, None]
-    return p, (ang + ang.T) / 2
+    """Uncut phase kernels on a parameter grid: the pair argument a(x, y) =
+    arg Q(x, y) of the member's chord Q(x, y) = (gamma_t(x) - gamma_t(y)) /
+    (x - y), the imaginary part of `log_chord`, symmetrized, and the slope
+    argument p(x) = a(x, x) = arg gamma_t'(x).  Returns (p, a)."""
+    ang = log_chord(data.curve, x, x).imag
+    a = (ang + ang.T) / 2
+    return np.diag(a).copy(), a
 
 
 def phase_kernels(data: InterpolationData):
@@ -217,10 +211,7 @@ def finite_rank_oracle(B, mu, A, lam, beta=1.0):
     L = QB[:, keep] * np.sqrt(evB[keep])
     LhA = L.conj().T @ A
     G = LhA @ L
-    factors = 1 - 1j * np.linalg.eigvalsh(0.5 * (G + G.conj().T))
-    if np.exp(0.5 * pairwise_sum(np.log(np.abs(factors)))) < 1 - 1e-9:
-        raise CovarianceError("determinant modulus below 1")
-    det_msqrt = np.prod(factors ** -0.5)
+    det_msqrt = np.prod((1 - 1j * np.linalg.eigvalsh(0.5 * (G + G.conj().T))) ** -0.5)
     y_mu, y_lam = np.linalg.solve(np.eye(len(G)) - 1j * G,
                                   np.stack([LhA @ mu, L.conj().T @ lam], axis=1)).T
     Minv_mu = mu + 1j * (L @ y_mu)

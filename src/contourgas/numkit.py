@@ -1,6 +1,6 @@
 """Foundation numerics: complex polynomials, Chebyshev series on an
-interval, weighted quadrature rules, N-fold tensor quadrature,
-branch-tracked arguments and the planar-Fourier log-energy form."""
+interval, weighted quadrature rules, N-fold tensor quadrature and the
+planar-Fourier log-energy form."""
 
 from __future__ import annotations
 
@@ -14,16 +14,13 @@ __all__ = [
     "ComplexPolynomial",
     "ChebSeries",
     "WeightedGrid",
-    "BranchTrack",
     "make_grid",
     "semicircle_rule",
     "tensor_quadrature",
-    "track_arg",
     "log_energy_form",
     "log_energy_direct",
     "pairwise_sum",
     "InvalidPotentialError",
-    "BranchError",
     "NetMassError",
     "QuadratureUnderflowError",
 ]
@@ -34,10 +31,6 @@ _NET_MASS_TOL = 1e-9                # net mass a signed measure may leave, relat
 
 
 class InvalidPotentialError(ValueError):
-    pass
-
-
-class BranchError(ValueError):
     pass
 
 
@@ -494,33 +487,6 @@ def _log_weights(N, beta, V, curve, domain, M, real_model):
         log_pair = beta * np.log(diff + np.eye(M))
     np.fill_diagonal(log_pair, -1e30)  # integrand vanishes at collisions
     return x, w, log_single, log_pair
-
-
-@dataclass(frozen=True)
-class BranchTrack:
-    samples: np.ndarray
-    args: np.ndarray
-    base_choice: float
-
-
-def track_arg(values, base=None):
-    """Continuous argument along an ordered sample sequence.
-
-    args[0] equals `base` when given (must match the first sample's phase
-    mod 2*pi), otherwise the principal argument of the first sample.
-    """
-    v = np.asarray(values, dtype=complex)
-    if np.any(v == 0):
-        raise BranchError("argument undefined at a zero sample")
-    raw = np.angle(v)
-    d = np.diff(raw)
-    d = (d + np.pi) % (2 * np.pi) - np.pi
-    if np.any(np.abs(d) >= np.pi - 1e-12):
-        raise BranchError("phase step >= pi: sample resolution too coarse")
-    if base is None:
-        base = raw[0]
-    args = base + np.concatenate([[0.0], np.cumsum(d)])
-    return BranchTrack(v, args, float(base))
 
 
 def log_energy_form(masses, points, n_theta=32, n_rho=64):

@@ -126,11 +126,7 @@ def quadratic_line_domain(N, beta):
     return (-reach, reach)
 
 
-class RefineError(RuntimeError):
-    pass
-
-
-def _z_quadrature(N, beta, V, curve, domain, M, tol, real_model):
+def _z_quadrature(N, beta, V, curve, domain, M, real_model):
     """Partition function by tensor quadrature at M nodes, with the
     difference to the run at 2M/3 nodes as error estimate; returns (value,
     log_value, error_estimate)."""
@@ -143,26 +139,23 @@ def _z_quadrature(N, beta, V, curve, domain, M, tol, real_model):
 
     z2, logz2 = compute(M)
     z1, _ = compute(max(8, (2 * M) // 3))
-    est = abs(z2 - z1)
-    if tol is not None and est > tol * abs(z2):
-        raise RefineError(f"error estimate {est:.2e} above tolerance")
-    return z2, logz2, est
+    return z2, logz2, abs(z2 - z1)
 
 
-def z_complex_quadrature(N, beta, V, curve=None, domain=(-1.0, 1.0), M=96, tol=None):
+def z_complex_quadrature(N, beta, V, curve=None, domain=(-1.0, 1.0), M=96):
     """Oscillatory-model partition function by tensor quadrature in the
     curve parameter; returns (value, log_value, error_estimate).
 
     With even integer beta the principal-branch pair powers reproduce the
     single-valued integrand exactly.  N <= 4: O(M^N) flops, O(M^2) memory
     up to N = 3 and O(M^3) at N = 4 (`numkit.tensor_quadrature`)."""
-    return _z_quadrature(N, beta, V, curve, domain, M, tol, real_model=False)
+    return _z_quadrature(N, beta, V, curve, domain, M, real_model=False)
 
 
 def z_real_quadrature(N, beta, V, curve=None, domain=(-1.0, 1.0), M=96):
     """Real-model partition function (moduli in place of complex factors).
     N <= 4, at the same cost as `z_complex_quadrature`."""
-    return _z_quadrature(N, beta, V, curve, domain, M, None, real_model=True)
+    return _z_quadrature(N, beta, V, curve, domain, M, real_model=True)
 
 
 def tensor_model_moment(N, beta, V, curve, domain, f_values_fn, M=96):

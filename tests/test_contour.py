@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -5,10 +6,10 @@ import numpy as np
 import pytest
 
 from contourgas import equilibrium as eq
-from contourgas.contour import (ParametrizationError, _antiderivative_part, arc_mass,
-                                bilipschitz_check, family_member, semicircle_cdf,
+from contourgas.contour import (Curve, ParametrizationError, _antiderivative_part, arc_mass,
+                                bilipschitz_check, family_member, log_chord, semicircle_cdf,
                                 semicircle_density, subtracted_chord_kernel)
-from contourgas.numkit import ComplexPolynomial
+from contourgas.numkit import ChebSeries, ComplexPolynomial
 
 ARCS = ["quartic_sol", "rot_sol", "cubic_sol"]
 
@@ -253,3 +254,47 @@ def test_quartic_unresolved_arc_raises_with_its_plateau():
     # reached, never NaN
     with pytest.raises(ParametrizationError, match=r"not plateaued .* tail at"):
         eq.solve_one_cut(ComplexPolynomial([0, 0, -1.4142 / 2, 0, 0.25]))
+
+
+def _turning_curve(kappa, pad=0.05):
+    """g = exp(i pi kappa x) on [-pad, 1 + pad]: its slope turns by
+    pi kappa (1 + 2 pad) over the domain."""
+    lo, hi = -pad, 1 + pad
+    k = 1j * math.pi * kappa
+    return Curve(ChebSeries.interpolate(lambda x: np.exp(k * x), lo, hi, 24),
+                 ChebSeries.interpolate(lambda x: k * np.exp(k * x), lo, hi, 24), pad)
+
+
+def test_log_chord_vs_unwrapped_raw_chords():
+    # kappa = 0.8 turns by 0.88 pi, and arg Q runs from 0.46 pi to 1.34 pi:
+    # past pi, where the principal argument of Q itself would jump
+    curve = _turning_curve(0.8)
+    x = np.linspace(*curve.domain, 221)
+    g, k = np.exp(1j * math.pi * 0.8 * x), 1j * math.pi * 0.8
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = (g[:, None] - g) / (x[:, None] - x)
+    np.fill_diagonal(raw, k * g)
+    # unwrapped down the first column, then along each row, then shifted
+    # by the multiple of 2 pi that puts Q(0, 1) on the principal arg of rho
+    ang = np.angle(raw)
+    ang[:, 0] = np.unwrap(ang[:, 0])
+    ang = np.unwrap(ang, axis=1)
+    i0, i1 = np.argmin(np.abs(x)), np.argmin(np.abs(x - 1))
+    rho = np.exp(1j * math.pi * 0.8) - 1
+    ang += 2 * np.pi * np.round((np.angle(rho) - ang[i0, i1]) / (2 * np.pi))
+    got = log_chord(curve, x, x)
+    assert np.max(np.abs(got.imag - ang)) <= 1e-13
+    assert np.max(np.abs(got.real - np.log(np.abs(raw)))) <= 1e-13
+    # the slope route is the same branch as the chord table's diagonal
+    assert np.max(np.abs(log_chord(curve, x) - np.diag(got))) <= 1e-13
+
+
+def test_turn_check_raises(rot_sol):
+    # kappa = 1.2 turns by 1.32 pi over the domain: no sector narrower
+    # than pi holds the slopes, and a solution on that arc fails to validate
+    curve = _turning_curve(1.2)
+    with pytest.raises(ParametrizationError, match="turns by"):
+        log_chord(curve, [0.2], [0.7])
+    bad = dataclasses.replace(rot_sol, _curve=curve, _constant=None, _members={})
+    with pytest.raises(ParametrizationError, match="turns by"):
+        bad.validate()

@@ -10,7 +10,7 @@ from scipy.special import roots_legendre
 from contourgas import equilibrium as eq
 from contourgas.contour import Curve, family_member, semicircle_cdf
 from contourgas.equilibrium import NoSolutionError
-from contourgas.numkit import ChebSeries, ComplexPolynomial, make_grid, semicircle_rule, track_arg
+from contourgas.numkit import ChebSeries, ComplexPolynomial, make_grid, semicircle_rule
 
 LN2 = math.log(2)
 
@@ -559,12 +559,16 @@ def test_flat_log_potential_vs_mpmath(quad_sol):
 
 
 @pytest.mark.parametrize("fix", ["rot_sol", "cubic_sol"])
-def test_double_log_potential_vs_nu_potential(request, fix):
-    # the double sum of ln|gamma(x) - gamma(y)| against the nu average of
-    # the chord route's potential
+def test_double_log_potential_vs_raw_quotients(request, fix):
+    # the nu x nu rule of ln|(gamma(x) - gamma(y)) / (x - y)| from raw
+    # point differences, ln|gamma'| on the diagonal, plus the flat value
     sol = request.getfixturevalue(fix)
-    via_u = sol.nu.integrate(eq.log_potential(sol.curve, sol.nu.nodes, sol.nu))
-    assert abs(eq.double_log_potential(sol.curve, sol.nu) - via_u) <= 1e-13
+    y, g = sol.nu.nodes, sol.curve(sol.nu.nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.log(np.abs((g[:, None] - g) / (y[:, None] - y)))
+    np.fill_diagonal(lam, np.log(np.abs(sol.curve.deriv1(y))))
+    want = sol.nu.weights @ lam @ sol.nu.weights - 0.25 - 2 * math.log(2)
+    assert abs(eq.double_log_potential(sol.curve, sol.nu) - want) <= 1e-13
 
 
 def test_moment_identity(rot_sol):
@@ -623,7 +627,7 @@ def test_report_with_odd_rule(rot_sol):
 def _two_sided_arg_integral(sol, n=6400):
     """int arg(gamma(x0) - gamma(y)) dnu over y < x0 plus int arg(gamma(y) -
     gamma(x0)) dnu over y > x0, x0 = 1/2, each side branch-tracked from
-    its parameter end by an n-node Gauss-Legendre rule."""
+    its parameter end by an n-node Gauss-Legendre rule and `np.unwrap`."""
     x0 = 0.5
     z0 = sol.curve(x0)
     u, w = roots_legendre(n)
@@ -631,7 +635,7 @@ def _two_sided_arg_integral(sol, n=6400):
     for a, b, fwd in ((0.0, x0, True), (x0, 1.0, False)):
         y = (u + 1) * (b - a) / 2 + a
         ys = y if fwd else y[::-1]
-        args = track_arg(z0 - sol.curve(ys) if fwd else sol.curve(ys) - z0).args
+        args = np.unwrap(np.angle(z0 - sol.curve(ys) if fwd else sol.curve(ys) - z0))
         dens = (8 / math.pi) * np.sqrt(y * (1 - y))
         total += np.sum(w * (b - a) / 2 * dens * (args if fwd else args[::-1]))
     return total

@@ -7,11 +7,10 @@ from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
 from contourgas import numkit
-from contourgas.numkit import (BranchError, ChebSeries, ComplexPolynomial,
-                               InvalidPotentialError, NetMassError,
-                               QuadratureUnderflowError, log_energy_form, make_grid, pairwise_sum,
-                               poly_normalize, semicircle_rule, tensor_quadrature,
-                               track_arg)
+from contourgas.numkit import (ChebSeries, ComplexPolynomial, InvalidPotentialError,
+                               NetMassError, QuadratureUnderflowError, log_energy_form,
+                               make_grid, pairwise_sum, poly_normalize, semicircle_rule,
+                               tensor_quadrature)
 
 
 def test_poly_eval_examples():
@@ -160,44 +159,6 @@ def test_grid_errors():
         make_grid("simpson", 4)
     with pytest.raises(ValueError):
         make_grid("gauss_legendre", 0)
-
-
-def test_track_arg_constant():
-    tr = track_arg([2.0, 2.0, 2.0], base=0.0)
-    assert np.allclose(tr.args, 0.0)
-
-
-def test_track_arg_winding():
-    th = np.linspace(0, 3 * np.pi, 400)
-    tr = track_arg(np.exp(1j * th), base=0.0)
-    assert tr.args[-1] == pytest.approx(3 * np.pi, abs=1e-10)
-
-
-def test_track_arg_affine_curve():
-    x = np.linspace(0, 1, 50)
-    d1 = np.full(50, 2.0)   # slope of gamma(x) = 2x - 1
-    tr = track_arg(d1)
-    assert np.ptp(tr.args) == 0.0
-
-
-def test_track_arg_additive():
-    rng = np.random.default_rng(5)
-    th1 = np.cumsum(rng.uniform(-0.8, 0.8, 100))
-    th2 = np.cumsum(rng.uniform(-0.8, 0.8, 100))
-    a = np.exp(1j * th1) * (1 + rng.random(100))
-    b = np.exp(1j * th2) * (1 + rng.random(100))
-    ta = track_arg(a, base=float(np.angle(a[0])))
-    tb = track_arg(b, base=float(np.angle(b[0])))
-    tab = track_arg(a * b, base=float(np.angle(a[0] * b[0])))
-    # product tracking = sum of trackings, as exact reals
-    assert np.max(np.abs(tab.args - (ta.args + tb.args))) < 1e-10
-
-
-def test_track_arg_errors():
-    with pytest.raises(BranchError):
-        track_arg([1.0, 0.0, 1.0])
-    with pytest.raises(BranchError):
-        track_arg([1.0, -1.0])  # phase jump of exactly pi
 
 
 def _semicircle_atoms(offset=0.0, n=256):

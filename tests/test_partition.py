@@ -291,9 +291,6 @@ def test_expansion_report_serialization():
 def test_quadrature_size_guard():
     with pytest.raises(ValueError):
         pt.z_complex_quadrature(5, 2, lambda z: z**2, None, (-1, 1))
-    with pytest.raises(pt.RefineError):
-        pt.z_complex_quadrature(2, 2, lambda z: z**2, None,
-                                pt.quadratic_line_domain(2, 2), M=10, tol=1e-14)
 
 
 def test_flow_derivative_vs_tensor_fd(rot_sol):
