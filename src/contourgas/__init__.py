@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "numkit": ("ChebSeries", "ComplexPolynomial", "WeightedGrid", "log_energy_form",
-               "make_grid", "poly_normalize", "tensor_quadrature"),
-    "contour": ("Curve", "arc_mass", "bilipschitz_check",
+               "make_grid", "tensor_quadrature"),
+    "contour": ("Curve", "bilipschitz_check",
                 "family_member", "semicircle_cdf", "semicircle_parametrization"),
     "equilibrium": ("InterpolationData", "OneCutSolution", "interpolation_data",
                     "solve_one_cut"),

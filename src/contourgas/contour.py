@@ -16,8 +16,6 @@ __all__ = [
     "Curve",
     "family_member",
     "semicircle_cdf",
-    "semicircle_density",
-    "arc_mass",
     "semicircle_parametrization",
     "affine_curve",
     "bilipschitz_check",
@@ -28,15 +26,6 @@ __all__ = [
 
 class ParametrizationError(RuntimeError):
     pass
-
-
-def semicircle_density(x):
-    """Density (8/pi) sqrt(x(1-x)) on [0,1]; zero outside."""
-    x = np.asarray(x, dtype=float)
-    v = np.zeros_like(x)
-    inside = (x >= 0) & (x <= 1)
-    v[inside] = (8 / np.pi) * np.sqrt(x[inside] * (1 - x[inside]))
-    return v
 
 
 def semicircle_cdf(x):
@@ -52,19 +41,17 @@ def semicircle_cdf(x):
 
 @dataclass(frozen=True)
 class Curve:
-    """Analytic arc given by Chebyshev series on a common interval.
+    """Analytic arc given by one Chebyshev series g of its parametrization.
 
-    g interpolates the parametrization and d1 its first derivative, fitted
-    separately (the semicircle arc fits exact slopes at g's nodes, so d1 and
-    g.deriv() agree to the series' resolution); the second derivative is
-    the series derivative of d1, and every chord
-    (g(x) - g(y))/(x - y) is an exact divided difference of g.  The parameter
-    domain is [-analytic_pad, 1 + analytic_pad]; the series' interval may be
-    wider (a family member reads its base's series on a stretched one).
+    The slope and the second derivative are g's derivative series, built
+    once, so every reader sees the same slope, and every chord
+    (g(x) - g(y))/(x - y) is an exact divided difference of g.  The
+    parameter domain is [-analytic_pad, 1 + analytic_pad]; the series'
+    interval may be wider (a family member reads its base's series on a
+    stretched one).
     """
 
     g: ChebSeries
-    d1: ChebSeries
     analytic_pad: float
 
     def __call__(self, x):
@@ -75,6 +62,11 @@ class Curve:
 
     def deriv2(self, x):
         return self.d2(x)
+
+    @cached_property
+    def d1(self):
+        """Series of the slope, g's derivative, built once."""
+        return self.g.deriv()
 
     @cached_property
     def d2(self):
@@ -150,8 +142,7 @@ def affine_curve(zeta1, zeta2, pad):
     # gamma(x) = zeta1 + x dz with x = mid + half*u
     dz = zeta2 - zeta1
     coef_g = np.array([zeta1 + mid * dz, half * dz], dtype=complex)
-    coef_d1 = np.array([dz], dtype=complex)
-    return Curve(ChebSeries(lo, hi, coef_g), ChebSeries(lo, hi, coef_d1), pad)
+    return Curve(ChebSeries(lo, hi, coef_g), pad)
 
 
 def family_member(base: Curve, zeta1, zeta2, t) -> Curve:
@@ -161,9 +152,9 @@ def family_member(base: Curve, zeta1, zeta2, t) -> Curve:
         gamma_t(x) = zeta1 + (zeta2 - zeta1) (base(t x) - base(0)) / (base(t) - base(0)),
 
     with the base's analytic pad.  The base's series read on the stretched
-    interval [lo/t, hi/t] are base(t x) and t base'(t x), so the member only
-    rescales their coefficients (no refit).  Anchoring on base(0) rather
-    than zeta1 pins both endpoints to rounding for every t."""
+    interval [lo/t, hi/t] is base(t x), so the member only rescales its
+    coefficients (no refit).  Anchoring on base(0) rather than zeta1 pins
+    both endpoints to rounding for every t."""
     zeta1, zeta2 = complex(zeta1), complex(zeta2)
     if t == 0:
         return affine_curve(zeta1, zeta2, base.analytic_pad)
@@ -175,8 +166,7 @@ def family_member(base: Curve, zeta1, zeta2, t) -> Curve:
     k = (zeta2 - zeta1) / (complex(stretched(1.0)) - b0)
     coef_g = k * base.g.coef
     coef_g[0] += zeta1 - k * b0
-    return Curve(ChebSeries(lo, hi, coef_g), ChebSeries(lo, hi, k * t * base.d1.coef),
-                 base.analytic_pad)
+    return Curve(ChebSeries(lo, hi, coef_g), base.analytic_pad)
 
 
 # -- the arc as the inverse of the closed-form mass map ---------------------
@@ -394,12 +384,13 @@ def semicircle_parametrization(S: ComplexPolynomial, zeta1, zeta2, pad):
     [0, 1].  A sequential pass over 33 Chebyshev points chooses the arc's
     branch at zeta1 (see `_MassMap.march`); then the degree doubles, each
     new point solved by vectorized Newton from a cubic Hermite seed between
-    its neighbours, until the Chebyshev coefficients of both the arc and
-    its exact slopes gamma' = +-8 sqrt(x (x - 1)) / (S r)(gamma) plateau.
-    `Curve.g` and `Curve.d1` are those two fits, chopped to one length.
-    Raises ParametrizationError when no branch at zeta1 leads to zeta2, or
-    when the series have not plateaued by degree 1024 (a potential at the
-    edge of the one-cut regular regime)."""
+    its neighbours, until the Chebyshev coefficients of the exact slopes
+    gamma' = +-8 sqrt(x (x - 1)) / (S r)(gamma) plateau; the points only
+    seed Newton.  `Curve.g` is the antiderivative of the chopped slope fit
+    from zeta1, and must close at zeta2 within 1e-13 of |zeta2 - zeta1|.
+    Raises ParametrizationError when no branch at zeta1 leads to zeta2, when
+    the slopes have not plateaued by degree 1024 (a potential at the edge of
+    the one-cut regular regime), or when the arc does not close."""
     zeta1, zeta2 = complex(zeta1), complex(zeta2)
     lo, hi = -pad, 1 + pad
     mass_map = _MassMap(S, zeta1, zeta2)
@@ -407,12 +398,12 @@ def semicircle_parametrization(S: ComplexPolynomial, zeta1, zeta2, pad):
     x = ChebSeries.nodes(lo, hi, n)
     z, dz = mass_map.march(x)
     while True:
-        g, d1 = ChebSeries.fit(lo, hi, z), ChebSeries.fit(lo, hi, dz)
-        (keep_g, level_g), (keep_d, level_d) = g.chop(), d1.chop()
-        if keep_g and keep_d:
+        d1 = ChebSeries.fit(lo, hi, dz)
+        keep, level = d1.chop()
+        if keep:
             break
-        why = f"arc series have not plateaued by degree {n}: coefficient tail at " \
-              f"{max(level_g, level_d):.1e} of the largest"
+        why = f"arc slopes have not plateaued by degree {n}: coefficient tail at " \
+              f"{level:.1e} of the largest"
         if n >= _MAX_DEGREE:
             raise ParametrizationError(why)
         xn = ChebSeries.nodes(lo, hi, 2 * n)[1::2]
@@ -423,28 +414,19 @@ def semicircle_parametrization(S: ComplexPolynomial, zeta1, zeta2, pad):
         n *= 2
         x = ChebSeries.nodes(lo, hi, n)
         z, dz = np.insert(z, np.arange(1, len(z)), zn), np.insert(dz, np.arange(1, len(dz)), dzn)
-    keep = max(keep_g, keep_d)
-    curve = Curve(ChebSeries(lo, hi, g.coef[:keep]), ChebSeries(lo, hi, d1.coef[:keep]), pad)
-    if abs(curve(0.0) - zeta1) > 1e-9 or abs(curve(1.0) - zeta2) > 1e-9:
-        raise ParametrizationError("parametrization does not hit the endpoints")
-    return curve
-
-
-def arc_mass(curve: Curve, z):
-    """Equilibrium mass collected along the support between the first
-    endpoint and the on-arc point z (its parameter within 1e-9 of [0, 1])."""
-    x = curve.invert(z)
-    if abs(x.imag) > 1e-7 or x.real < -1e-9 or x.real > 1 + 1e-9:
-        raise ValueError(f"point {z} is not on the support arc")
-    return float(semicircle_cdf(min(max(x.real, 0.0), 1.0)))
+    g = ChebSeries(lo, hi, d1.coef[:keep]).antideriv()
+    g.coef[0] += zeta1 - g(0.0)
+    gap = abs(g(1.0) - zeta2)
+    if gap > 1e-13 * abs(zeta2 - zeta1):
+        raise ParametrizationError(f"the arc's slopes do not close at zeta2: gap {gap:.1e}")
+    return Curve(g, pad)
 
 
 def subtracted_chord_kernel(curve: Curve, x, y):
     """K(x, y) = g'(x)/(g(y) - g(x)) - 1/(y - x) = -d/dx ln Q(x, y), elementwise
     over x rows and y columns, for the chord Q(x, y) = (g(x) - g(y))/(x - y),
     the exact divided difference of the g series: no cancellation at any
-    distance, and K(x, x) = -g''/(2 g').  A quotient by the slope that must
-    cancel K's own g' reads g.deriv(), not the separately fitted d1."""
+    distance, and K(x, x) = -g''/(2 g')."""
     return chord_kernel(chord_table(curve, y), x)
 
 

@@ -459,10 +459,10 @@ class OneCutSolution:
         return rep
 
     def euler_lagrange_residual(self, x):
-        """V'(gamma(x)) minus the principal-value Cauchy transform of the measure
-        (slope: g's own derivative, as in the kernel); zero for the true data."""
+        """V'(gamma(x)) minus the principal-value Cauchy transform of the measure;
+        zero for the true data."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        gpx = self.curve.g.deriv()(x)
+        gpx = self.curve.deriv1(x)
         ker = -subtracted_chord_kernel(self.curve, x, self.nu.nodes) / gpx[:, None]
         pv = pairwise_sum(ker * self.nu.weights[None, :]) + 8 * (x - 0.5) / gpx
         return self.potential.deriv()(self.curve(x)) - pv
@@ -570,12 +570,6 @@ class InterpolationData:
         `st_grid` at the parameters of one curve inversion for all of them."""
         s = self.st_grid(self.curve.invert(z))
         return s if s.shape else complex(s)
-
-    def rt(self, z):
-        """Deformed R at z (a scalar or an array): prefactor squared times
-        the endpoint factors."""
-        st = self.st_at(z)
-        return st**2 * (z - self.sol.zeta1) * (z - self.sol.zeta2)
 
     # -- interpolating potential -------------------------------------------
 

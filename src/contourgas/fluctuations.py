@@ -329,8 +329,7 @@ def loop_equation_check(N, beta, data: InterpolationData, domain, M=64):
     x = make_grid("gauss_legendre", M, domain).nodes
     nu = data.nu
     y, wy = nu.nodes, nu.weights
-    gp = g.deriv()
-    xgp = ChebSeries.interpolate(lambda s: s * gp(s), g.lo, g.hi, len(gp.coef))
+    xgp = ChebSeries.interpolate(lambda s: s * dgamma(s), g.lo, g.hi, len(gamma.d1.coef))
 
     def Dkernel(xa, xb):
         # Re (xa g'(xa) - xb g'(xb)) / (g(xa) - g(xb)), exact on the diagonal

@@ -323,27 +323,6 @@ def _parity_tail_sums(a):
     return out
 
 
-def poly_normalize(p: ComplexPolynomial):
-    """Affine change z = a*w + b making the potential's leading term w^k / k
-    and killing the subleading coefficient.
-
-    Returns (normalized polynomial, (a, b), additive constant dropped).
-    Composing back: p(a*w + b) = normalized(w) + const.
-    """
-    k = p.degree
-    if k < 2:
-        raise InvalidPotentialError("potential degree must be >= 2")
-    ck = p.coeffs[-1]
-    a = (1.0 / (k * ck)) ** (1.0 / k)  # principal root
-    b = -p.coeffs[-2] / (k * ck)
-    q = p.shift(b)  # p(z + b)
-    scaled = tuple(c * a**j for j, c in enumerate(q.coeffs))
-    const = scaled[0]
-    out = list(scaled)
-    out[0] = 0j
-    return ComplexPolynomial(out), (complex(a), complex(b)), complex(const)
-
-
 @dataclass(frozen=True)
 class WeightedGrid:
     nodes: np.ndarray

@@ -219,7 +219,7 @@ def _complex_operator(data: InterpolationData, n):
     curve = data.curve
     zx, zy, zs = curve(xs), curve(y), curve(s)
     gpx, gps = curve.deriv1(xs), curve.deriv1(s)
-    vpx = data.vt_prime_pullback(xs) / curve.g.deriv()(xs)   # the kernel's own slope
+    vpx = data.vt_prime_pullback(xs) / gpx
 
     # forward: V_t'(z) f(z) - int (f(z)-f(w))/(z-w) dmu(w); near pairs of
     # parameters take the z-derivative row

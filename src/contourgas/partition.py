@@ -185,7 +185,7 @@ def _dt_pullback(sol: OneCutSolution, t):
     the divided difference,
     G = int Q[d_t gamma_t](x, .) / Q_t(x, .) dnu - d_t gamma_t vt_prime_pullback / gamma_t'."""
     data = interpolation_data(sol, t)
-    gp, nu = data.curve.g.deriv(), data.nu
+    nu = data.nu
     ends = sol.curve.end_chord
     q = ChebSeries(ends.lo, ends.hi, ends.coef[:, 0])
     dq, dz = q.deriv(), sol.zeta2 - sol.zeta1
@@ -196,7 +196,8 @@ def _dt_pullback(sol: OneCutSolution, t):
 
     def G(x):
         ratio = (num.vander(x) @ num.coef) / (den.vander(x) @ den.coef)
-        return pairwise_sum(ratio * nu.weights) - data.vt_prime_pullback(x) * dgamma(x) / gp(x)
+        return (pairwise_sum(ratio * nu.weights)
+                - data.vt_prime_pullback(x) * dgamma(x) / data.curve.deriv1(x))
 
     G_mid = G(np.atleast_1d(data.curve.invert(sol.midpoint)))
     return data, lambda x: G(x) - G_mid

@@ -102,11 +102,12 @@ def _reflect(x, lo, hi):
 def _chain_series(chain: ParticleChain):
     """Re gamma, Im gamma, Re gamma', Im gamma' and phi as one real
     five-column series on the chain's domain, interpolated at the Chebyshev
-    points of the highest of the three degrees.  The domain lies inside both
-    fit intervals, so these are the same polynomials to rounding."""
+    points of the higher of the degrees of gamma and phi (gamma' is gamma's
+    derivative series).  The domain lies inside both series' intervals, so
+    these are the same polynomials to rounding."""
     g, d1, phi = chain.curve.g, chain.curve.d1, chain.phi
     lo, hi = chain.domain
-    x = ChebSeries.nodes(lo, hi, max(len(s.coef) for s in (g, d1, phi)) - 1)
+    x = ChebSeries.nodes(lo, hi, max(len(g.coef), len(phi.coef)) - 1)
     gx, dx = g(x), d1(x)
     return ChebSeries.fit(lo, hi, np.stack([gx.real, gx.imag, dx.real, dx.imag, phi(x)], 1))
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from contourgas import equilibrium as eq
-from contourgas.contour import (Curve, ParametrizationError, _antiderivative_part, arc_mass,
+from contourgas.contour import (Curve, ParametrizationError, _antiderivative_part, _MassMap,
                                 bilipschitz_check, family_member, log_chord, semicircle_cdf,
-                                semicircle_density, subtracted_chord_kernel)
+                                subtracted_chord_kernel)
 from contourgas.numkit import ChebSeries, ComplexPolynomial
 
 ARCS = ["quartic_sol", "rot_sol", "cubic_sol"]
@@ -24,7 +24,7 @@ def test_cdf_monotone_matches_density():
     x = np.linspace(0.05, 0.95, 19)
     h = 1e-6
     fd = (semicircle_cdf(x + h) - semicircle_cdf(x - h)) / (2 * h)
-    assert np.allclose(fd, semicircle_density(x), atol=1e-8)
+    assert np.allclose(fd, (8 / math.pi) * np.sqrt(x * (1 - x)), atol=1e-8)
     assert np.all(np.diff(semicircle_cdf(np.linspace(0, 1, 100))) > 0)
 
 
@@ -47,20 +47,12 @@ def test_density_pullback_midpoint(rot_sol):
     assert val == pytest.approx(4 / math.pi, abs=1e-9)
 
 
-def test_arc_mass_examples(quad_sol):
-    c = quad_sol.curve
-    assert arc_mass(c, quad_sol.zeta1) == pytest.approx(0.0, abs=1e-9)
-    assert arc_mass(c, quad_sol.zeta2) == pytest.approx(1.0, abs=1e-9)
-    assert arc_mass(c, 0.0) == pytest.approx(0.5, abs=1e-10)
-    with pytest.raises(ValueError):
-        arc_mass(c, 0.3 + 0.5j)
-
-
 def test_mass_map_composition(rot_sol):
-    # the arc-mass of gamma(x) is the reference semicircle mass of x
+    # the semicircle mass at the parameter of gamma(x) is the reference
+    # semicircle mass of x
     c = rot_sol.curve
-    for x in np.linspace(0.05, 0.95, 10):
-        assert arc_mass(c, c(x)) == pytest.approx(semicircle_cdf(x), abs=1e-8)
+    x = np.linspace(0.05, 0.95, 10)
+    assert np.max(np.abs(semicircle_cdf(c.invert(c(x)).real) - semicircle_cdf(x))) <= 1e-8
 
 
 def _member(sol, t):
@@ -169,7 +161,8 @@ def test_curve_invert_roundtrip(rot_sol):
 
 
 def test_curve_second_derivative_series_built_once(rot_sol, monkeypatch):
-    # deriv2 reads d1's derivative series, built on the first call only
+    # deriv2 reads d1's derivative series, and d1 is g's: each is built on
+    # the first call only
     from contourgas.numkit import ChebSeries
     builds = []
     deriv = ChebSeries.deriv
@@ -177,9 +170,11 @@ def test_curve_second_derivative_series_built_once(rot_sol, monkeypatch):
     curve = family_member(rot_sol.curve, rot_sol.zeta1, rot_sol.zeta2, 0.5)
     x = np.linspace(0.0, 1.0, 7)
     first, second = curve.deriv2(x), curve.deriv2(x)
-    assert len(builds) == 1
+    assert len(builds) == 2
+    curve.deriv1(x)
+    assert len(builds) == 2
     assert np.array_equal(first, second)
-    assert np.array_equal(first, deriv(curve.d1)(x))
+    assert np.array_equal(first, deriv(deriv(curve.g))(x))
 
 
 @pytest.mark.parametrize("fix", ARCS)
@@ -193,14 +188,11 @@ def test_arc_matches_frozen_ode_arc(request, fix, ode_arc):
 
 @pytest.mark.parametrize("fix", ARCS)
 def test_arc_slopes_solve_the_ode(request, fix):
-    # gamma'^2 R(gamma) = 64 x (x - 1) over the whole padded domain, with the
-    # fitted exact slopes d1 and with the derivative of g alike
+    # gamma'^2 R(gamma) = 64 x (x - 1) over the whole padded domain
     sol = request.getfixturevalue(fix)
     c = sol.curve
     x = np.linspace(*c.domain, 481)
-    R = sol.R(c(x))
-    for slope in (c.d1(x), c.g.deriv()(x)):
-        assert np.max(np.abs(slope**2 * R - 64 * x * (x - 1))) <= 1e-10
+    assert np.max(np.abs(c.deriv1(x) ** 2 * sol.R(c(x)) - 64 * x * (x - 1))) <= 1e-10
 
 
 @pytest.mark.parametrize("fix", ARCS)
@@ -241,11 +233,37 @@ def test_quartic_near_the_critical_coupling(c, pullback_residual):
     assert max(pullback_residual(sol, float(t)) for t in np.round(np.linspace(0, 1, 11), 2)) <= 1e-8
 
 
-def test_steep_arc_pullback_at_t1(pullback_residual):
+def test_steep_arc_pullback_at_t1(steep_sol, pullback_residual):
     # z^4/4 - z^2/2 (degree 731): on a steep arc the boundary value r_plus
     # keeps the t = 1 pullback at rounding
-    sol = eq.solve_one_cut(ComplexPolynomial([0, 0, -0.5, 0, 0.25]))
-    assert pullback_residual(sol, 1.0) <= 1e-11
+    assert pullback_residual(steep_sol, 1.0) <= 1e-11
+
+
+def _steep_ends(sol):
+    """24 parameters within 0.02 of each end of the domain, and the mass
+    map's exact slopes there."""
+    lo, hi = sol.curve.domain
+    x = np.concatenate([np.linspace(lo, lo + 0.02, 12), np.linspace(hi - 0.02, hi, 12)])
+    return x, _MassMap(sol.S, sol.zeta1, sol.zeta2).solve(x, sol.curve(x))[1]
+
+
+def test_steep_arc_slopes_match_the_mass_map_at_the_ends(steep_sol):
+    # the arc is the antiderivative of its exact slopes, so g's own
+    # derivative is the mass map's slope to rounding where the arc is steep
+    x, want = _steep_ends(steep_sol)
+    got = steep_sol.curve.g.deriv()(x)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+
+def test_steep_arc_second_derivative_closed_form(steep_sol):
+    # differentiating gamma'^2 R(gamma) = 64 x (x - 1) gives
+    # gamma'' = (64 (2x - 1) - gamma'^3 R'(gamma)) / (2 gamma' R(gamma));
+    # deriv2 and g's own second derivative series both match it
+    x, gp = _steep_ends(steep_sol)
+    c, R = steep_sol.curve, steep_sol.R
+    want = (64 * (2 * x - 1) - gp**3 * R.deriv()(c(x))) / (2 * gp * R(c(x)))
+    for got in (c.deriv2(x), c.g.deriv(2)(x)):
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 def test_quartic_unresolved_arc_raises_with_its_plateau():
@@ -261,8 +279,7 @@ def _turning_curve(kappa, pad=0.05):
     pi kappa (1 + 2 pad) over the domain."""
     lo, hi = -pad, 1 + pad
     k = 1j * math.pi * kappa
-    return Curve(ChebSeries.interpolate(lambda x: np.exp(k * x), lo, hi, 24),
-                 ChebSeries.interpolate(lambda x: k * np.exp(k * x), lo, hi, 24), pad)
+    return Curve(ChebSeries.interpolate(lambda x: np.exp(k * x), lo, hi, 24), pad)
 
 
 def test_log_chord_vs_unwrapped_raw_chords():

@@ -209,7 +209,7 @@ def test_rt_st_consistency(rot_sol):
     z = rot_sol.curve(x)
     assert np.max(np.abs(data.st(x) - rot_sol.S(z))) < 1e-8
     R = rot_sol.R
-    rt = data.rt(z)
+    rt = data.st_at(z) ** 2 * (z - rot_sol.zeta1) * (z - rot_sol.zeta2)
     assert np.max(np.abs(rt - R(z)) / np.abs(R(z))) < 1e-8
 
 
@@ -221,13 +221,12 @@ def test_pin_evaluators_batch_equals_pointwise(rot_sol, t):
     z = np.concatenate([g, g + 0.02j, g - 0.03])
     # a batch and single calls round S(z) differently (each single inversion
     # stops at its own residual target); a relative change d of S(z) moves
-    # st_at by d |S|, rt by 2 d |rt| and vt_prime by
+    # st_at by d |S| and vt_prime by
     # d |S| (|z - mid| + int |s(y) (gamma(y) - z)|^-1 dnu(y))
     S = np.abs(data.st_at(z))
     y, w = data.nu.nodes, data.nu.weights
     cauchy = np.sum(w / np.abs(data.st(y) * (data.curve(y) - z[:, None])), axis=1)
-    scales = ((data.st_at, S), (data.rt, 2 * np.abs(data.rt(z))),
-              (data.vt_prime, S * (np.abs(z - rot_sol.midpoint) + cauchy)))
+    scales = ((data.st_at, S), (data.vt_prime, S * (np.abs(z - rot_sol.midpoint) + cauchy)))
     for f, scale in scales:
         batch = f(z)
         single = [f(complex(zz)) for zz in z]

@@ -1,7 +1,12 @@
-"""Static check of the package sources: every imported name is read."""
+"""Static checks of the package sources: every imported name is read,
+imports sit at module level, settable values do not grow, and the arc's
+slope has one route."""
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from contourgas.contour import Curve
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "contourgas"
 
@@ -97,3 +102,29 @@ def test_settable_values_do_not_grow():
     # a new option shows up here by name, and as an edit of this bound
     names = _settable_values()
     assert len(names) <= 60, "\n".join(names)
+
+
+def _g_deriv_callers(node, prefix):
+    """Qualified names of the scopes under one AST node that call
+    `<expr>.g.deriv(...)`, once per call."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        scope = prefix
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{prefix}.{child.name}"
+        func = getattr(child, "func", None)
+        if (isinstance(child, ast.Call) and isinstance(func, ast.Attribute) and func.attr == "deriv"
+                and isinstance(func.value, ast.Attribute) and func.value.attr == "g"):
+            found.append(scope)
+        found += _g_deriv_callers(child, scope)
+    return found
+
+
+def test_one_slope_route():
+    # Curve holds one series, and its slope series d1 is g's derivative,
+    # built once: every other reader takes d1 or deriv1, never a second
+    # derivative series of its own
+    callers = [name for p in sorted(SRC.glob("*.py"))
+               for name in _g_deriv_callers(ast.parse(p.read_text(), filename=str(p)), p.stem)]
+    assert callers == ["contour.Curve.d1"]
+    assert [f.name for f in dataclasses.fields(Curve)] == ["g", "analytic_pad"]

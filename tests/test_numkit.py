@@ -9,7 +9,7 @@ from scipy.special import beta as beta_fn
 from contourgas import numkit
 from contourgas.numkit import (ChebSeries, ComplexPolynomial, InvalidPotentialError,
                                NetMassError, QuadratureUnderflowError, log_energy_form,
-                               make_grid, pairwise_sum, poly_normalize, semicircle_rule,
+                               make_grid, pairwise_sum, semicircle_rule,
                                tensor_quadrature)
 
 
@@ -56,46 +56,15 @@ def test_poly_deriv_degree():
     assert np.allclose(p.deriv().coeffs, [2, 6, 12])
 
 
+def test_poly_rejects_no_coefficients():
+    with pytest.raises(InvalidPotentialError):
+        ComplexPolynomial([])
+
+
 def test_poly_roots_polish():
     p = ComplexPolynomial([-1.0, 0, 0, 1.0])  # z^3 = 1
     r = np.sort_complex(p.roots())
     assert np.max(np.abs(p(r))) < 1e-13
-
-
-def test_poly_normalize_quadratic():
-    p = ComplexPolynomial([0, 0, 1.0])   # z^2
-    q, (a, b), const = poly_normalize(p)
-    assert q.coeffs[-1] == pytest.approx(0.5)
-    assert b == 0
-    assert a == pytest.approx(1 / math.sqrt(2))
-
-
-def test_poly_normalize_identity():
-    p = ComplexPolynomial([0, 0, 0, 1 / 3])
-    q, (a, b), const = poly_normalize(p)
-    assert a == pytest.approx(1.0)
-    assert b == pytest.approx(0.0)
-    assert const == pytest.approx(0.0)
-
-
-def test_poly_normalize_scale():
-    # solve a^4 * 2 = 1/4
-    p = ComplexPolynomial([0, 0, 0, 0, 2.0])
-    q, (a, b), _ = poly_normalize(p)
-    assert q.coeffs[-1] == pytest.approx(0.25)
-    assert abs(a) == pytest.approx((1 / 8) ** 0.25)
-
-
-def test_poly_normalize_roundtrip():
-    p = ComplexPolynomial([1.0, 2.0 - 1j, 0.5j, 1.5])
-    q, (a, b), const = poly_normalize(p)
-    z = 0.7 - 0.3j
-    assert p(a * z + b) == pytest.approx(q(z) + const)
-
-
-def test_poly_normalize_rejects_low_degree():
-    with pytest.raises(InvalidPotentialError):
-        poly_normalize(ComplexPolynomial([0.0, 1.0]))
 
 
 def test_grid_single_node_sqrt():
