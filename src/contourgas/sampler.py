@@ -50,8 +50,9 @@ class ParticleChain:
     """Chains of the real model on the member curve: the weight of a
     configuration is prod |gamma'(x_i)| e^{-N beta phi(x_i)} times
     prod |gamma(x_i) - gamma(x_j)|^beta, read off the member's own series.
-    Each sampling call re-expands those series, once, as one real series on
-    the chain's domain."""
+    N and beta fix the one-body factor e^{-h} with h = N beta phi -
+    log|gamma'|, so each sampling call re-expands gamma and h, once, as one
+    real series on the chain's domain."""
 
     positions: np.ndarray          # (n_chains, N)
     beta: float
@@ -100,22 +101,28 @@ def _reflect(x, lo, hi):
 
 
 def _chain_series(chain: ParticleChain):
-    """Re gamma, Im gamma, Re gamma', Im gamma' and phi as one real
-    five-column series on the chain's domain, interpolated at the Chebyshev
-    points of the higher of the degrees of gamma and phi (gamma' is gamma's
-    derivative series).  The domain lies inside both series' intervals, so
-    these are the same polynomials to rounding."""
+    """Re gamma, Im gamma and the one-body term h = N beta phi - log|gamma'|
+    as one real three-column series on the chain's domain, interpolated at
+    the Chebyshev points of the higher of the degrees of gamma and phi
+    (gamma' is gamma's derivative series) and cut after the last
+    coefficient above machine epsilon times its column's largest.  The
+    domain lies inside both series' intervals, so the curve columns are the
+    same polynomials to rounding."""
     g, d1, phi = chain.curve.g, chain.curve.d1, chain.phi
     lo, hi = chain.domain
     x = ChebSeries.nodes(lo, hi, max(len(g.coef), len(phi.coef)) - 1)
-    gx, dx = g(x), d1(x)
-    return ChebSeries.fit(lo, hi, np.stack([gx.real, gx.imag, dx.real, dx.imag, phi(x)], 1))
+    gx = g(x)
+    h = chain.N * chain.beta * phi(x) - np.log(np.abs(d1(x)))
+    c = ChebSeries.fit(lo, hi, np.stack([gx.real, gx.imag, h], 1)).coef
+    big = np.abs(c) > np.finfo(float).eps * np.abs(c).max(axis=0)
+    return ChebSeries(lo, hi, c[:np.flatnonzero(big.any(axis=1))[-1] + 1])
 
 
 def _local_terms(series, x):
-    """gamma, log|gamma'| and phi at x: one product with the chain series."""
-    re, im, dre, dim, phi = series(x)
-    return re + 1j * im, np.log(np.hypot(dre, dim)), phi
+    """gamma and the one-body term h at x: one product with the chain
+    series."""
+    re, im, h = series(x)
+    return re + 1j * im, h
 
 
 def _pair_logs(G):
@@ -128,13 +135,17 @@ def _pair_logs(G):
 def sample_real_model(chain: ParticleChain, sweeps, burn_fraction=0.2):
     """Single-site Metropolis sweeps, vectorized across chains, on the
     member curve and potential series the chain holds, re-expanded once per
-    call as one real five-column series on the chain's domain, so gamma,
-    gamma' and phi at all proposals of a sweep cost one matrix product.
+    call as one real three-column series on the chain's domain (Re gamma,
+    Im gamma and the one-body term h = N beta phi - log|gamma'|), so gamma
+    and h at all proposals of a sweep cost one matrix product.
 
     Returns (snapshots, info): snapshots has shape (n_kept, n_chains, N)
     with one retained configuration per post-burn-in sweep (N moves per
-    retained sample).  The proposal width is adapted toward acceptance 0.35
-    during burn-in; a final rate outside [0.2, 0.6] raises.
+    retained sample).  The burn-in is burn_fraction * sweeps sweeps
+    (burn_fraction finite and >= 0); during it the proposal width is
+    adapted toward acceptance 0.35 every max(1, min(20, burn // 3)) sweeps,
+    so any burn-in of three or more sweeps adapts at least three times.  A
+    final rate outside [0.2, 0.6] raises.
 
     Each call caches the pair logs L[c, i, j] = log|G[c, i] - G[c, j]| of
     the current curve points G, with a zero diagonal; an accepted move
@@ -142,32 +153,35 @@ def sample_real_model(chain: ParticleChain, sweeps, burn_fraction=0.2):
     step computes only the proposal's row (|a - b| and |b - a| agree to the
     bit, so the current row is the one a fresh row would give).
     Site i is untouched until its own turn in a sweep, so its proposal, the
-    slope and potential terms of its ratio, and the positions, slopes and
-    potentials of its accepted moves are batched per sweep; only G and L
-    change per site, because later sites read them.
+    one-body term of its ratio, and the positions and one-body terms of its
+    accepted moves are batched per sweep; only G and L change per site,
+    because later sites read them.
 
-    The Metropolis test log u < beta sum_j (row_j - L_ij) + log|gamma'|
-    change - N beta phi change is divided through by beta > 0: once per
-    sweep the uniform, slope and potential terms fold into one threshold
-    per site and chain, thr = (log u - slope + N beta dphi) / beta, stored
-    site-major like the proposals' curve points.  A site step then writes
+    The Metropolis test log u < beta sum_j (row_j - L_ij) - (h(x') - h(x))
+    is divided through by beta > 0: once per sweep the uniform and the
+    one-body terms fold into one threshold per site and chain,
+    thr = (log u + h(x') - h(x)) / beta, stored site-major like the
+    proposals' curve points.  A site step then writes
     row = log|gP_i - G| (its diagonal masked to 0) into a preallocated
     buffer, takes the move where thr_i < sum_j (row - L_i), and copies G_i
-    and row and column i of L under that mask: a few in-place calls on
-    fixed buffers, no per-chain branch.  The reordered sum rounds
-    differently from beta (sum row - sum L_i) + slope + pot, so a decision
-    can differ from the unfolded test only where logr lies within rounding
-    of log u; a proposal on another particle gives row = -inf and is
-    rejected as before."""
+    and row and column i of L under that mask: a few in-place ufunc calls
+    on fixed buffers, with positional arguments only, and no per-chain
+    branch.  The reordered sum rounds differently from
+    beta (sum row - sum L_i) - dh, so a decision can differ from the
+    unfolded test only where logr lies within rounding of log u; a proposal
+    on another particle gives row = -inf and is rejected as before."""
     if sweeps < 1:
         raise ValueError(f"sweep count must be >= 1, got {sweeps}")
+    if not (math.isfinite(burn_fraction) and burn_fraction >= 0):
+        raise ValueError(f"burn_fraction must be finite and >= 0, got {burn_fraction}")
     C, N = chain.positions.shape
     beta, lo, hi = chain.beta, chain.domain[0], chain.domain[1]
     series = _chain_series(chain)
     pos = chain.positions
-    G, logdg, phi = _local_terms(series, pos)
+    G, h = _local_terms(series, pos)
     L = _pair_logs(G)
     burn = int(burn_fraction * sweeps)
+    adapt_every = max(1, min(20, burn // 3))
     sigma = chain.step_scale
     kept = []
     acc_block = 0
@@ -178,42 +192,43 @@ def sample_real_model(chain: ParticleChain, sweeps, burn_fraction=0.2):
     diff = np.empty((C, N), dtype=complex)
     row, excess, gain = np.empty((C, N)), np.empty((C, N)), np.empty((C, 1))
     # site-major per-sweep buffers (site i reads one (C, 1) slice of each),
-    # and each site's fixed views of them and of G and L
+    # and each site's fixed views of them, of G and L, and of its own
+    # column of row (the diagonal, masked to 1 before the log)
     thr, gPs = np.empty((N, C, 1)), np.empty((N, C, 1), dtype=complex)
     moved = np.empty((N, C, 1), dtype=bool)
-    sites = [(gPs[i], thr[i], moved[i], G[:, i:i + 1], L[:, i], L[:, :, i])
+    sites = [(gPs[i], thr[i], moved[i], G[:, i:i + 1], L[:, i], L[:, :, i], row[:, i])
              for i in range(N)]
     moved_cn = moved[:, :, 0].T
+    subtract, absolute, log, less = np.subtract, np.absolute, np.log, np.less
+    add_reduce, copyto = np.add.reduce, np.copyto
     with np.errstate(divide="ignore"):
         for sweep in range(sweeps + burn):
             for r, z, u in zip(chain.rngs, noise, unif):
                 r.standard_normal(out=z)
                 r.random(out=u)
             props = _reflect(pos + sigma * noise, lo, hi)
-            gP, ldP, phP = _local_terms(series, props)
+            gP, hP = _local_terms(series, props)
             fold = np.log(unif + 1e-300)
-            fold -= ldP - logdg
-            fold += N * beta * (phP - phi)
+            fold += hP - h
             fold /= beta
             thr[:, :, 0] = fold.T
             gPs[:, :, 0] = gP.T
-            for i, (g_i, thr_i, take, G_i, L_row, L_col) in enumerate(sites):
-                np.subtract(g_i, G, out=diff)
-                np.abs(diff, out=row)
-                row[:, i] = 1.0
-                np.log(row, out=row)
-                np.subtract(row, L_row, out=excess)
-                np.less(thr_i, np.add.reduce(excess, 1, out=gain, keepdims=True), out=take)
-                np.copyto(G_i, g_i, where=take)
-                np.copyto(L_row, row, where=take)
-                np.copyto(L_col, row, where=take)
-            np.copyto(pos, props, where=moved_cn)
-            np.copyto(logdg, ldP, where=moved_cn)
-            np.copyto(phi, phP, where=moved_cn)
+            for g_i, thr_i, take, G_i, L_row, L_col, row_ii in sites:
+                subtract(g_i, G, diff)
+                absolute(diff, row)
+                row_ii.fill(1.0)
+                log(row, row)
+                subtract(row, L_row, excess)
+                less(thr_i, add_reduce(excess, 1, None, gain, True), take)
+                copyto(G_i, g_i, "same_kind", take)
+                copyto(L_row, row, "same_kind", take)
+                copyto(L_col, row, "same_kind", take)
+            copyto(pos, props, "same_kind", moved_cn)
+            copyto(h, hP, "same_kind", moved_cn)
             acc_block += int(moved.sum())
             tot_block += C * N
             if sweep < burn:
-                if (sweep + 1) % 20 == 0:
+                if (sweep + 1) % adapt_every == 0:
                     rate = acc_block / max(tot_block, 1)
                     sigma *= float(np.exp(1.2 * (rate - 0.35)))
                     sigma = min(max(sigma, 1e-5), 1.5 * (hi - lo))

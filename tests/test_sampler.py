@@ -225,6 +225,7 @@ def _reference_sample(chain, sweeps, burn_fraction=0.2):
     logdg = np.log(np.abs(curve.deriv1(pos)))
     phi = chain.phi(pos)
     burn = int(burn_fraction * sweeps)
+    adapt_every = max(1, min(20, burn // 3))
     kept, acc, tot, acc_total, tot_total = [], 0, 0, 0, 0
     for sweep in range(sweeps + burn):
         noise = np.stack([r.standard_normal(N) for r in chain.rngs])
@@ -246,7 +247,7 @@ def _reference_sample(chain, sweeps, burn_fraction=0.2):
             logdg[take, i], phi[take, i] = ldP[take, i], phP[take, i]
             acc, tot = acc + int(np.sum(take)), tot + C
         if sweep < burn:
-            if (sweep + 1) % 20 == 0:
+            if (sweep + 1) % adapt_every == 0:
                 sigma *= float(np.exp(1.2 * (acc / max(tot, 1) - 0.35)))
                 sigma = min(max(sigma, 1e-5), 1.5 * (hi - lo))
                 acc = tot = 0
@@ -356,19 +357,60 @@ def test_sampler_evaluates_two_series_per_sweep(rot_data_t1, monkeypatch):
 @pytest.mark.parametrize("sol", ["rot_sol", "cubic_sol", "quad_sol"])
 @pytest.mark.parametrize("t", [0.0, 1e-3, 0.5, 1.0])
 def test_chain_series_matches_member_series(sol, t, request):
-    # the five real columns are the member's curve, slope and potential
-    # re-expanded on the chain's domain: the same polynomials to rounding
+    # the three real columns are the member's curve and the one-body term
+    # N beta phi - log|gamma'| re-expanded on the chain's domain: the same
+    # functions to rounding
     data = eq.interpolation_data(request.getfixturevalue(sol), t)
     chain = sp.make_chain(data, 4, 2.0, n_chains=1, seed=3)
     series = sp._chain_series(chain)
-    assert series.coef.dtype == np.float64 and series.coef.shape[1] == 5
+    assert series.coef.dtype == np.float64 and series.coef.shape[1] == 3
     assert (series.lo, series.hi) == chain.domain
     x = np.linspace(*chain.domain, 2001)
     v = series(x)
-    for got, want in ((v[0] + 1j * v[1], chain.curve.g(x)),
-                      (np.hypot(v[2], v[3]), np.abs(chain.curve.d1(x))),
-                      (v[4], chain.phi(x))):
+    one_body = 4 * 2.0 * chain.phi(x) - np.log(np.abs(chain.curve.d1(x)))
+    for got, want in ((v[0] + 1j * v[1], chain.curve.g(x)), (v[2], one_body)):
         assert np.max(np.abs(got - want)) <= 2e-12 * np.max(np.abs(want))
+
+
+def test_chain_series_cut_at_its_resolution(rot_data_t1):
+    # the series keeps its coefficients up to the last one above eps times
+    # its column's largest: the interpolant on all the nodes, shortened by
+    # coefficients that are each below that level
+    chain = sp.make_chain(rot_data_t1, 64, 2.0, n_chains=1, seed=3)
+    series = sp._chain_series(chain)
+    g, d1, phi = chain.curve.g, chain.curve.d1, chain.phi
+    x = ChebSeries.nodes(*chain.domain, max(len(g.coef), len(phi.coef)) - 1)
+    full = ChebSeries.fit(*chain.domain, np.stack(
+        [g(x).real, g(x).imag, 64 * 2.0 * phi(x) - np.log(np.abs(d1(x)))], 1)).coef
+    n = len(series.coef)
+    assert n < len(full) == 98
+    assert np.array_equal(series.coef, full[:n])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(full[n:]) <= eps * np.abs(full).max(axis=0))
+    assert np.any(np.abs(full[n - 1]) > eps * np.abs(full).max(axis=0))
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+@pytest.mark.parametrize("seed", [3, 17])
+def test_short_burn_in_tunes_one_particle(rot_sol, t, seed):
+    # 200 sweeps give a 40-sweep burn-in, which adapts the width three
+    # times: a shallow one-particle density ends at the width cap with a
+    # band warning, not with a tuning error
+    chain = sp.make_chain(eq.interpolation_data(rot_sol, t), 1, 2.0, n_chains=8, seed=seed)
+    snaps, info = sp.sample_real_model(chain, 200)
+    assert snaps.shape == (200, 8, 1)
+    lo, hi = chain.domain
+    if info["band_warning"] is None:
+        assert 0.2 <= info["acceptance"] <= 0.6
+    else:
+        assert info["acceptance"] > 0.6 and info["step_scale"] >= 1.4 * (hi - lo)
+
+
+@pytest.mark.parametrize("burn_fraction", [-0.5, -1.0, math.nan, math.inf, -math.inf])
+def test_bad_burn_fraction_rejected(quad_data_t0, burn_fraction):
+    chain = sp.make_chain(quad_data_t0, 4, 2.0, n_chains=2, seed=1)
+    with pytest.raises(ValueError, match="burn_fraction"):
+        sp.sample_real_model(chain, 100, burn_fraction=burn_fraction)
 
 
 def test_empty_runs_raise(quad_data_t0):
