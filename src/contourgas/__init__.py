@@ -12,19 +12,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "numkit": ("ChebSeries", "ComplexPolynomial", "WeightedGrid", "log_energy_form",
                "make_grid", "tensor_quadrature"),
-    "contour": ("Curve", "bilipschitz_check",
-                "family_member", "semicircle_cdf", "semicircle_parametrization"),
+    "contour": ("Curve", "family_member", "semicircle_cdf", "semicircle_parametrization"),
     "equilibrium": ("InterpolationData", "OneCutSolution", "interpolation_data",
                     "solve_one_cut"),
-    "operators": ("DiscretizedOperator", "complex_master_operator",
-                  "finite_hilbert_transform", "real_master_operator"),
+    "operators": ("DiscretizedOperator", "complex_master_operator", "real_master_operator"),
     "fluctuations": ("GaussianLaw", "KernelPair", "finite_rank_oracle",
                      "fourier_kernels", "fredholm_expectation", "gaussian_law",
-                     "loop_equation_check", "one_stat_expansion", "phase_kernels",
-                     "wick_moments"),
-    "partition": ("ExpansionReport", "dt_lnZ", "f_coefficients",
-                  "factorial_product_reduce", "selberg_exact", "selberg_expansion",
-                  "z_complex_quadrature", "z_real_quadrature"),
+                     "one_stat_expansion", "phase_kernels"),
+    "partition": ("ExpansionReport", "dt_lnZ", "f_coefficients", "selberg_exact",
+                  "selberg_expansion", "z_complex_quadrature", "z_real_quadrature"),
     "sampler": ("ParticleChain", "concentration_scan", "edge_density_estimate",
                 "log_energy_distance", "make_chain", "phase_expectation_mc",
                 "regularize", "sample_real_model"),

@@ -22,6 +22,12 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 2
 EXIT_CONFIG = 3
 
+# `sample` passes when its mean position is within SAMPLE_MEAN_TOL of the
+# semicircle law's 1/2 and its Gelman-Rubin R-hat, when it has one, is
+# below SAMPLE_RHAT_MAX
+SAMPLE_MEAN_TOL = 0.05
+SAMPLE_RHAT_MAX = 1.1
+
 
 class ConfigError(ValueError):
     pass
@@ -45,6 +51,9 @@ class RunConfig:
     def validate(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
+        for key in ("beta", "tol", "t"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite")
         if self.beta <= 0 or int(self.beta) != self.beta or int(self.beta) % 2:
             raise ConfigError("beta must be a positive even integer")
         if len(self.potential) < 3:
@@ -244,12 +253,13 @@ def run_sample(cfg):
            "gelman_rubin": info["gelman_rubin"],
            "mean_position": float(xs.mean()),
            "var_position": float(xs.var()),
-           "oracle": "semicircle-moments", "tolerance": 3e-2}
+           "oracle": "semicircle-moments",
+           "tolerance": {"mean_position": SAMPLE_MEAN_TOL, "gelman_rubin": SAMPLE_RHAT_MAX}}
     rows = [[c, k] + list(snaps[k, c]) for k in range(0, snaps.shape[0], max(1, snaps.shape[0] // 50))
             for c in range(snaps.shape[1])]
     header = ["chain", "sweep"] + [f"x{i}" for i in range(snaps.shape[2])]
     gr = info["gelman_rubin"]
-    ok = (gr is None or gr < 1.1) and abs(xs.mean() - 0.5) < 0.05
+    ok = (gr is None or gr < SAMPLE_RHAT_MAX) and abs(xs.mean() - 0.5) < SAMPLE_MEAN_TOL
     return rep, {"samples": (header, rows)}, {}, ok
 
 

@@ -1,7 +1,7 @@
 """Parametrized arcs: the equal-mass (semicircle) parametrization of a
 one-cut support as the inverse of its closed-form mass map, its
-interpolation toward a straight segment, and curve regularity
-certificates."""
+interpolation toward a straight segment, and the chord kernels and log
+chord read off the curve's exact chord."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ __all__ = [
     "semicircle_cdf",
     "semicircle_parametrization",
     "affine_curve",
-    "bilipschitz_check",
     "log_chord",
     "ParametrizationError",
 ]
@@ -462,19 +461,3 @@ def log_chord(curve: Curve, x, y=None):
     w = q / rho
     return (ln_rho.real + np.log(np.abs(w))) + 1j * (ln_rho.imag + np.arctan2(w.imag, w.real))
 
-
-def bilipschitz_check(point_fn, lo, hi, n=256):
-    """Empirical two-sided chord/parameter bounds over all grid pairs.
-
-    Returns (lower, upper) for |gamma(x)-gamma(y)|/|x-y|; raises if the
-    lower bound vanishes (curve not simple on the grid)."""
-    xs = np.linspace(lo, hi, n)
-    g = point_fn(xs)
-    dz = np.abs(g[:, None] - g[None, :])
-    dx = np.abs(xs[:, None] - xs[None, :])
-    iu = np.triu_indices(n, 1)
-    r = dz[iu] / dx[iu]
-    lower, upper = float(r.min()), float(r.max())
-    if lower <= 0:
-        raise ParametrizationError("injectivity violation: coincident curve points")
-    return lower, upper

@@ -11,9 +11,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .contour import (Curve, _flat_mass, _from_end, _MassMap, affine_curve, chord_kernel,
-                      chord_table, family_member, log_chord, semicircle_cdf,
-                      semicircle_parametrization, subtracted_chord_kernel)
+from .contour import (Curve, _from_end, _MassMap, affine_curve, chord_kernel, chord_table,
+                      family_member, log_chord, semicircle_parametrization,
+                      subtracted_chord_kernel)
 from .numkit import (ChebSeries, ComplexPolynomial, make_grid, pairwise_sum, read_only,
                      semicircle_rule)
 
@@ -359,19 +359,6 @@ class OneCutSolution:
 
     # -- effective potentials ---------------------------------------------
 
-    def effective_on_curve(self, x):
-        """(Phi_+, Phi_-) of the complex effective potential at gamma(x): on
-        the support +-i pi times the mass up to x; off it 8 |int sqrt(y (y -
-        1)) dy| from the nearer end, plus +-i pi past zeta2: `_flat_mass`,
-        the closed form of `effective_potential` with the flat Q."""
-        x = float(x)
-        if 0.0 <= x <= 1.0:
-            v = 1j * np.pi * semicircle_cdf(x)
-            return v, -v
-        e = int(x > 1)
-        real = abs(_flat_mass(x, e)[0].real)
-        return complex(real) + 1j * np.pi * e, complex(real) - 1j * np.pi * e
-
     @cached_property
     def _mass_map(self):
         """`contour._MassMap` of the solution: Phi = Q r + lam log(y + r),
@@ -427,12 +414,6 @@ class OneCutSolution:
         """Complexified energy: equilibrium constant plus the potential's
         equilibrium average."""
         return _complex_energy(self.equilibrium_constant(), self._v_on_curve, self.nu)
-
-    def real_energy_direct(self):
-        """Direct double-quadrature oracle for Re of the complex energy."""
-        g = self.curve(self.nu.nodes)
-        return (-double_log_potential(self.curve, self.nu)
-                + 2 * self.nu.integrate(self.potential(g).real))
 
     def entropy(self):
         """Ent = -int ln(dmu/dz) dmu."""

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contour import log_chord
-from .equilibrium import InterpolationData, _log_chord
-from .numkit import ChebSeries, _log_weights, make_grid, pairwise_sum, tensor_quadrature
+from .equilibrium import InterpolationData
+from .numkit import ChebSeries
 from .operators import DiscretizedOperator, complex_master_operator, real_master_operator
 
 __all__ = [
@@ -23,21 +23,12 @@ __all__ = [
     "fourier_kernels",
     "fredholm_expectation",
     "finite_rank_oracle",
-    "sample_structured_gaussian",
-    "structured_index_map",
-    "wick_moments",
     "one_stat_expansion",
-    "loop_equation_check",
     "CovarianceError",
-    "DomainError",
 ]
 
 
 class CovarianceError(ValueError):
-    pass
-
-
-class DomainError(ValueError):
     pass
 
 
@@ -86,28 +77,6 @@ class GaussianLaw:
 
 def gaussian_law(data: InterpolationData, beta, n=64):
     return GaussianLaw(data, float(beta), real_master_operator(data, n=n))
-
-
-def wick_moments(fs, law: GaussianLaw):
-    """Moment of the product of linear statistics under the limit law, by
-    the mean/covariance recursion of jointly Gaussian variables."""
-    fs = list(fs)
-    if not fs:
-        return 1.0
-    F = np.stack([law._nodal(f) for f in fs], axis=1)
-    means, covs = law.mean(F), law.cov(F, F)
-
-    def rec(idx):
-        if not idx:
-            return 1.0
-        last = idx[-1]
-        rest = idx[:-1]
-        out = means[last] * rec(rest)
-        for q in range(len(rest)):
-            out += covs[rest[q], last] * rec(rest[:q] + rest[q + 1:])
-        return out
-
-    return rec(list(range(len(fs))))
 
 
 # -- phase kernels -----------------------------------------------------------
@@ -227,36 +196,6 @@ def _floating(v):
     return v.astype(np.result_type(v, float), copy=False)
 
 
-def structured_index_map(n):
-    """Matrix T taking a real vector X of length 2n to the structured
-    complex vector xi = T X, whose entries pair up under conjugation:
-    conj(xi_j) = xi_{-j}, with index -j the reversal j -> 2n - 1 - j."""
-    T = np.zeros((2 * n, 2 * n), dtype=complex)
-    for k in range(n):
-        T[n + k, k] = 1
-        T[n + k, n + k] = 1j
-        T[k, n - 1 - k] = 1
-        T[k, 2 * n - 1 - k] = -1j
-    return T
-
-
-def sample_structured_gaussian(B, mu, n_samples, rng):
-    """Draws of the structured vector (conj(xi_j) = xi_{-j}) with mean mu
-    and covariance B = cov(xi_i, conj(xi_j)); used as the Monte Carlo side
-    of the finite-rank identity."""
-    n2 = len(mu)
-    if n2 % 2:
-        raise ValueError("structured vector has even length")
-    T = structured_index_map(n2 // 2)
-    C = (T.conj().T @ B @ T) / 4
-    C = np.real(0.5 * (C + C.T))
-    mX = np.real(T.conj().T @ mu) / 2
-    evC, QC = np.linalg.eigh(C)
-    Lh = QC @ np.diag(np.sqrt(np.clip(evC, 0, None)))
-    X = mX + rng.standard_normal((n_samples, n2)) @ Lh.T
-    return X @ T.T
-
-
 # -- expansion of the one-statistic moment -----------------------------------
 
 
@@ -303,70 +242,3 @@ def one_stat_expansion(data: InterpolationData, f, beta, n=64):
     c2 = term2 + term3 + term4
     return c1, c2, {"deriv": term1, "double_deriv": term2,
                     "connected": term3, "diagonal": term4}
-
-
-# -- small-N tensor quadrature and the first loop equation -------------------
-
-
-def loop_equation_check(N, beta, data: InterpolationData, domain, M=64):
-    """Residual of the first (k = 0) loop equation with the identity test
-    direction, all expectations by tensor quadrature of the real model, the
-    boundary term dropped.  Curve, slope and potential all come from the
-    member `data`; the flat member with a wide domain such as (-1, 2) is
-    the intended use.  The domain has no default: the dropped term is
-    exponentially small only when the domain reaches well past the support,
-    and on the working interval [-pad, 1 + pad] it is not (the flat z^2
-    member at N = 2 leaves -2.67e-2 there, -1.5e-14 on (-1, 2)).  Raises
-    DomainError when the domain leaves the interval of the member's curve
-    series and the curve is not a straight segment: its series are not
-    valid there."""
-    gamma, dgamma, ddgamma = data.curve, data.curve.deriv1, data.curve.deriv2
-    g = gamma.g
-    if len(g.coef) > 2 and not g.lo <= min(domain) <= max(domain) <= g.hi:
-        raise DomainError(f"domain {tuple(domain)} leaves the curve series' interval "
-                          f"[{g.lo:.3g}, {g.hi:.3g}]")
-
-    x = make_grid("gauss_legendre", M, domain).nodes
-    nu = data.nu
-    y, wy = nu.nodes, nu.weights
-    xgp = ChebSeries.interpolate(lambda s: s * dgamma(s), g.lo, g.hi, len(gamma.d1.coef))
-
-    def Dkernel(xa, xb):
-        # Re (xa g'(xa) - xb g'(xb)) / (g(xa) - g(xb)), exact on the diagonal
-        num, den = xgp.divided_difference(xb), g.divided_difference(xb)
-        return np.real((num.vander(xa) @ num.coef) / (den.vander(xa) @ den.coef))
-
-    # test direction h(x) = x; Dbar = int D(., y) dnu(y) on both node sets
-    Dbar = pairwise_sum(Dkernel(x, y) * wy[None, :])
-    Dbar_y = pairwise_sum(Dkernel(y, y) * wy[None, :])
-    Xi_h = np.real(data.vt_prime_pullback(x)) * x - Dbar
-    nu_Xi_h = nu.integrate(np.real(data.vt_prime_pullback(y)) * y - Dbar_y)
-    R_h = np.real(ddgamma(x) / dgamma(x)) * x + 1.0
-    Dgrid = Dkernel(x, x)
-    nu_D_nu = nu.integrate(Dbar_y)
-
-    # expectations under the N-particle curve ensemble by tensor quadrature
-    # on the same grid
-    _, w, log_single, log_pair = _log_weights(N, beta, _phi_from_data(data, x),
-                                              gamma, domain, M, real_model=True)
-    W, _ = tensor_quadrature(N, log_single, log_pair, w)
-    Z = W.sum()
-    m1 = W.sum(axis=tuple(range(1, W.ndim))) / Z    # one-point marginal
-    E_Xi, E_R, E_Dbar = (pairwise_sum(m1 * s) for s in (Xi_h, R_h, Dbar))
-    E_Ddiag = pairwise_sum(m1 * np.diag(Dgrid))
-    E_Dpair = 0.0
-    if N >= 2:
-        E_Dpair = float(np.sum(W * Dgrid) / Z)      # W is the pair marginal
-
-    lhs = E_Xi - nu_Xi_h
-    dLdL = ((N - 1) / N) * E_Dpair + E_Ddiag / N - 2 * E_Dbar + nu_D_nu
-    rhs = 0.5 * dLdL + (1.0 / N) * (1 / beta - 0.5) * E_R
-    return lhs - rhs
-
-
-def _phi_from_data(data: InterpolationData, x):
-    """Re V_t(gamma_t(x)): the real antiderivative of the pulled-back slope,
-    4x(x - 1) + `_log_chord` of the member, pinned to vt_gamma at x = 1/2."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    L = _log_chord(data.curve, np.append(x, 0.5), data.nu)
-    return data.vt_gamma(0.5).real + 1 + 4 * x * (x - 1) + L[:-1] - L[-1]

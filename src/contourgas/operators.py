@@ -18,7 +18,6 @@ __all__ = [
     "DiscretizedOperator",
     "real_master_operator",
     "complex_master_operator",
-    "finite_hilbert_transform",
     "NearSingularError",
 ]
 
@@ -243,14 +242,3 @@ def _complex_operator(data: InterpolationData, n):
     k_row = pref @ E_s / (8 * np.pi)
     return DiscretizedOperator(colloc, forward, k_row, Dinv, nu, E_y, D_x)
 
-
-def finite_hilbert_transform(phi, x):
-    """PV integral of phi(y) sqrt(1-y^2)/(y-x) over [-1,1] by the
-    subtracted form on the 128-node sqrt-weight Gauss rule; the classical
-    sqrt-weight moment supplies the principal value of the bare kernel."""
-    gc2 = make_grid("gauss_chebyshev_sqrt", 128, (-1.0, 1.0))
-    y, w = gc2.nodes, gc2.weights
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    px = phi(x)
-    dq = (phi(y)[None, :] - px[:, None]) / (y[None, :] - x[:, None])
-    return pairwise_sum(w * dq) - np.pi * x * px

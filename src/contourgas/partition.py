@@ -1,7 +1,7 @@
 """Exact and asymptotic partition functions: the Gaussian-ensemble closed
-form, its Barnes reduction and large-N expansion, the leading expansion
-coefficients from equilibrium data, direct small-N tensor quadrature of both
-models, and the derivative of the interpolation flow."""
+form and its large-N expansion, the leading expansion coefficients from
+equilibrium data, direct small-N tensor quadrature of both models, and the
+derivative of the interpolation flow."""
 
 from __future__ import annotations
 
@@ -18,12 +18,10 @@ from .operators import complex_master_operator
 __all__ = [
     "ExpansionReport",
     "selberg_exact",
-    "factorial_product_reduce",
     "selberg_expansion",
     "f_coefficients",
     "z_complex_quadrature",
     "z_real_quadrature",
-    "tensor_model_moment",
     "dt_lnZ",
     "quadratic_line_domain",
 ]
@@ -44,22 +42,6 @@ def selberg_exact(N, beta, zeta1, zeta2, v_mid):
     log_z += -N * math.lgamma(beta / 2 + 1)
     log_z += sum(math.lgamma(beta * j / 2 + 1) for j in range(1, N + 1))
     return complex(log_z)
-
-
-def factorial_product_reduce(t, n):
-    """log of prod_{j=1}^{n-1} (t j)! in the reduced form built on Gamma
-    ratios (equivalently the Barnes function); equals the direct product.
-
-    Returns (reduced_log, direct_log)."""
-    t, n = int(t), int(n)
-    if t < 1 or n < 1:
-        raise ValueError("arguments must be integers >= 1")
-    reduced = -0.5 * n * (t - 1) * math.log(t)
-    reduced += sum(math.lgamma(j + 1) for j in range(1, t * n)) / t
-    for p in range(1, t):
-        reduced += (1 - p / t) * (math.lgamma(p / t) - math.lgamma(p / t + n))
-    direct = sum(math.lgamma(t * j + 1) for j in range(1, n))
-    return reduced, direct
 
 
 @dataclass
@@ -156,17 +138,6 @@ def z_real_quadrature(N, beta, V, curve=None, domain=(-1.0, 1.0), M=96):
     """Real-model partition function (moduli in place of complex factors).
     N <= 4, at the same cost as `z_complex_quadrature`."""
     return _z_quadrature(N, beta, V, curve, domain, M, real_model=True)
-
-
-def tensor_model_moment(N, beta, V, curve, domain, f_values_fn, M=96):
-    """Expectation of a one-point statistic under the N-particle
-    oscillatory model by tensor quadrature.
-
-    f_values_fn maps parameter nodes to statistic values."""
-    x, w, log_single, log_pair = _log_weights(N, beta, V, curve, domain, M, False)
-    W, _ = tensor_quadrature(N, log_single, log_pair, w)
-    m1 = W.sum(axis=tuple(range(1, W.ndim))) / W.sum()
-    return m1 @ f_values_fn(x)
 
 
 # -- derivative of the interpolation flow -------------------------------------

@@ -1,0 +1,188 @@
+"""Independent oracles the tests check the package against: closed forms,
+direct quadratures and Monte Carlo draws that no run of the package reads.
+Test modules import them with `from oracles import ...`."""
+
+import numpy as np
+
+from contourgas.contour import ParametrizationError, _flat_mass, semicircle_cdf
+from contourgas.equilibrium import InterpolationData, _log_chord, double_log_potential
+from contourgas.numkit import ChebSeries, _log_weights, make_grid, pairwise_sum, tensor_quadrature
+
+
+# -- equilibrium -------------------------------------------------------------
+
+
+def effective_on_curve(x):
+    """(Phi_+, Phi_-) of the complex effective potential at gamma(x), the
+    same for every one-cut solution in its semicircle parametrization: on
+    the support +-i pi times the mass up to x; off it 8 |int sqrt(y (y -
+    1)) dy| from the nearer end, plus +-i pi past zeta2: `_flat_mass`,
+    the closed form of `effective_potential` with the flat Q."""
+    x = float(x)
+    if 0.0 <= x <= 1.0:
+        v = 1j * np.pi * semicircle_cdf(x)
+        return v, -v
+    e = int(x > 1)
+    real = abs(_flat_mass(x, e)[0].real)
+    return complex(real) + 1j * np.pi * e, complex(real) - 1j * np.pi * e
+
+
+def real_energy_direct(sol):
+    """Direct double-quadrature oracle for Re of the complex energy of the
+    one-cut solution `sol`."""
+    g = sol.curve(sol.nu.nodes)
+    return (-double_log_potential(sol.curve, sol.nu)
+            + 2 * sol.nu.integrate(sol.potential(g).real))
+
+
+# -- contour -----------------------------------------------------------------
+
+
+def bilipschitz_check(point_fn, lo, hi, n=256):
+    """Empirical two-sided chord/parameter bounds over all grid pairs.
+
+    Returns (lower, upper) for |gamma(x)-gamma(y)|/|x-y|; raises if the
+    lower bound vanishes (curve not simple on the grid)."""
+    xs = np.linspace(lo, hi, n)
+    g = point_fn(xs)
+    dz = np.abs(g[:, None] - g[None, :])
+    dx = np.abs(xs[:, None] - xs[None, :])
+    iu = np.triu_indices(n, 1)
+    r = dz[iu] / dx[iu]
+    lower, upper = float(r.min()), float(r.max())
+    if lower <= 0:
+        raise ParametrizationError("injectivity violation: coincident curve points")
+    return lower, upper
+
+
+# -- operators ---------------------------------------------------------------
+
+
+def finite_hilbert_transform(phi, x):
+    """PV integral of phi(y) sqrt(1-y^2)/(y-x) over [-1,1] by the
+    subtracted form on the 128-node sqrt-weight Gauss rule; the classical
+    sqrt-weight moment supplies the principal value of the bare kernel."""
+    gc2 = make_grid("gauss_chebyshev_sqrt", 128, (-1.0, 1.0))
+    y, w = gc2.nodes, gc2.weights
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    px = phi(x)
+    dq = (phi(y)[None, :] - px[:, None]) / (y[None, :] - x[:, None])
+    return pairwise_sum(w * dq) - np.pi * x * px
+
+
+# -- fluctuations: the structured Gaussian vector ----------------------------
+
+
+def structured_index_map(n):
+    """Matrix T taking a real vector X of length 2n to the structured
+    complex vector xi = T X, whose entries pair up under conjugation:
+    conj(xi_j) = xi_{-j}, with index -j the reversal j -> 2n - 1 - j."""
+    T = np.zeros((2 * n, 2 * n), dtype=complex)
+    for k in range(n):
+        T[n + k, k] = 1
+        T[n + k, n + k] = 1j
+        T[k, n - 1 - k] = 1
+        T[k, 2 * n - 1 - k] = -1j
+    return T
+
+
+def sample_structured_gaussian(B, mu, n_samples, rng):
+    """Draws of the structured vector (conj(xi_j) = xi_{-j}) with mean mu
+    and covariance B = cov(xi_i, conj(xi_j)); used as the Monte Carlo side
+    of the finite-rank identity."""
+    n2 = len(mu)
+    if n2 % 2:
+        raise ValueError("structured vector has even length")
+    T = structured_index_map(n2 // 2)
+    C = (T.conj().T @ B @ T) / 4
+    C = np.real(0.5 * (C + C.T))
+    mX = np.real(T.conj().T @ mu) / 2
+    evC, QC = np.linalg.eigh(C)
+    Lh = QC @ np.diag(np.sqrt(np.clip(evC, 0, None)))
+    X = mX + rng.standard_normal((n_samples, n2)) @ Lh.T
+    return X @ T.T
+
+
+# -- fluctuations: small-N tensor quadrature and the first loop equation -----
+
+
+class DomainError(ValueError):
+    pass
+
+
+def loop_equation_check(N, beta, data: InterpolationData, domain, M=64):
+    """Residual of the first (k = 0) loop equation with the identity test
+    direction, all expectations by tensor quadrature of the real model, the
+    boundary term dropped.  Curve, slope and potential all come from the
+    member `data`; the flat member with a wide domain such as (-1, 2) is
+    the intended use.  The domain has no default: the dropped term is
+    exponentially small only when the domain reaches well past the support,
+    and on the working interval [-pad, 1 + pad] it is not (the flat z^2
+    member at N = 2 leaves -2.67e-2 there, -1.5e-14 on (-1, 2)).  Raises
+    DomainError when the domain leaves the interval of the member's curve
+    series and the curve is not a straight segment: its series are not
+    valid there."""
+    gamma, dgamma, ddgamma = data.curve, data.curve.deriv1, data.curve.deriv2
+    g = gamma.g
+    if len(g.coef) > 2 and not g.lo <= min(domain) <= max(domain) <= g.hi:
+        raise DomainError(f"domain {tuple(domain)} leaves the curve series' interval "
+                          f"[{g.lo:.3g}, {g.hi:.3g}]")
+
+    x = make_grid("gauss_legendre", M, domain).nodes
+    nu = data.nu
+    y, wy = nu.nodes, nu.weights
+    xgp = ChebSeries.interpolate(lambda s: s * dgamma(s), g.lo, g.hi, len(gamma.d1.coef))
+
+    def Dkernel(xa, xb):
+        # Re (xa g'(xa) - xb g'(xb)) / (g(xa) - g(xb)), exact on the diagonal
+        num, den = xgp.divided_difference(xb), g.divided_difference(xb)
+        return np.real((num.vander(xa) @ num.coef) / (den.vander(xa) @ den.coef))
+
+    # test direction h(x) = x; Dbar = int D(., y) dnu(y) on both node sets
+    Dbar = pairwise_sum(Dkernel(x, y) * wy[None, :])
+    Dbar_y = pairwise_sum(Dkernel(y, y) * wy[None, :])
+    Xi_h = np.real(data.vt_prime_pullback(x)) * x - Dbar
+    nu_Xi_h = nu.integrate(np.real(data.vt_prime_pullback(y)) * y - Dbar_y)
+    R_h = np.real(ddgamma(x) / dgamma(x)) * x + 1.0
+    Dgrid = Dkernel(x, x)
+    nu_D_nu = nu.integrate(Dbar_y)
+
+    # expectations under the N-particle curve ensemble by tensor quadrature
+    # on the same grid
+    _, w, log_single, log_pair = _log_weights(N, beta, _phi_from_data(data, x),
+                                              gamma, domain, M, real_model=True)
+    W, _ = tensor_quadrature(N, log_single, log_pair, w)
+    Z = W.sum()
+    m1 = W.sum(axis=tuple(range(1, W.ndim))) / Z    # one-point marginal
+    E_Xi, E_R, E_Dbar = (pairwise_sum(m1 * s) for s in (Xi_h, R_h, Dbar))
+    E_Ddiag = pairwise_sum(m1 * np.diag(Dgrid))
+    E_Dpair = 0.0
+    if N >= 2:
+        E_Dpair = float(np.sum(W * Dgrid) / Z)      # W is the pair marginal
+
+    lhs = E_Xi - nu_Xi_h
+    dLdL = ((N - 1) / N) * E_Dpair + E_Ddiag / N - 2 * E_Dbar + nu_D_nu
+    rhs = 0.5 * dLdL + (1.0 / N) * (1 / beta - 0.5) * E_R
+    return lhs - rhs
+
+
+def _phi_from_data(data: InterpolationData, x):
+    """Re V_t(gamma_t(x)): the real antiderivative of the pulled-back slope,
+    4x(x - 1) + `_log_chord` of the member, pinned to vt_gamma at x = 1/2."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    L = _log_chord(data.curve, np.append(x, 0.5), data.nu)
+    return data.vt_gamma(0.5).real + 1 + 4 * x * (x - 1) + L[:-1] - L[-1]
+
+
+# -- partition ---------------------------------------------------------------
+
+
+def tensor_model_moment(N, beta, V, curve, domain, f_values_fn, M=96):
+    """Expectation of a one-point statistic under the N-particle
+    oscillatory model by tensor quadrature.
+
+    f_values_fn maps parameter nodes to statistic values."""
+    x, w, log_single, log_pair = _log_weights(N, beta, V, curve, domain, M, False)
+    W, _ = tensor_quadrature(N, log_single, log_pair, w)
+    m1 = W.sum(axis=tuple(range(1, W.ndim))) / W.sum()
+    return m1 @ f_values_fn(x)

@@ -13,6 +13,8 @@ from contourgas import operators as ops
 from contourgas import partition as pt
 from contourgas import sampler as sp
 from contourgas.numkit import log_energy_form, semicircle_rule
+from oracles import (finite_hilbert_transform, loop_equation_check,
+                     sample_structured_gaussian, structured_index_map)
 
 LN2 = math.log(2)
 
@@ -77,7 +79,7 @@ def test_A3_operator_roundtrips(rot_sol):
     for n in range(1, 6):
         Un = lambda y: np.sin(n * np.arccos(np.clip(y, -1, 1))) / np.sqrt(
             1 - np.clip(y, -1, 1)**2)
-        h = ops.finite_hilbert_transform(Un, xt)
+        h = finite_hilbert_transform(Un, xt)
         worst_airfoil = max(worst_airfoil,
                             np.max(np.abs(h + math.pi * np.cos(n * np.arccos(xt)))))
     ok = worst_xi <= 1e-7 and worst_delta <= 1e-7 and worst_airfoil <= 1e-8
@@ -147,7 +149,7 @@ def test_A6_fredholm_identity():
     for n in (1, 2):
         for _ in range(10):
             n2 = 2 * n
-            T = fl.structured_index_map(n)
+            T = structured_index_map(n)
             G = rng.normal(size=(n2, n2)) * 0.3
             B = T @ (G @ G.T) @ T.conj().T
             mu = T @ (rng.normal(size=n2) * 0.4)
@@ -156,7 +158,7 @@ def test_A6_fredholm_identity():
             A = 0.5 * (A + A[::-1, ::-1].T)
             lam = rng.normal(size=n2) + 1j * rng.normal(size=n2)
             lam = 0.5 * (lam + lam[::-1].conj())
-            xi = fl.sample_structured_gaussian(B, mu, n_mc, rng)
+            xi = sample_structured_gaussian(B, mu, n_mc, rng)
             quad = np.einsum("si,ij,sj->s", xi.conj(), A, xi)
             lin = xi @ lam.conj()
             for beta in (2.0, 4.0):
@@ -200,8 +202,8 @@ def test_A7_phase_expectation(rot_sol, quartic_sol):
 def test_A8_loop_equation(quad_sol):
     t0 = time.time()
     data = eq.interpolation_data(quad_sol, 0.0)
-    r2 = abs(fl.loop_equation_check(2, 2.0, data, domain=(-1.0, 2.0), M=160))
-    r3 = abs(fl.loop_equation_check(3, 2.0, data, domain=(-1.0, 2.0), M=72))
+    r2 = abs(loop_equation_check(2, 2.0, data, domain=(-1.0, 2.0), M=160))
+    r3 = abs(loop_equation_check(3, 2.0, data, domain=(-1.0, 2.0), M=72))
     ok = r2 <= 1e-5 and r3 <= 1e-5
     _report("A8", ok, f"k=0 residuals: N=2 {r2:.1e}, N=3 {r3:.1e}",
             time.time() - t0, 300)

@@ -62,6 +62,23 @@ def test_out_of_range_input_rejected(tmp_path, mode, line, key):
     assert key in rep["error"]["message"]
 
 
+@pytest.mark.parametrize("line, key", [
+    ("beta = nan", "beta"),
+    ("beta = inf", "beta"),
+    ("tol = nan", "tol"),
+    ("tol = inf", "tol"),
+    ("t = nan", "t"),
+])
+def test_non_finite_value_rejected(tmp_path, line, key):
+    # beta = nan or inf ended in a traceback from int(beta), tol = nan in a
+    # tolerance failure and tol = inf in a pass that gates nothing
+    cfg = _write_cfg(tmp_path, f"mode = selberg\n{line}\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["selberg", "--config", cfg, "--out", out]) == 3
+    rep = json.load(open(os.path.join(out, "report.json")))
+    assert rep["error"] == {"kind": "invalid-config", "message": f"{key} must be finite"}
+
+
 def test_unknown_key_rejected(tmp_path):
     cfg = _write_cfg(tmp_path, "mode = selberg\nbogus = 1\n")
     rc = cli.main(["selberg", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -231,3 +248,23 @@ def test_fredholm_reports_its_resolution(tmp_path, nodes_line, status):
     assert rep["exit_status"] == status
     assert (rep["resolution"] <= rep["tolerance"]) == (status == 0)
     assert rep["tolerance"] == 1e-7
+
+
+@pytest.mark.parametrize("N, sweeps, seed, status", [
+    (2, 10, 41, 0),         # |mean - 1/2| = 0.043, R-hat 1.04
+    (2, 10, 20, 2),         # |mean - 1/2| = 0.056, R-hat 1.03
+    (4, 10, 12345, 2),      # |mean - 1/2| = 0.005, R-hat 1.29
+])
+def test_sample_reports_the_bounds_it_gates(tmp_path, N, sweeps, seed, status):
+    # the report's bounds are the ones the exit status applies: the first
+    # run passes with its mean further from 1/2 than the 3e-2 once reported
+    cfg = _write_cfg(tmp_path, f"mode = sample\nN = {N}\nsweeps = {sweeps}\nseed = {seed}\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["sample", "--config", cfg, "--out", out]) == status
+    rep = json.load(open(os.path.join(out, "report.json")))
+    assert rep["exit_status"] == status
+    tol = rep["tolerance"]
+    assert tol == {"mean_position": cli.SAMPLE_MEAN_TOL, "gelman_rubin": cli.SAMPLE_RHAT_MAX}
+    passed = (abs(rep["mean_position"] - 0.5) < tol["mean_position"]
+              and (rep["gelman_rubin"] is None or rep["gelman_rubin"] < tol["gelman_rubin"]))
+    assert passed == (status == 0)

@@ -11,6 +11,7 @@ from contourgas import equilibrium as eq
 from contourgas.contour import Curve, family_member, semicircle_cdf
 from contourgas.equilibrium import NoSolutionError
 from contourgas.numkit import ChebSeries, ComplexPolynomial, make_grid, semicircle_rule
+from oracles import effective_on_curve, real_energy_direct
 
 LN2 = math.log(2)
 
@@ -387,11 +388,11 @@ def test_vt_uniform_bound(rot_sol):
     assert max(sups) <= 2 * edge
 
 
-def test_effective_potential_on_support(quad_sol):
-    p, m = quad_sol.effective_on_curve(0.5)
+def test_effective_potential_on_support():
+    p, m = effective_on_curve(0.5)
     assert p == pytest.approx(1j * math.pi * 0.5)
     assert (p + m) == pytest.approx(0.0)
-    p0, _ = quad_sol.effective_on_curve(0.0)
+    p0, _ = effective_on_curve(0.0)
     assert p0 == 0
 
 
@@ -399,7 +400,7 @@ def test_effective_potential_off_support_positive_t_independent(rot_sol):
     # Re Phi_eff beyond the endpoint from the actual interpolated data,
     # against the closed t-independent profile
     x0 = -0.04
-    closed = rot_sol.effective_on_curve(x0)[0].real
+    closed = effective_on_curve(x0)[0].real
     assert closed > 0
     grid = rot_sol.nu
     for t in (0.0, 0.5, 1.0):
@@ -410,14 +411,14 @@ def test_effective_potential_off_support_positive_t_independent(rot_sol):
         assert phi_eff == pytest.approx(closed, abs=2e-6)
 
 
-def test_effective_potential_off_support_against_mpmath(quad_sol):
+def test_effective_potential_off_support_against_mpmath():
     # Re Phi_eff = 8 |int sqrt(y (y - 1)) dy| from the nearer end, +-i pi
     # past zeta2, to full relative accuracy up to the square-root end
     for x, rel in ((-0.3, 1e-14), (-1e-6, 1e-10), (1.7, 1e-14)):
         a, b = (x, 0) if x < 0 else (1, x)
         with mpmath.workdps(30):
             want = float(8 * mpmath.quad(lambda y: mpmath.sqrt(y * (y - 1)), [a, b]))
-        p, m = quad_sol.effective_on_curve(x)
+        p, m = effective_on_curve(x)
         im = math.pi if x > 1 else 0.0
         assert p.real == m.real == pytest.approx(want, rel=rel)
         assert (p.imag, m.imag) == (im, -im)
@@ -518,7 +519,7 @@ def test_phi_eff_at_the_ends_matches_the_flat_profile(request, fix):
     # where it vanishes like |x - e|^(3/2)
     sol = request.getfixturevalue(fix)
     for x in (-1e-6, -1e-3, 1 + 1e-3, 1 + 1e-6):
-        want = sol.effective_on_curve(x)[0].real
+        want = effective_on_curve(x)[0].real
         assert sol.phi_eff(sol.curve(x)) == pytest.approx(want, rel=1e-9)
 
 
@@ -534,7 +535,7 @@ def test_entropy_quadratic(quad_sol):
 def test_energy_vs_direct_double_quadrature(request, fix):
     sol = request.getfixturevalue(fix)
     assert sol.complex_energy().real == pytest.approx(
-        sol.real_energy_direct(), abs=1e-6)
+        real_energy_direct(sol), abs=1e-6)
 
 
 def _mp_flat_log_potential(x):

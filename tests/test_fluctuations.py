@@ -7,6 +7,8 @@ import pytest
 from contourgas import equilibrium as eq
 from contourgas import fluctuations as fl
 from contourgas.numkit import ChebSeries, semicircle_rule
+from oracles import (DomainError, _phi_from_data, loop_equation_check,
+                     sample_structured_gaussian, structured_index_map, tensor_model_moment)
 
 
 @pytest.fixture(scope="module")
@@ -69,17 +71,6 @@ def test_law_on_nodal_columns_matches_column_calls(rot_laws, t):
     assert covs.shape == (4, 2)
     cols = [[law.cov(F[:, i], G[:, j]) for j in range(2)] for i in range(4)]
     assert np.max(np.abs(covs - cols)) <= 1e-15
-
-
-def test_wick_moments(rot_laws):
-    law = rot_laws[(0.0, 2.0)]
-    xs = law.op.grid
-    assert fl.wick_moments([], law) == 1.0
-    assert fl.wick_moments([xs], law) == law.mean(xs)
-    assert fl.wick_moments([xs, xs], law) == pytest.approx(1 / 16, abs=1e-9)
-    # fourth Gaussian moment of a centred variable: 3 variance^2
-    m4 = fl.wick_moments([xs, xs, xs, xs], law)
-    assert m4 == pytest.approx(3 * (1 / 16) ** 2, abs=1e-9)
 
 
 def test_phase_kernels_vanish_on_real_line(quartic_sol):
@@ -171,7 +162,7 @@ def test_fredholm_straight_member(sol, request):
 
 def _structured_instance(n, rng, scale=0.3):
     n2 = 2 * n
-    T = fl.structured_index_map(n)
+    T = structured_index_map(n)
     G = rng.normal(size=(n2, n2)) * scale
     B = T @ (G @ G.T) @ T.conj().T
     mu = T @ (rng.normal(size=n2) * 0.4)
@@ -227,7 +218,7 @@ def test_finite_rank_vs_monte_carlo():
     B, mu, A, lam = _structured_instance(2, rng)
     beta = 2.0
     n_mc = 1_000_000
-    xi = fl.sample_structured_gaussian(B, mu, n_mc, rng)
+    xi = sample_structured_gaussian(B, mu, n_mc, rng)
     q = 0.5j * beta * np.einsum("si,ij,sj->s", xi.conj(), A, xi) \
         + 1j * beta * (xi @ lam.conj())
     vals = np.exp(q)
@@ -244,7 +235,7 @@ def test_finite_rank_vs_tensor_quadrature():
     rng = np.random.default_rng(31)
     n = 2
     n2 = 2 * n
-    T = fl.structured_index_map(n)
+    T = structured_index_map(n)
     G = rng.normal(size=(n2, n2)) * 0.3
     CX = G @ G.T
     mX = rng.normal(size=n2) * 0.4
@@ -321,9 +312,9 @@ def test_fredholm_grid_stability(rot_data_t1, cubic_sol):
 
 
 def test_loop_equation_small_N(quad_data_t0):
-    r2 = fl.loop_equation_check(2, 2.0, quad_data_t0, domain=(-1.0, 2.0), M=160)
+    r2 = loop_equation_check(2, 2.0, quad_data_t0, domain=(-1.0, 2.0), M=160)
     assert abs(r2) < 1e-6
-    r3 = fl.loop_equation_check(3, 2.0, quad_data_t0, domain=(-1.0, 2.0), M=72)
+    r3 = loop_equation_check(3, 2.0, quad_data_t0, domain=(-1.0, 2.0), M=72)
     assert abs(r3) < 1e-5
 
 
@@ -332,13 +323,13 @@ def test_loop_equation_rejects_domain_past_a_curved_member(rot_sol, quad_sol):
     # used to read them far outside it and return 0.18 without complaint
     data = eq.interpolation_data(rot_sol, 1.0)
     assert (data.curve.g.lo, data.curve.g.hi) == pytest.approx((-0.1, 1.1))
-    with pytest.raises(fl.DomainError, match="interval"):
-        fl.loop_equation_check(2, 2.0, data, domain=(-1.0, 2.0), M=32)
+    with pytest.raises(DomainError, match="interval"):
+        loop_equation_check(2, 2.0, data, domain=(-1.0, 2.0), M=32)
     # inside the interval it runs; a straight member takes any domain
-    assert np.isfinite(fl.loop_equation_check(2, 2.0, data, domain=(-0.1, 1.1), M=32))
+    assert np.isfinite(loop_equation_check(2, 2.0, data, domain=(-0.1, 1.1), M=32))
     flat = eq.interpolation_data(quad_sol, 0.5)
     assert len(flat.curve.g.coef) == 2
-    assert np.isfinite(fl.loop_equation_check(2, 2.0, flat, domain=(-1.0, 2.0), M=32))
+    assert np.isfinite(loop_equation_check(2, 2.0, flat, domain=(-1.0, 2.0), M=32))
 
 
 def test_loop_equation_flat_member_closed_form(quad_data_t0):
@@ -352,7 +343,7 @@ def test_loop_equation_flat_member_closed_form(quad_data_t0):
     assert np.max(np.abs(data.curve.deriv1(x) - 2)) < tol
     assert np.max(np.abs(data.curve.deriv2(x))) < tol
     assert np.max(np.abs(data.vt_prime_pullback(x) - 8 * (x - 0.5))) < tol
-    assert np.max(np.abs(fl._phi_from_data(data, x) - (2 * x - 1) ** 2)) < tol
+    assert np.max(np.abs(_phi_from_data(data, x) - (2 * x - 1) ** 2)) < tol
 
 
 def test_one_stat_expansion_beta2_prefactor_terms(rot_data_t1):
@@ -366,7 +357,6 @@ def test_one_stat_expansion_beta2_prefactor_terms(rot_data_t1):
 def test_one_stat_expansion_vs_tensor_scan(quartic_sol):
     # direct tensor-quadrature moments of the line model against the
     # operator-built coefficients; residuals fall faster than 1/N^2
-    from contourgas.partition import tensor_model_moment
     data = eq.interpolation_data(quartic_sol, 1.0)
     f = lambda z: z**2
     nu = semicircle_rule(96)
@@ -472,10 +462,10 @@ def test_oracle_on_the_range_of_B_structured_and_singular():
 
 def test_structured_index_map_entries():
     # xi = T X for real X: conj(xi_j) = xi_{-j}, -j the reversed index
-    assert np.array_equal(fl.structured_index_map(1), [[1, -1j], [1, 1j]])
-    assert np.array_equal(fl.structured_index_map(2),
+    assert np.array_equal(structured_index_map(1), [[1, -1j], [1, 1j]])
+    assert np.array_equal(structured_index_map(2),
                           [[0, 1, 0, -1j], [1, 0, -1j, 0],
                            [1, 0, 1j, 0], [0, 1, 0, 1j]])
     for n in (1, 2):
-        T = fl.structured_index_map(n)
+        T = structured_index_map(n)
         assert np.array_equal(T.conj(), T[::-1])
