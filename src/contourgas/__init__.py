@@ -21,9 +21,8 @@ _EXPORTS = {
                      "one_stat_expansion", "phase_kernels"),
     "partition": ("ExpansionReport", "dt_lnZ", "f_coefficients", "selberg_exact",
                   "selberg_expansion", "z_complex_quadrature", "z_real_quadrature"),
-    "sampler": ("ParticleChain", "concentration_scan", "edge_density_estimate",
-                "log_energy_distance", "make_chain", "phase_expectation_mc",
-                "regularize", "sample_real_model"),
+    "sampler": ("ParticleChain", "log_energy_distance", "make_chain", "regularize",
+                "sample_real_model"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

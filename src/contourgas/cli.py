@@ -1,7 +1,8 @@
 """Batch front-end: config parsing, pipeline orchestration and report
 emission.
 
-Exit codes: 0 success, 2 tolerance failure, 3 invalid configuration.
+Exit codes: 0 success, 2 tolerance failure or typed numerical error (the
+report names it in error.kind), 3 invalid configuration.
 """
 
 from __future__ import annotations
@@ -384,16 +385,35 @@ RUNNERS = {
 }
 
 
+def _typed_errors():
+    """The package's typed numerical errors: the ways a valid run can fail
+    to produce its numbers."""
+    from .contour import ParametrizationError
+    from .equilibrium import NoSolutionError, NotOneCutError
+    from .fluctuations import CovarianceError
+    from .numkit import QuadratureUnderflowError
+    from .operators import NearSingularError
+    from .sampler import TuningError
+    return (NoSolutionError, NotOneCutError, ParametrizationError, NearSingularError,
+            CovarianceError, TuningError, QuadratureUnderflowError)
+
+
 def run(cfg: RunConfig):
     """Execute one pipeline; returns the exit status after writing
-    report.json and any CSV tables."""
+    report.json and any CSV tables.  A typed numerical error ends the run
+    with exit status 2 and a report that names it."""
     try:
         cfg.validate()
     except ConfigError as exc:
         write_report(cfg.out_dir, {"error": {"kind": "invalid-config",
                                              "message": str(exc)}})
         return EXIT_CONFIG
-    rep, tables, curves, ok = RUNNERS[cfg.mode](cfg)
+    try:
+        rep, tables, curves, ok = RUNNERS[cfg.mode](cfg)
+    except _typed_errors() as exc:      # evaluated only once the run has raised
+        write_report(cfg.out_dir, {"error": {"kind": type(exc).__name__, "message": str(exc)},
+                                   "exit_status": EXIT_TOLERANCE})
+        return EXIT_TOLERANCE
     rep["exit_status"] = EXIT_OK if ok else EXIT_TOLERANCE
     write_report(cfg.out_dir, rep, tables, curves)
     return EXIT_OK if ok else EXIT_TOLERANCE

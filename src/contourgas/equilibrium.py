@@ -102,6 +102,9 @@ def solve_one_cut(V: ComplexPolynomial, seeds=None, validate=True):
             z = _newton_endpoints(mix.deriv(), z)
     else:
         z = np.array([complex(seeds[0]), complex(seeds[1])])
+        if z[0] == z[1]:
+            # the loop around a cut of zero length divides by zero
+            raise NoSolutionError("the two endpoint seeds coincide")
         z = _newton_endpoints(vprime, z)
 
     z1, z2 = z

