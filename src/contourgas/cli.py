@@ -109,22 +109,32 @@ def config_from_values(values, overrides=None):
     kw = {}
     v = dict(values)
     v.update(overrides or {})
+
+    def take(key, cast):
+        # a value that does not cast is a config error that names its key
+        text = v.pop(key)
+        try:
+            return cast(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+
     if "mode" not in v:
         raise ConfigError("config must set mode")
     kw["mode"] = v.pop("mode")
     if "potential.coeffs" in v:
-        kw["potential"] = [_parse_complex(tok) for tok in v.pop("potential.coeffs").split()]
+        kw["potential"] = take("potential.coeffs",
+                               lambda text: [_parse_complex(tok) for tok in text.split()])
     for key, cast in (("beta", float), ("N", int), ("seed", int),
                       ("nodes", int), ("tol", float), ("t", float),
                       ("sweeps", int)):
         if key in v:
-            kw[key] = cast(v.pop(key))
+            kw[key] = take(key, cast)
     if "N_list" in v:
-        kw["N_list"] = [int(tok) for tok in v.pop("N_list").split()]
+        kw["N_list"] = take("N_list", lambda text: [int(tok) for tok in text.split()])
     if "seeds.zeta1" in v or "seeds.zeta2" in v:
         try:
-            z1 = _parse_complex(v.pop("seeds.zeta1"))
-            z2 = _parse_complex(v.pop("seeds.zeta2"))
+            z1 = take("seeds.zeta1", _parse_complex)
+            z2 = take("seeds.zeta2", _parse_complex)
         except KeyError as exc:
             raise ConfigError("both endpoint seeds are required") from exc
         kw["seeds"] = (z1, z2)
@@ -179,7 +189,7 @@ def run_equilibrium(cfg):
     rep = sol.report()
     rep["oracle"] = "variational-conditions"
     rep["tolerance"] = cfg.tol
-    curve_rows = sol.curve.table(257).tolist()
+    curve_rows = sol.curve.table().tolist()
     ok = rep["frostman_on_support_max_abs"] < max(cfg.tol, 1e-6)
     return rep, {"solution": (["key", "value"], [[k, json.dumps(v, default=_json_default)]
                                                  for k, v in rep.items()])}, \

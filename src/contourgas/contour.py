@@ -22,6 +22,8 @@ __all__ = [
     "ParametrizationError",
 ]
 
+_TABLE_ROWS = 257    # equispaced rows of `Curve.table`, the plotted arc
+
 
 class ParametrizationError(RuntimeError):
     pass
@@ -124,9 +126,10 @@ class Curve:
             x = x - f / self.deriv1(x)
         raise ParametrizationError(f"curve inversion failed near z = {z.ravel()[:3]}")
 
-    def table(self, n=257):
-        """Plot-ready rows (x, re, im, re', im')."""
-        xs = np.linspace(*self.domain, n)
+    def table(self):
+        """Plot-ready rows (x, re, im, re', im') at `_TABLE_ROWS` equispaced
+        parameters of the domain."""
+        xs = np.linspace(*self.domain, _TABLE_ROWS)
         g = self(xs)
         d = self.deriv1(xs)
         return np.column_stack([xs, g.real, g.imag, d.real, d.imag])

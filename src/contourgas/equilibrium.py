@@ -400,9 +400,6 @@ class OneCutSolution:
 
     # -- constants, energy, entropy ---------------------------------------
 
-    def u_on_curve(self, x):
-        return -log_potential(self.curve, x, self.nu)
-
     def _v_on_curve(self, x):
         return self.potential(self.curve(x))
 
@@ -430,7 +427,7 @@ class OneCutSolution:
         of the complexified first-order condition at 24 interior nodes."""
         C_re = self.equilibrium_constant().real
         xs = np.linspace(0.04, 0.96, 24)
-        on = self.u_on_curve(xs) + self.potential(self.curve(xs)).real - C_re
+        on = -log_potential(self.curve, xs, self.nu) + self.potential(self.curve(xs)).real - C_re
         rep = {
             "on_support_max_abs": float(np.max(np.abs(on))),
             "equilibrium_constant": C_re,
@@ -549,12 +546,6 @@ class InterpolationData:
 
     st = st_grid    # the one route to the prefactor, under its short name
 
-    def st_at(self, z):
-        """Prefactor at points z near the curve (a scalar or an array):
-        `st_grid` at the parameters of one curve inversion for all of them."""
-        s = self.st_grid(self.curve.invert(z))
-        return s if s.shape else complex(s)
-
     # -- interpolating potential -------------------------------------------
 
     def vt_prime_pullback(self, x):
@@ -564,30 +555,13 @@ class InterpolationData:
         ker = chord_kernel(self.chord, x)
         return 8 * (x - 0.5) - pairwise_sum(ker * self.nu.weights[None, :])
 
-    def vt_prime(self, z):
-        """V_t' at points z in the analytic strip around the curve (a scalar
-        or an array), by the prefactor-difference integral (the subtraction
-        removes the singularity; the remaining kernel is the equilibrium
-        measure)."""
-        z = np.asarray(z, dtype=complex)
-        y = self.nu.nodes
-        sy, gy = self.st_grid(y), self.curve(y)
-        Sz = np.asarray(self.st_at(z))
-        integ = pairwise_sum(self.nu.weights * (sy - Sz[..., None])
-                             / (sy * (gy - z[..., None])))
-        v = Sz * (z - self.sol.midpoint) - integ
-        return v if v.shape else complex(v)
-
-    def vt(self, z):
-        """Interpolating potential at z (a scalar or an array); path integral
-        of vt_prime from the endpoint midpoint along a straight segment, all
-        quadrature points in one vt_prime call."""
-        z = np.asarray(z, dtype=complex)
-        mid = self.sol.midpoint
-        gl = make_grid("gauss_legendre", 48, (0.0, 1.0))
-        vals = self.vt_prime(mid + gl.nodes * (z[..., None] - mid))
-        v = self.sol.potential(mid) + (z - mid) * pairwise_sum(gl.weights * vals)
-        return v if v.shape else complex(v)
+    @cached_property
+    def x_mid(self):
+        """The member's parameter of the endpoint midpoint, where V_t = V for
+        every t: the one curve inversion that pins V_t, read by `vt_gamma`
+        and by `partition._dt_pullback`.  Complex where the member misses
+        the midpoint."""
+        return self.curve.invert(self.sol.midpoint)
 
     @cached_property
     def vt_gamma(self):
@@ -600,9 +574,9 @@ class InterpolationData:
         slope = ChebSeries.interpolate(self.vt_prime_pullback, -pad, 1 + pad, self.n_fit)
         anti = slope.antideriv()
         anti = ChebSeries(anti.lo, anti.hi, anti.coef[:anti.chop()[0]])
-        # pin the value at x = 1/2 to the path-integrated potential
+        # pin V_t = V at the midpoint
         coef = anti.coef.copy()
-        coef[0] += self.vt(self.curve(0.5)) - anti(0.5)
+        coef[0] += self.sol.potential(self.sol.midpoint) - anti(self.x_mid)
         read_only(coef)
         return ChebSeries(anti.lo, anti.hi, coef)
 

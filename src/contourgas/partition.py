@@ -152,7 +152,7 @@ def _dt_pullback(sol: OneCutSolution, t):
     The t-derivative of V_t(gamma_t(x)) = 4x(x - 1) + int ln Q_t(x, .) dnu +
     c_t, the antiderivative of `vt_prime_pullback` (Q_t the member's chord),
     is d_t V_t(gamma_t(x)) = G(x) - G(x_mid), with x_mid the midpoint's
-    parameter (V_t = V there for every t; its one curve inversion) and, Q[f]
+    parameter (V_t = V there for every t; `InterpolationData.x_mid`) and, Q[f]
     the divided difference,
     G = int Q[d_t gamma_t](x, .) / Q_t(x, .) dnu - d_t gamma_t vt_prime_pullback / gamma_t'."""
     data = interpolation_data(sol, t)
@@ -170,7 +170,7 @@ def _dt_pullback(sol: OneCutSolution, t):
         return (pairwise_sum(ratio * nu.weights)
                 - data.vt_prime_pullback(x) * dgamma(x) / data.curve.deriv1(x))
 
-    G_mid = G(np.atleast_1d(data.curve.invert(sol.midpoint)))
+    G_mid = G(np.atleast_1d(data.x_mid))
     return data, lambda x: G(x) - G_mid
 
 

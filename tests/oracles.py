@@ -39,6 +39,43 @@ def real_energy_direct(sol):
             + 2 * sol.nu.integrate(sol.potential(g).real))
 
 
+# -- equilibrium: the path-integral route to V_t -----------------------------
+
+
+def st_at(data: InterpolationData, z):
+    """Prefactor at points z near the curve (a scalar or an array):
+    `st_grid` at the parameters of one curve inversion for all of them."""
+    s = data.st_grid(data.curve.invert(z))
+    return s if s.shape else complex(s)
+
+
+def vt_prime(data: InterpolationData, z):
+    """V_t' at points z in the analytic strip around the curve (a scalar
+    or an array), by the prefactor-difference integral (the subtraction
+    removes the singularity; the remaining kernel is the equilibrium
+    measure)."""
+    z = np.asarray(z, dtype=complex)
+    y = data.nu.nodes
+    sy, gy = data.st_grid(y), data.curve(y)
+    Sz = np.asarray(st_at(data, z))
+    integ = pairwise_sum(data.nu.weights * (sy - Sz[..., None])
+                         / (sy * (gy - z[..., None])))
+    v = Sz * (z - data.sol.midpoint) - integ
+    return v if v.shape else complex(v)
+
+
+def vt(data: InterpolationData, z):
+    """Interpolating potential at z (a scalar or an array); path integral
+    of vt_prime from the endpoint midpoint along a straight segment, all
+    quadrature points in one vt_prime call."""
+    z = np.asarray(z, dtype=complex)
+    mid = data.sol.midpoint
+    gl = make_grid("gauss_legendre", 48, (0.0, 1.0))
+    vals = vt_prime(data, mid + gl.nodes * (z[..., None] - mid))
+    v = data.sol.potential(mid) + (z - mid) * pairwise_sum(gl.weights * vals)
+    return v if v.shape else complex(v)
+
+
 # -- contour -----------------------------------------------------------------
 
 

@@ -79,6 +79,23 @@ def test_non_finite_value_rejected(tmp_path, line, key):
     assert rep["error"] == {"kind": "invalid-config", "message": f"{key} must be finite"}
 
 
+@pytest.mark.parametrize("line, key", [
+    ("N = 2.5", "N"),
+    ("beta = two", "beta"),
+    ("potential.coeffs = 0,0 0,x 1,0", "potential.coeffs"),
+    ("N_list = 8 16 x", "N_list"),
+])
+def test_malformed_value_rejected(tmp_path, line, key):
+    # a value that does not cast ended in a ValueError traceback, exit 1
+    # and no report, not exit 3
+    cfg = _write_cfg(tmp_path, f"mode = selberg\n{line}\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["selberg", "--config", cfg, "--out", out]) == 3
+    rep = json.load(open(os.path.join(out, "report.json")))
+    assert rep["error"]["kind"] == "invalid-config"
+    assert rep["error"]["message"].startswith(f"{key}: ")
+
+
 def test_unknown_key_rejected(tmp_path):
     cfg = _write_cfg(tmp_path, "mode = selberg\nbogus = 1\n")
     rc = cli.main(["selberg", "--config", cfg, "--out", str(tmp_path / "o")])

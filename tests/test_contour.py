@@ -145,8 +145,8 @@ def test_semicircle_pullback_identity_quadratic(quad_sol, pullback_residual):
 
 
 def test_curve_table_shape(quad_sol):
-    tab = quad_sol.curve.table(33)
-    assert tab.shape == (33, 5)
+    tab = quad_sol.curve.table()
+    assert tab.shape == (257, 5)
     assert np.allclose(tab[:, 2], 0.0, atol=1e-12)  # real arc
 
 

@@ -1,7 +1,8 @@
 """Static checks of the package sources: every imported name is read,
 imports sit at module level, each module imports only the layers below it,
-settable values do not grow, the arc's slope has one route, and every
-public name has a reader outside the tests."""
+settable values do not grow, the arc's slope has one route, the member
+inverts the endpoint midpoint once, and every public name has a reader
+outside the tests."""
 
 import ast
 import dataclasses
@@ -138,33 +139,54 @@ def _settable_values():
 def test_settable_values_do_not_grow():
     # a new option shows up here by name, and as an edit of this bound
     names = _settable_values()
-    assert len(names) <= 47, "\n".join(names)
+    assert len(names) <= 46, "\n".join(names)
 
 
-def _g_deriv_callers(node, prefix):
-    """Qualified names of the scopes under one AST node that call
-    `<expr>.g.deriv(...)`, once per call."""
+def _callers(node, prefix, match):
+    """Qualified names of the scopes under one AST node that make a call
+    `match` accepts, once per call."""
     found = []
     for child in ast.iter_child_nodes(node):
         scope = prefix
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{prefix}.{child.name}"
-        func = getattr(child, "func", None)
-        if (isinstance(child, ast.Call) and isinstance(func, ast.Attribute) and func.attr == "deriv"
-                and isinstance(func.value, ast.Attribute) and func.value.attr == "g"):
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and match(child):
             found.append(scope)
-        found += _g_deriv_callers(child, scope)
+        found += _callers(child, scope, match)
     return found
+
+
+def _src_callers(match):
+    """`_callers` over the package sources, module by module."""
+    return [name for p in sorted(SRC.glob("*.py"))
+            for name in _callers(ast.parse(p.read_text(), filename=str(p)), p.stem, match)]
+
+
+def _is_g_deriv(call):
+    """`<expr>.g.deriv(...)`"""
+    func = call.func
+    return func.attr == "deriv" and isinstance(func.value, ast.Attribute) and func.value.attr == "g"
+
+
+def _is_midpoint_inversion(call):
+    """`<expr>.invert(...)` with a `<expr>.midpoint` among its arguments."""
+    return call.func.attr == "invert" and any(
+        isinstance(n, ast.Attribute) and n.attr == "midpoint"
+        for arg in call.args for n in ast.walk(arg))
 
 
 def test_one_slope_route():
     # Curve holds one series, and its slope series d1 is g's derivative,
     # built once: every other reader takes d1 or deriv1, never a second
     # derivative series of its own
-    callers = [name for p in sorted(SRC.glob("*.py"))
-               for name in _g_deriv_callers(ast.parse(p.read_text(), filename=str(p)), p.stem)]
-    assert callers == ["contour.Curve.d1"]
+    assert _src_callers(_is_g_deriv) == ["contour.Curve.d1"]
     assert [f.name for f in dataclasses.fields(Curve)] == ["g", "analytic_pad"]
+
+
+def test_one_midpoint_inversion():
+    # V_t = V at the endpoint midpoint fixes V_t's constant; the member
+    # inverts the midpoint once, and every reader of that constant takes x_mid
+    assert _src_callers(_is_midpoint_inversion) == ["equilibrium.InterpolationData.x_mid"]
 
 
 # public names that no run reads yet, each waiting for the report or the

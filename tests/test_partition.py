@@ -214,12 +214,14 @@ def test_dt_lnZ_builds_one_member(fresh_rot_sol, monkeypatch):
 
 def test_dt_lnZ_inverts_only_the_midpoint(fresh_rot_sol, monkeypatch):
     # the pullback of d_t V_t is read at parameters dt_lnZ already holds,
-    # the nu nodes and the operator grid: the one inversion is the midpoint's
+    # the nu nodes and the operator grid: the one inversion is the midpoint's,
+    # and the member's potential series pins V_t at that same parameter
     sol = fresh_rot_sol
     inverted = []
     invert = Curve.invert
     monkeypatch.setattr(Curve, "invert",
                         lambda self, z, x0=None: inverted.append(np.size(z)) or invert(self, z, x0))
+    eq.interpolation_data(sol, 0.5).vt_gamma
     pt.dt_lnZ(sol, 0.5, 8, 2.0)
     assert inverted == [1]
 
